@@ -148,9 +148,10 @@ def bench_record(request):
 
 
 @pytest.fixture(scope="session")
-def slc_workloads(request) -> list[str] | None:
-    """Optional subset of benchmarks to run."""
+def slc_workloads(request) -> tuple[str, ...]:
+    """Benchmarks the figure studies run (default: all nine, paper order)."""
+    from repro.workloads.registry import PAPER_WORKLOAD_ORDER
+
     raw = request.config.getoption("--slc-workloads").strip()
-    if not raw:
-        return None
-    return [name.strip().upper() for name in raw.split(",") if name.strip()]
+    names = tuple(name.strip().upper() for name in raw.split(",") if name.strip())
+    return names or PAPER_WORKLOAD_ORDER

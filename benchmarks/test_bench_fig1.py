@@ -1,13 +1,13 @@
 """EXP-F1 — regenerate Fig. 1 (raw vs. effective compression ratio)."""
 
-from repro.experiments import format_fig1, run_fig1
+from repro.studies import Fig1Study, format_fig1
 
 
 def test_bench_fig1_compression_ratio(benchmark, slc_scale, slc_workloads):
     """Raw and effective ratios of BDI, FPC, C-PACK and E2MC per benchmark."""
 
     def run():
-        return run_fig1(workload_names=slc_workloads, scale=slc_scale)
+        return Fig1Study(workloads=slc_workloads, scale=slc_scale).run().data
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -1,13 +1,13 @@
 """EXP-F2 — regenerate Fig. 2 (distribution of compressed blocks above MAG)."""
 
-from repro.experiments import format_fig2, run_fig2
+from repro.studies import Fig2Study, format_fig2
 
 
 def test_bench_fig2_distribution(benchmark, slc_scale, slc_workloads):
     """Heat map of how far above a MAG multiple blocks compress (E2MC)."""
 
     def run():
-        return run_fig2(workload_names=slc_workloads, scale=slc_scale)
+        return Fig2Study(workloads=slc_workloads, scale=slc_scale).run().data
 
     distribution = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -1,15 +1,16 @@
 """EXP-F7 — regenerate Fig. 7 (speedup and error of TSLC vs. E2MC)."""
 
-from repro.experiments import format_fig7, run_fig7
+from repro.studies import Fig7Study, format_fig7
 
 
 def test_bench_fig7_speedup_and_error(benchmark, slc_scale, slc_workloads):
     """TSLC-SIMP/PRED/OPT vs. the E2MC baseline, 16 B threshold, 32 B MAG."""
 
     def run():
-        return run_fig7(workload_names=slc_workloads, scale=slc_scale)
+        return Fig7Study(workloads=slc_workloads, scale=slc_scale).run().data
 
-    rows, study = benchmark.pedantic(run, rounds=1, iterations=1)
+    data = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, study = data["rows"], data["study"]
     print()
     print(format_fig7(rows))
 

@@ -1,15 +1,16 @@
 """EXP-F8 — regenerate Fig. 8 (bandwidth, energy and EDP vs. E2MC)."""
 
-from repro.experiments import format_fig8, run_fig8
+from repro.studies import Fig8Study, format_fig8
 
 
 def test_bench_fig8_bandwidth_energy_edp(benchmark, slc_scale, slc_workloads):
     """Normalized off-chip traffic, energy and EDP of the TSLC variants."""
 
     def run():
-        return run_fig8(workload_names=slc_workloads, scale=slc_scale)
+        return Fig8Study(workloads=slc_workloads, scale=slc_scale).run().data
 
-    rows, study = benchmark.pedantic(run, rounds=1, iterations=1)
+    data = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, study = data["rows"], data["study"]
     print()
     print(format_fig8(rows))
 

@@ -1,16 +1,16 @@
 """EXP-F9 / EXP-S5C — regenerate Fig. 9 (MAG sensitivity) and Section V-C."""
 
-from repro.experiments import format_fig9, run_fig9
-from repro.experiments.fig9_mag_sensitivity import run_effective_ratio_by_mag
+from repro.studies import Fig9Study, effective_ratio_by_mag, format_fig9
 
 
 def test_bench_fig9_mag_sensitivity(benchmark, slc_scale, slc_workloads):
     """TSLC-OPT speedup/error with MAGs of 16, 32 and 64 B (threshold MAG/2)."""
 
     def run():
-        return run_fig9(workload_names=slc_workloads, scale=slc_scale)
+        return Fig9Study(workloads=slc_workloads, scale=slc_scale).run().data
 
-    rows, studies = benchmark.pedantic(run, rounds=1, iterations=1)
+    data = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, studies = data["rows"], data["studies"]
     print()
     print(format_fig9(rows))
 
@@ -30,7 +30,7 @@ def test_bench_section5c_effective_ratio_by_mag(benchmark, slc_scale, slc_worklo
     """E2MC effective compression ratio for MAGs of 16/32/64 B (Section V-C)."""
 
     def run():
-        return run_effective_ratio_by_mag(workload_names=slc_workloads, scale=slc_scale)
+        return effective_ratio_by_mag(slc_workloads, scale=slc_scale)
 
     ratios = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -235,8 +235,8 @@ def test_bench_replay_end_to_end_job(replay_quick, bench_record):
         f"vectorized {vector_s * 1e3:.1f} ms ({speedup:.2f}x)"
     )
     # Absolute seconds are machine-dependent: trajectory context, not a gate.
-    # Quick mode runs at the same scale obs.bench measures, so the name
-    # matches; the full-mode trace-heavy scale gets its own name.
+    # Quick mode keeps the name committed since BENCH_0006; the full-mode
+    # trace-heavy scale gets its own name.
     bench_record(
         "job_tp_e2mc_s" if replay_quick else "job_tp_e2mc_full_s",
         vector_s, unit="s", higher_is_better=False, gate=False,

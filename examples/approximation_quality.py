@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro.approx import annotate_regions
-from repro.core.config import SLCVariant
-from repro.experiments.runner import make_e2mc_backend, make_slc_backend
+from repro.campaign import BASELINE_SCHEME, build_backend
 from repro.gpu import GPUConfig, GPUSimulator
 from repro.workloads import get_workload
 
@@ -44,7 +43,7 @@ def main() -> None:
 
     baseline = simulator.run(
         get_workload(args.workload, scale=args.scale),
-        make_e2mc_backend(config),
+        build_backend(BASELINE_SCHEME, config),
         compute_error=False,
     )
     print(f"E2MC baseline: {baseline.total_bursts} bursts, "
@@ -52,7 +51,7 @@ def main() -> None:
 
     print(f"{'threshold':>9} {'lossy blocks':>13} {'traffic':>9} {'speedup':>8} {'error %':>9}")
     for threshold in thresholds:
-        backend = make_slc_backend(config, SLCVariant.OPT, lossy_threshold_bytes=threshold)
+        backend = build_backend("TSLC-OPT", config, lossy_threshold_bytes=threshold)
         result = simulator.run(
             get_workload(args.workload, scale=args.scale), backend, compute_error=True
         )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import format_fig1, format_fig2, run_fig1, run_fig2
+from repro.studies import Fig1Study, Fig2Study, format_fig1, format_fig2
+from repro.workloads.registry import PAPER_WORKLOAD_ORDER
 
 
 def main() -> None:
@@ -27,10 +28,12 @@ def main() -> None:
         help="comma-separated benchmark subset (default: all nine)",
     )
     args = parser.parse_args()
-    workloads = [w.strip().upper() for w in args.workloads.split(",") if w.strip()] or None
+    workloads = tuple(
+        w.strip().upper() for w in args.workloads.split(",") if w.strip()
+    ) or PAPER_WORKLOAD_ORDER
 
     print("Running Fig. 1 (raw vs. effective compression ratio)...\n")
-    fig1_rows = run_fig1(workload_names=workloads, scale=args.scale)
+    fig1_rows = Fig1Study(workloads=workloads, scale=args.scale).run().data
     print(format_fig1(fig1_rows))
 
     gm_rows = {row.compressor: row for row in fig1_rows if row.workload == "GM"}
@@ -40,7 +43,7 @@ def main() -> None:
               f"(raw {row.raw_ratio:.2f}x -> effective {row.effective_ratio:.2f}x)")
 
     print("\nRunning Fig. 2 (distribution of compressed blocks above MAG)...\n")
-    distribution = run_fig2(workload_names=workloads, scale=args.scale)
+    distribution = Fig2Study(workloads=workloads, scale=args.scale).run().data
     print(format_fig2(distribution))
 
     print("\nShare of blocks within the 16 B lossy threshold of a lower MAG multiple:")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import format_fig9, run_fig9
-from repro.experiments.fig9_mag_sensitivity import run_effective_ratio_by_mag
+from repro.studies import Fig9Study, effective_ratio_by_mag, format_fig9
+from repro.workloads.registry import PAPER_WORKLOAD_ORDER
 
 
 def main() -> None:
@@ -28,10 +28,12 @@ def main() -> None:
         help="campaign directory; re-runs serve cached cells from here",
     )
     args = parser.parse_args()
-    workloads = [w.strip().upper() for w in args.workloads.split(",") if w.strip()] or None
+    workloads = tuple(
+        w.strip().upper() for w in args.workloads.split(",") if w.strip()
+    ) or PAPER_WORKLOAD_ORDER
 
     print("Section V-C: E2MC compression ratio vs. MAG\n")
-    ratios = run_effective_ratio_by_mag(workload_names=workloads, scale=args.scale)
+    ratios = effective_ratio_by_mag(workloads, scale=args.scale)
     for mag in sorted(ratios):
         print(
             f"  MAG {mag:>3} B: raw GM {ratios[mag]['raw']:.2f}x, "
@@ -40,16 +42,13 @@ def main() -> None:
     print("  (paper: raw 1.54x; effective 1.41 / 1.31 / 1.16 for 16 / 32 / 64 B)\n")
 
     print("Fig. 9: TSLC-OPT across MAGs (threshold = MAG/2)...\n")
-    rows, studies = run_fig9(
-        workload_names=workloads,
-        scale=args.scale,
-        workers=args.workers,
-        store_dir=args.store,
+    result = Fig9Study(workloads=workloads, scale=args.scale).run(
+        store=args.store, workers=args.workers
     )
-    print(format_fig9(rows))
+    print(format_fig9(result.data["rows"]))
 
     print("\nGeometric-mean speedups:")
-    for mag, study in studies.items():
+    for mag, study in result.data["studies"].items():
         print(f"  MAG {mag:>3} B: {study.geomean('speedup', 'TSLC-OPT'):.3f}x")
     print("  (paper: 1.05 / 1.097 / 1.09 for 16 / 32 / 64 B)")
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import format_fig7, format_fig8, run_fig7, run_fig8
+from repro.studies import Fig7Study, fig8_rows, format_fig7, format_fig8
+from repro.workloads.registry import PAPER_WORKLOAD_ORDER
 
 
 def main() -> None:
@@ -31,21 +32,22 @@ def main() -> None:
         help="campaign directory; re-runs serve cached cells from here",
     )
     args = parser.parse_args()
-    workloads = [w.strip().upper() for w in args.workloads.split(",") if w.strip()] or None
+    workloads = tuple(
+        w.strip().upper() for w in args.workloads.split(",") if w.strip()
+    ) or PAPER_WORKLOAD_ORDER
 
     print("Simulating all benchmarks under E2MC and TSLC-SIMP/PRED/OPT...\n")
-    fig7_rows, study = run_fig7(
-        workload_names=workloads,
+    result = Fig7Study(
+        workloads=workloads,
         lossy_threshold_bytes=args.threshold,
         scale=args.scale,
-        workers=args.workers,
-        store_dir=args.store,
-    )
-    print(format_fig7(fig7_rows))
+    ).run(store=args.store, workers=args.workers)
+    print(format_fig7(result.data["rows"]))
 
-    fig8_rows, _ = run_fig8(study=study)
+    # Fig. 8 reduces the same simulations: no second sweep
+    study = result.data["study"]
     print()
-    print(format_fig8(fig8_rows))
+    print(format_fig8(fig8_rows(study)))
 
     print("\nGeometric means (TSLC-OPT vs. E2MC):")
     print(f"  speedup            {study.geomean('speedup', 'TSLC-OPT'):.3f}x")

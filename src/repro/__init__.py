@@ -28,13 +28,11 @@ Compression for GPUs* (Lal, Lucas, Juurlink — DATE 2019).  It contains:
   artefact (paper figure/table, ablation, response surface, seed-variance
   bands, GPU-scaling curves) is a registered ``Study`` whose grid rides the
   campaign engine; ``python -m repro study run|list|export`` drives them.
-* ``repro.experiments`` — compatibility wrappers, one module per paper
-  table/figure, over the corresponding studies.  Every figure is a campaign
-  under the hood: Figs. 7/8 are the (9 workloads × {E2MC,
-  TSLC-SIMP/PRED/OPT}) grid at threshold 16 B, Fig. 9 one sub-grid per
-  MAG ∈ {16, 32, 64} B with threshold MAG/2, and
-  :func:`repro.experiments.run_slc_study` accepts ``workers=`` and
-  ``store_dir=`` to parallelize and cache any of them.
+  Figs. 7/8 are the (9 workloads × {E2MC, TSLC-SIMP/PRED/OPT}) grid at
+  threshold 16 B, Fig. 9 one sub-grid per MAG ∈ {16, 32, 64} B with
+  threshold MAG/2.  ``Fig7Study(...).run(store=..., workers=...)``
+  parallelizes and caches any of them; ``fig7_rows``/``format_fig7`` and
+  friends reduce and render an existing :class:`~repro.studies.SLCStudy`.
 """
 
 from repro._version import __version__

@@ -3,7 +3,7 @@
 Kept in its own module so :func:`execute_job` is importable at top level —
 a requirement for ``ProcessPoolExecutor`` under the ``spawn`` start method —
 and so the campaign package depends only on the core/gpu/workload layers
-(the experiment harness builds on the campaign engine, not the other way
+(the studies build on the campaign engine, not the other way
 around).
 """
 

@@ -1,6 +1,6 @@
 """Name-based registry of the lossless compressors.
 
-The experiment harness, the memory-controller backends and the examples look
+The studies, the memory-controller backends and the examples look
 compressors up by the short names used in the paper's figures ("bdi", "fpc",
 "cpack", "e2mc", "bpc").  Each entry also carries the scheme's default
 compress/decompress latencies in memory-controller cycles, so backends read

@@ -27,13 +27,12 @@ bit-exact against per-block `analyze` (enforced by
 `compress`/`decompress`/`apply_decision` (``tests/test_codec.py`` and the
 golden-result suite).
 
-Execution backend: every kernel runs pure single-threaded NumPy by default;
-``REPRO_KERNEL_BACKEND=threaded|numba`` (see :mod:`repro.kernels.backend`)
-routes the hottest kernels through a thread-sharded or JIT path with silent
-fallback — never changing results, only wall-clock.
+Each kernel has one fast path — single-threaded NumPy — pinned to one
+scalar oracle.  The payload decoder also keeps the lockstep decoder: the
+fused decoder hands it escape-heavy rows and codes too long for the fused
+tables, and the tests use it as the fused decoder's oracle.
 """
 
-from repro.kernels.backend import active_backend, requested_backend, run_sharded
 from repro.kernels.codec import FusedDecodeTable, HuffmanCodecLUT, reconstruct_rows
 from repro.kernels.decision import BatchDecisions, analyze_code_lengths
 from repro.kernels.lut import CodeLengthLUT
@@ -48,11 +47,8 @@ __all__ = [
     "CodeLengthLUT",
     "FusedDecodeTable",
     "HuffmanCodecLUT",
-    "active_backend",
     "analyze_code_lengths",
     "as_symbol_view",
     "reconstruct_rows",
-    "requested_backend",
-    "run_sharded",
     "select_subblocks",
 ]

@@ -31,9 +31,10 @@ an array program over every block of a region at once:
   code lengths — fall back to a vectorized single-symbol ``searchsorted``
   step for just that round.  :meth:`HuffmanCodecLUT.decode_rows_lockstep`
   keeps the original one-``searchsorted``-per-slot loop as the bit-exact
-  oracle (identical symbols *and* identical error behavior), and
-  ``REPRO_KERNEL_BACKEND`` (:mod:`repro.kernels.backend`) optionally routes
-  the decode through a thread-sharded or numba-jitted implementation.
+  oracle (identical symbols *and* identical error behavior).  The fused
+  decoder hands it whole rows when a batch is escape-heavy and whole
+  batches when the code is too long for the fused tables; both hand-offs
+  are counted (``codec.decode_lockstep_rows``).
 * :func:`reconstruct_rows` — the TSLC truncated-symbol reconstruction
   (zero fill for SIMP, the lane-aware nearest-kept-symbol predictor for
   PRED/OPT) as masked gathers, bit-exact against
@@ -51,8 +52,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.compression.base import CompressionError, DecompressionError
-from repro.kernels import backend as kernel_backend
 from repro.kernels.lut import MAX_LUT_SYMBOL_BYTES
+from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (e2mc -> codec)
     from repro.compression.e2mc import SymbolModel
@@ -178,74 +179,6 @@ def _build_fused_table(lut: "HuffmanCodecLUT") -> FusedDecodeTable:
     return FusedDecodeTable(
         symbols=symbols, cum_bits=cum_bits, count=count, first=first, k=k
     )
-
-
-# ------------------------------------------------------------------ #
-# optional numba-jitted row decoder (REPRO_KERNEL_BACKEND=numba)
-
-_numba_decode = None
-_numba_decode_failed = False
-
-
-def _numba_decode_kernel():
-    """Build (once) the numba-jitted per-row decoder; ``None`` when numba is
-    missing or compilation fails — callers then fall back to NumPy silently."""
-    global _numba_decode, _numba_decode_failed
-    if _numba_decode is not None:
-        return _numba_decode
-    if _numba_decode_failed or not kernel_backend.numba_available():
-        _numba_decode_failed = True
-        return None
-    try:  # pragma: no cover - requires numba (exercised by the CI numba leg)
-        from numba import njit
-
-        @njit(cache=True, nogil=True)
-        def kernel(packed, bit_lengths, symbol_counts, dec_lj, dec_symbols,
-                   dec_lengths, max_length, symbol_bits, out, positions):
-            n_rows = packed.shape[0]
-            n_codes = dec_lj.shape[0]
-            for r in range(n_rows):
-                pos = 0
-                limit = bit_lengths[r]
-                for s in range(symbol_counts[r]):
-                    if pos >= limit:
-                        return r
-                    value = 0
-                    for b in range(max_length):
-                        p = pos + b
-                        value = (value << 1) | (
-                            (packed[r, p >> 3] >> (7 - (p & 7))) & 1
-                        )
-                    lo = 0
-                    hi = n_codes
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if dec_lj[mid] <= value:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    idx = lo - 1 if lo > 0 else 0
-                    symbol = dec_symbols[idx]
-                    length = dec_lengths[idx]
-                    if symbol < 0:
-                        raw = 0
-                        for b in range(symbol_bits):
-                            p = pos + length + b
-                            raw = (raw << 1) | (
-                                (packed[r, p >> 3] >> (7 - (p & 7))) & 1
-                            )
-                        symbol = raw
-                        length = length + symbol_bits
-                    out[r, s] = symbol
-                    pos = pos + length
-                positions[r] = pos
-            return -1
-
-        _numba_decode = kernel
-    except Exception:
-        _numba_decode_failed = True
-        return None
-    return _numba_decode
 
 
 @dataclass(frozen=True)
@@ -376,46 +309,6 @@ class HuffmanCodecLUT:
                 f"row_counts sum to {int(row_counts.sum())} symbols "
                 f"but {flat.size} were given"
             )
-        sharded = self._encode_rows_sharded(flat, row_counts)
-        if sharded is not None:
-            return sharded
-        return self._encode_rows_impl(flat, row_counts)
-
-    def _encode_rows_sharded(
-        self, flat: np.ndarray, row_counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Thread-sharded encode (``REPRO_KERNEL_BACKEND=threaded``).
-
-        Rows are independent, so contiguous row shards encode concurrently
-        and their packed matrices paste back (right-padded with the zero
-        bytes the single-shot path would also emit).  ``None`` when sharding
-        does not apply.
-        """
-        n_rows = row_counts.shape[0]
-        bounds = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=bounds[1:])
-        shards = kernel_backend.run_sharded(
-            lambda lo, hi: self._encode_rows_impl(
-                flat[bounds[lo] : bounds[hi]], row_counts[lo:hi]
-            ),
-            n_rows,
-        )
-        if shards is None:
-            return None
-        row_bits = np.concatenate([bits for _, bits in shards])
-        width = max(packed.shape[1] for packed, _ in shards)
-        out = np.zeros((n_rows, width), dtype=np.uint8)
-        lo = 0
-        for packed, _ in shards:
-            out[lo : lo + packed.shape[0], : packed.shape[1]] = packed
-            lo += packed.shape[0]
-        return out, row_bits
-
-    def _encode_rows_impl(
-        self, flat: np.ndarray, row_counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One-shot NumPy encode of pre-validated rows."""
-        n_rows = row_counts.shape[0]
         lens = self.lengths[flat]
         # Bit offset of every symbol (prefix sums across the flat stream).
         sym_start = np.zeros(flat.size + 1, dtype=np.int64)
@@ -482,11 +375,11 @@ class HuffmanCodecLUT:
 
         Dispatches to the fused multi-symbol table decoder (a handful of
         k-bit probes per row instead of one ``searchsorted`` round per
-        symbol slot), optionally thread-sharded or numba-jitted under
-        ``REPRO_KERNEL_BACKEND`` (:mod:`repro.kernels.backend`).  Codes the
-        fused tables cannot cover fall back to
+        symbol slot).  Codes the fused tables cannot cover fall back to
         :meth:`decode_rows_lockstep`, which remains the bit-exact oracle —
-        every path returns identical symbols and raises identically.
+        every path returns identical symbols and raises identically.  Rows
+        handed to the lockstep decoder are counted under
+        ``codec.decode_lockstep_rows`` while metrics are on.
 
         Args:
             payloads: per-row packed payload bytes (as produced by
@@ -503,18 +396,12 @@ class HuffmanCodecLUT:
             DecompressionError: if the model is untrained or a codeword runs
                 past the end of a payload (the scalar reader's ``EOFError``).
         """
-        if not self.fused_supported():
-            return self.decode_rows_lockstep(payloads, bit_lengths, symbol_counts)
-        backend = kernel_backend.active_backend()
-        if backend == "numba":
-            decoded = self._decode_rows_numba(payloads, bit_lengths, symbol_counts)
-            if decoded is not None:
-                return decoded
-        elif backend == "threaded":
-            decoded = self._decode_rows_sharded(payloads, bit_lengths, symbol_counts)
-            if decoded is not None:
-                return decoded
-        return self._decode_rows_fused(payloads, bit_lengths, symbol_counts)
+        if self.fused_supported():
+            return self._decode_rows_fused(payloads, bit_lengths, symbol_counts)
+        decoded = self.decode_rows_lockstep(payloads, bit_lengths, symbol_counts)
+        if metrics.enabled():
+            metrics.inc("codec.decode_lockstep_rows", len(payloads))
+        return decoded
 
     def _packed_rows(self, payloads: list[bytes], n_rows: int) -> np.ndarray:
         """Payload bytes as one zero-padded ``(n_rows, bytes)`` matrix."""
@@ -761,6 +648,8 @@ class HuffmanCodecLUT:
                             bit_lengths[s_rows],
                             symbol_counts[s_rows],
                         )
+                        if metrics.enabled():
+                            metrics.inc("codec.decode_lockstep_rows", s_rows.size)
                         out[s_rows, : decoded.shape[1]] = decoded
                         position[s_rows] = bit_lengths[s_rows]
                         done[s_rows] = symbol_counts[s_rows]
@@ -781,78 +670,6 @@ class HuffmanCodecLUT:
                         single_step(s_rows, position[s_rows])
             first_round = False
         if np.any(position > bit_lengths):
-            raise DecompressionError("codeword ran past the end of the bitstream")
-        return out
-
-    def _decode_rows_sharded(
-        self,
-        payloads: list[bytes],
-        bit_lengths: np.ndarray,
-        symbol_counts: np.ndarray,
-    ) -> np.ndarray | None:
-        """Thread-sharded fused decode (``REPRO_KERNEL_BACKEND=threaded``).
-
-        Rows are independent, so contiguous row shards decode concurrently
-        through :meth:`_decode_rows_fused` and paste back.  ``None`` when
-        sharding does not apply.
-        """
-        bit_lengths = np.asarray(bit_lengths, dtype=np.int64)
-        symbol_counts = np.asarray(symbol_counts, dtype=np.int64)
-        n_rows = len(payloads)
-        shards = kernel_backend.run_sharded(
-            lambda lo, hi: self._decode_rows_fused(
-                payloads[lo:hi], bit_lengths[lo:hi], symbol_counts[lo:hi]
-            ),
-            n_rows,
-        )
-        if shards is None:
-            return None
-        max_count = int(symbol_counts.max(initial=0))
-        out = np.zeros((n_rows, max_count), dtype=np.int64)
-        lo = 0
-        for part in shards:
-            out[lo : lo + part.shape[0], : part.shape[1]] = part
-            lo += part.shape[0]
-        return out
-
-    def _decode_rows_numba(
-        self,
-        payloads: list[bytes],
-        bit_lengths: np.ndarray,
-        symbol_counts: np.ndarray,
-    ) -> np.ndarray | None:
-        """Numba-jitted decode (``REPRO_KERNEL_BACKEND=numba``).
-
-        One nopython pass over the rows: per-symbol peek, binary search of
-        the left-justified codewords, escape raw bits — the lockstep
-        algorithm without the per-slot Python overhead.  ``None`` (silent
-        NumPy fallback) when numba is missing or failed to compile.
-        """
-        kernel = _numba_decode_kernel()
-        if kernel is None:
-            return None
-        bit_lengths = np.asarray(bit_lengths, dtype=np.int64)
-        symbol_counts = np.asarray(symbol_counts, dtype=np.int64)
-        n_rows = len(payloads)
-        data_bits = np.fromiter(
-            (len(payload) * 8 for payload in payloads), np.int64, n_rows
-        )
-        if np.any(bit_lengths > data_bits):
-            raise DecompressionError("bit_length exceeds the available payload bytes")
-        max_count = int(symbol_counts.max(initial=0))
-        out = np.zeros((n_rows, max_count), dtype=np.int64)
-        if n_rows == 0 or max_count == 0:
-            return out
-        packed = self._packed_rows(payloads, n_rows)
-        positions = np.zeros(n_rows, dtype=np.int64)
-        # max_length <= 56 (fused_supported gate), so the left-justified
-        # codewords fit int64 — numba-friendlier than mixing uint64 in.
-        bad_row = kernel(
-            packed, bit_lengths, symbol_counts,
-            self.dec_lj.astype(np.int64), self.dec_symbols, self.dec_lengths,
-            self.max_length, self.symbol_bits, out, positions,
-        )
-        if bad_row >= 0 or np.any(positions > bit_lengths):
             raise DecompressionError("codeword ran past the end of the bitstream")
         return out
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.config import SLCConfig, SLCMode
 from repro.core.header import header_size_bits
-from repro.kernels import backend as _backend
 from repro.kernels.tree import BatchTreePlan, select_subblocks
 
 #: integer mode codes used inside the result arrays
@@ -110,47 +109,8 @@ def analyze_code_lengths(
         approximable: whether the region is safe to approximate.
         plan: optional precomputed tree layout (built from ``config`` when
             omitted; callers analyzing many regions should reuse one).
-
-    Under ``REPRO_KERNEL_BACKEND=threaded`` large batches run as contiguous
-    block shards on the kernel thread pool (blocks are independent and the
-    tree plan is read-only, so the shards concatenate bit-exactly).
     """
     lengths = np.asarray(code_lengths, dtype=np.int64)
-    shards = _backend.run_sharded(
-        lambda lo, hi: _analyze_code_lengths_impl(
-            config, lengths[lo:hi], trained, approximable, plan
-        ),
-        lengths.shape[0],
-    )
-    if shards is not None:
-        return BatchDecisions(
-            *(
-                np.concatenate([getattr(s, name) for s in shards])
-                for name in (
-                    "mode",
-                    "comp_size_bits",
-                    "stored_size_bits",
-                    "bit_budget_bits",
-                    "extra_bits",
-                    "bursts",
-                    "approx_start",
-                    "approx_count",
-                    "bits_removed",
-                    "used_extra_node",
-                )
-            )
-        )
-    return _analyze_code_lengths_impl(config, lengths, trained, approximable, plan)
-
-
-def _analyze_code_lengths_impl(
-    config: SLCConfig,
-    lengths: np.ndarray,
-    trained: bool,
-    approximable: bool,
-    plan: BatchTreePlan | None,
-) -> BatchDecisions:
-    """Single-shot NumPy body of :func:`analyze_code_lengths`."""
     n_blocks = lengths.shape[0]
     block_bits = config.block_size_bits
     mag_bits = config.mag_bits

@@ -32,12 +32,9 @@ Techniques shared by the kernels:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.compression.base import CompressionError
-from repro.kernels import backend as _backend
 
 #: the (base_bytes, delta_bytes) encodings of the scalar BDI implementation,
 #: in the same trial order
@@ -45,27 +42,6 @@ _BDI_ENCODINGS = ((8, 1), (8, 2), (8, 4), (4, 1), (4, 2), (2, 1))
 
 #: BDI encoding-selector bits (mirrors ``repro.compression.bdi._ENCODING_BITS``)
 _BDI_ENCODING_BITS = 4
-
-
-def _sharded(kernel):
-    """Shard a size kernel across threads (``REPRO_KERNEL_BACKEND=threaded``).
-
-    Blocks are independent, so contiguous slices of the batch run the
-    identical NumPy kernel concurrently and concatenate bit-exactly.  When
-    the threaded backend is off (or the batch is small) the kernel runs
-    single-shot, unchanged.
-    """
-
-    @functools.wraps(kernel)
-    def wrapper(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
-        shards = _backend.run_sharded(
-            lambda lo, hi: kernel(blocks[lo:hi], block_size_bytes), len(blocks)
-        )
-        if shards is not None:
-            return np.concatenate(shards)
-        return kernel(blocks, block_size_bytes)
-
-    return wrapper
 
 
 def _byte_matrix(blocks: list[bytes], block_size_bytes: int) -> np.ndarray:
@@ -106,7 +82,6 @@ def _zero_run_bits(zero_mask: np.ndarray, max_run: int, token_bits: int) -> np.n
 # BDI
 
 
-@_sharded
 def bdi_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`BDICompressor`.
 
@@ -157,7 +132,6 @@ def bdi_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarra
 # FPC
 
 
-@_sharded
 def fpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`FPCCompressor`.
 
@@ -203,7 +177,6 @@ def fpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarra
 # C-Pack
 
 
-@_sharded
 def cpack_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`CPackCompressor`.
 
@@ -269,7 +242,6 @@ def cpack_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndar
 # BPC
 
 
-@_sharded
 def bpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`BPCCompressor`.
 

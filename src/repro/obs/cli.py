@@ -6,10 +6,9 @@ Subcommands (registered into the main ``repro`` parser)::
     repro bench check      gate current numbers against the latest snapshot
     repro bench list       print the committed trajectory
 
-Current numbers come from either a recorded-metrics file (``--from``,
-written by the benchmark suite's ``--bench-record`` option — what CI
-does) or a direct in-process measurement (``--measure``, quick by
-default; see :mod:`repro.obs.bench`).
+Current numbers come from a recorded-metrics file (``--from``), written
+by the benchmark suite's ``--bench-record`` option: ``benchmarks/`` is the
+only producer of BENCH metrics.
 """
 
 from __future__ import annotations
@@ -43,13 +42,9 @@ def finish_trace(args: argparse.Namespace) -> None:
 
 
 def _current_metrics(args: argparse.Namespace) -> dict[str, dict] | None:
-    """Resolve the current metric set from ``--from`` or ``--measure``."""
-    if getattr(args, "from_path", None):
+    """The current metric set recorded in ``--from`` (None without it)."""
+    if args.from_path:
         return trajectory.load_recorded(args.from_path)["metrics"]
-    if getattr(args, "measure", False):
-        from repro.obs.bench import collect_metrics  # heavy import, on demand
-
-        return collect_metrics(quick=not args.full, progress=logger.info)
     return None
 
 
@@ -57,7 +52,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     """``bench snapshot``: persist current numbers as the next BENCH file."""
     metrics = _current_metrics(args)
     if metrics is None:
-        logger.error("error: bench snapshot needs --from FILE or --measure")
+        logger.error("error: bench snapshot needs --from FILE")
         return 2
     out = Path(args.out) if args.out else trajectory.next_snapshot_path(args.dir)
     if out.exists() and not args.force:
@@ -88,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     path, baseline = latest
     metrics = _current_metrics(args)
     if metrics is None:
-        logger.error("error: bench check needs --from FILE or --measure")
+        logger.error("error: bench check needs --from FILE")
         return 2
     report = trajectory.compare(metrics, baseline, tolerance=args.tolerance)
     print(report.format())
@@ -130,16 +125,6 @@ def add_bench_parser(sub: argparse._SubParsersAction) -> None:
             default=None,
             metavar="FILE",
             help="recorded-metrics JSON (written via pytest --bench-record)",
-        )
-        parser.add_argument(
-            "--measure",
-            action="store_true",
-            help="measure in-process instead of reading a recorded file",
-        )
-        parser.add_argument(
-            "--full",
-            action="store_true",
-            help="with --measure: the full 9-workload sweep (minutes)",
         )
         parser.add_argument(
             "--dir", default=".", help="directory holding BENCH_*.json snapshots"

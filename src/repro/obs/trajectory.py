@@ -187,6 +187,8 @@ class TrajectoryReport:
     passed: list[tuple[str, float, float]] = field(default_factory=list)
     #: (name, current) for ungated or baseline-missing metrics
     informational: list[tuple[str, float]] = field(default_factory=list)
+    #: (name, baseline) for gated baseline metrics the current set lacks
+    missing: list[tuple[str, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -205,6 +207,8 @@ class TrajectoryReport:
             lines.append(f"  ok {name}: {current:g} (baseline {baseline:g})")
         for name, current in self.informational:
             lines.append(f"  info {name}: {current:g}")
+        for name, baseline in self.missing:
+            lines.append(f"  missing {name}: not measured (baseline {baseline:g})")
         if not self.regressions and not self.passed:
             lines.append("  (no gated metrics in common — nothing checked)")
         return "\n".join(lines)
@@ -224,7 +228,10 @@ def compare(
     entry, then the explicit ``tolerance`` argument, then the snapshot's
     document-level tolerance, then :data:`DEFAULT_TOLERANCE`.  Metrics
     marked ``gate: false`` (in either side) or absent from the baseline are
-    reported as informational, never failed.
+    reported as informational, never failed.  Gated baseline metrics absent
+    from ``current`` are listed as missing, not failed: a run records only
+    what it measured (CI records only the ``_quick`` variants), but a
+    renamed or skipped benchmark must not leave the gate silently.
     """
     report = TrajectoryReport(baseline_label=baseline.get("label", "?"))
     base_metrics = baseline.get("metrics", {})
@@ -251,4 +258,9 @@ def compare(
             report.regressions.append((name, value, base_value, bound))
         else:
             report.passed.append((name, value, base_value))
+    report.missing = [
+        (name, float(entry["value"]))
+        for name, entry in sorted(base_metrics.items())
+        if entry.get("gate", True) and name not in current
+    ]
     return report

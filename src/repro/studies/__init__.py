@@ -18,10 +18,13 @@ from repro.studies.compression import (
     Fig2Distribution,
     Fig2Study,
     effective_ratio_by_mag,
+    fig1_rows,
+    format_fig1,
+    format_fig2,
     workload_blocks,
 )
 from repro.studies.fidelity import FidelityStudy
-from repro.studies.hardware import Table1Study
+from repro.studies.hardware import Table1Study, format_table1
 from repro.studies.performance import (
     Fig7Row,
     Fig7Study,
@@ -29,6 +32,11 @@ from repro.studies.performance import (
     Fig8Study,
     Fig9Row,
     Fig9Study,
+    fig7_rows,
+    fig8_rows,
+    format_fig7,
+    format_fig8,
+    format_fig9,
 )
 from repro.studies.registry import (
     available_studies,
@@ -56,15 +64,24 @@ __all__ = [
     "run_slc_study",
     "Fig1Study",
     "Fig1Row",
+    "fig1_rows",
+    "format_fig1",
     "Fig2Study",
     "Fig2Distribution",
+    "format_fig2",
     "Table1Study",
+    "format_table1",
     "Fig7Study",
     "Fig7Row",
+    "fig7_rows",
+    "format_fig7",
     "Fig8Study",
     "Fig8Row",
+    "fig8_rows",
+    "format_fig8",
     "Fig9Study",
     "Fig9Row",
+    "format_fig9",
     "ThresholdAblationStudy",
     "ResponseSurfaceStudy",
     "SeedVarianceStudy",

@@ -7,9 +7,9 @@ application error, bandwidth, energy, EDP) and their geometric means.
 
 :class:`SLCSweepStudy` is the declarative study producing it: its grid is
 one :class:`~repro.campaign.CampaignSpec`, its aggregation groups the
-records back into an :class:`SLCStudy`.  :func:`run_slc_study` (the
-historical entry point re-exported by :mod:`repro.experiments.runner`) is a
-thin wrapper over it and returns identical numbers.
+records back into an :class:`SLCStudy`.  :func:`run_slc_study` is the
+function-call form of it (variants, ``workers=``, ``store_dir=``) and returns
+identical numbers.
 """
 
 from __future__ import annotations

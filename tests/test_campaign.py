@@ -11,6 +11,7 @@ from repro.campaign import (
     CampaignSpec,
     Job,
     ResultStore,
+    build_backend,
     config_to_overrides,
     overrides_to_config,
     run_campaign,
@@ -20,14 +21,9 @@ from repro.campaign import (
 from repro.campaign.cli import main as cli_main
 from repro.campaign.store import JobRecord
 from repro.core.config import SLCVariant
-from repro.experiments.runner import (
-    VARIANT_LABELS,
-    make_e2mc_backend,
-    make_slc_backend,
-    run_slc_study,
-)
 from repro.gpu.config import GPUConfig, LatencyConfig
 from repro.gpu.simulator import GPUSimulator, SimulationResult
+from repro.studies.slc import VARIANT_LABELS, run_slc_study
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 TINY = 1.0 / 1024.0
@@ -333,12 +329,14 @@ def _serial_seed_study(workload_names, variants, scale, seed):
         per_scheme = {}
         workload = get_workload(name, seed=seed, scale=scale)
         per_scheme["E2MC"] = simulator.run(
-            workload, make_e2mc_backend(config), compute_error=False
+            workload, build_backend(BASELINE_SCHEME, config), compute_error=False
         )
         for variant in variants:
             workload = get_workload(name, seed=seed, scale=scale)
             per_scheme[VARIANT_LABELS[variant]] = simulator.run(
-                workload, make_slc_backend(config, variant), compute_error=True
+                workload,
+                build_backend(VARIANT_LABELS[variant], config),
+                compute_error=True,
             )
         results[name] = per_scheme
     return results

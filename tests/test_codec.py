@@ -28,6 +28,7 @@ from repro.core.slc import SLCBlock, SLCCompressor, SLCDecision
 from repro.gpu.backends import SLCBackend
 from repro.kernels.codec import HuffmanCodecLUT, reconstruct_rows
 from repro.kernels.symbols import BatchSymbolView
+from repro.obs import metrics
 from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.blocks import block_to_symbols, symbols_to_block
 
@@ -430,6 +431,64 @@ def test_fused_decode_matches_oracle_uniform_runs(n_rows):
     rows = [[0] * 64 for _ in range(n_rows)]
     rows[-1] = [0] * 7 + [0xBEEF] + [0] * 21
     _roundtrip_pair(dominant_model(), rows)
+
+
+# --------------------------------------------------------------------- #
+# hand-offs from the fused decoder to the lockstep decoder are counted
+
+
+@pytest.fixture
+def metrics_on():
+    """Metric collection on, from an empty registry, for one test."""
+    metrics.clear()
+    metrics.enable()
+    yield
+    metrics.disable()
+    metrics.clear()
+
+
+def _encoded(lut: HuffmanCodecLUT, rows: list[list[int]]):
+    """``decode_rows`` arguments for ``rows`` encoded with ``lut``."""
+    flat = np.asarray([s for row in rows for s in row], dtype=np.int64)
+    counts = np.asarray([len(row) for row in rows], dtype=np.int64)
+    packed, row_bits = lut.encode_rows(flat, counts)
+    payloads = [data for data, _ in lut.payloads_from_rows(packed, row_bits)]
+    return payloads, row_bits, counts
+
+
+def _lockstep_rows() -> int:
+    return metrics.snapshot()["counters"].get("codec.decode_lockstep_rows", 0)
+
+
+def test_decode_counts_escape_heavy_rows_handed_to_lockstep(metrics_on):
+    """Every row of an all-escape batch stalls on the first fused probe, so
+    the whole batch goes to the lockstep decoder and each row is counted;
+    an all-tabled batch decodes fused and counts none."""
+    lut = skewed_model().codec_table()
+    escapes = [[0x1000 + r] * 6 for r in range(5)]
+    assert lut.decode_rows(*_encoded(lut, escapes)).tolist() == escapes
+    assert _lockstep_rows() == len(escapes)
+
+    metrics.clear()
+    tabled = [[(r + i) % 40 for i in range(12)] for r in range(5)]
+    assert lut.decode_rows(*_encoded(lut, tabled)).tolist() == tabled
+    assert _lockstep_rows() == 0
+
+
+def test_decode_counts_codes_too_long_for_fused_tables(metrics_on):
+    """A code longer than the fused tables cover sends the whole batch to
+    the lockstep decoder, every row counted."""
+    counts = [1, 2]
+    while len(counts) < 60:  # Fibonacci counts: one codeword per length
+        counts.append(counts[-1] + counts[-2])
+    model = SymbolModel(max_table_entries=64, max_code_length=64)
+    model.fit_counts(dict(enumerate(counts)))
+    lut = model.codec_table()
+    assert not lut.fused_supported()
+    rows = [[59, 58, 0, 1], [57, 56, 55]]
+    decoded = lut.decode_rows(*_encoded(lut, rows))
+    assert [decoded[i, : len(row)].tolist() for i, row in enumerate(rows)] == rows
+    assert _lockstep_rows() == len(rows)
 
 
 def test_codec_lut_untrained_raises():

@@ -1,26 +1,27 @@
-"""Tests for the experiment harness (one per paper table/figure)."""
+"""Tests for the paper experiments (one per table/figure), through the
+:mod:`repro.studies` API: the studies, their row builders and formatters."""
 
 import math
 
 import pytest
 
 from repro.core.config import SLCVariant
-from repro.experiments import (
+from repro.hardware.synthesis import table1
+from repro.studies import (
+    Fig1Study,
+    Fig2Study,
+    Fig9Study,
+    effective_ratio_by_mag,
+    fig7_rows,
+    fig8_rows,
     format_fig1,
     format_fig2,
     format_fig7,
     format_fig8,
     format_fig9,
     format_table1,
-    run_fig1,
-    run_fig2,
-    run_fig7,
-    run_fig8,
-    run_fig9,
     run_slc_study,
-    run_table1,
 )
-from repro.experiments.fig9_mag_sensitivity import run_effective_ratio_by_mag
 
 SCALE = 1.0 / 1024.0
 WORKLOADS = ["BS", "NN"]
@@ -41,7 +42,7 @@ def study():
 
 
 def test_fig1_rows_cover_workloads_and_gm():
-    rows = run_fig1(workload_names=WORKLOADS, scale=SCALE)
+    rows = Fig1Study(workloads=tuple(WORKLOADS), scale=SCALE).run().data
     workloads = {row.workload for row in rows}
     assert workloads == set(WORKLOADS) | {"GM"}
     compressors = {row.compressor for row in rows}
@@ -53,13 +54,15 @@ def test_fig1_rows_cover_workloads_and_gm():
 
 
 def test_fig1_effective_ratio_below_raw_at_gm():
-    rows = run_fig1(workload_names=WORKLOADS, compressors=["e2mc"], scale=SCALE)
+    rows = Fig1Study(
+        workloads=tuple(WORKLOADS), compressors=("e2mc",), scale=SCALE
+    ).run().data
     gm_row = [row for row in rows if row.workload == "GM"][0]
     assert gm_row.effective_ratio < gm_row.raw_ratio
 
 
 def test_fig2_distribution_sums_to_one():
-    distribution = run_fig2(workload_names=WORKLOADS, scale=SCALE)
+    distribution = Fig2Study(workloads=tuple(WORKLOADS), scale=SCALE).run().data
     for name, histogram in distribution.per_workload.items():
         assert sum(histogram.values()) == pytest.approx(1.0)
         assert all(0 <= key <= 32 for key in histogram)
@@ -73,7 +76,7 @@ def test_fig2_distribution_sums_to_one():
 
 def test_fig2_blocks_exist_above_mag_multiples():
     """The paper's motivation: some blocks sit a few bytes above a multiple."""
-    distribution = run_fig2(workload_names=WORKLOADS, scale=SCALE)
+    distribution = Fig2Study(workloads=tuple(WORKLOADS), scale=SCALE).run().data
     for name in WORKLOADS:
         assert distribution.fraction_within_threshold(name, 16) > 0.0
 
@@ -83,7 +86,7 @@ def test_fig2_blocks_exist_above_mag_multiples():
 
 
 def test_table1_formatting():
-    results = run_table1()
+    results = table1()
     text = format_table1(results)
     assert "compressor" in text
     assert "decompressor" in text
@@ -95,7 +98,7 @@ def test_table1_formatting():
 
 
 def test_fig7_rows_and_gm(study):
-    rows, _ = run_fig7(study=study)
+    rows = fig7_rows(study)
     schemes = {row.scheme for row in rows}
     assert schemes == {"TSLC-SIMP", "TSLC-PRED", "TSLC-OPT"} & schemes
     gm_rows = [row for row in rows if row.workload == "GM"]
@@ -108,7 +111,7 @@ def test_fig7_rows_and_gm(study):
 
 
 def test_fig8_rows_normalized_to_baseline(study):
-    rows, _ = run_fig8(study=study)
+    rows = fig8_rows(study)
     for row in rows:
         assert 0 < row.normalized_bandwidth <= 1.05
         assert 0 < row.normalized_energy <= 1.1
@@ -134,7 +137,8 @@ def test_study_error_reported_for_variants(study):
 
 
 def test_fig9_mag_sweep():
-    rows, studies = run_fig9(workload_names=["NN"], mags=(32, 64), scale=SCALE)
+    data = Fig9Study(workloads=("NN",), mags=(32, 64), scale=SCALE).run().data
+    rows, studies = data["rows"], data["studies"]
     mags = {row.mag_bytes for row in rows}
     assert mags == {32, 64}
     assert set(studies) == {32, 64}
@@ -142,7 +146,7 @@ def test_fig9_mag_sweep():
 
 
 def test_effective_ratio_decreases_with_mag():
-    ratios = run_effective_ratio_by_mag(workload_names=WORKLOADS, scale=SCALE)
+    ratios = effective_ratio_by_mag(WORKLOADS, scale=SCALE)
     assert ratios[16]["effective"] >= ratios[32]["effective"] >= ratios[64]["effective"]
     raws = [ratios[mag]["raw"] for mag in (16, 32, 64)]
     assert max(raws) - min(raws) < 1e-9  # raw ratio does not depend on MAG

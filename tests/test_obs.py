@@ -201,6 +201,25 @@ def test_trajectory_compare_fails_on_regression(tmp_path):
     assert "REGRESSION gm_speedup" in report.format()
 
 
+def test_trajectory_compare_lists_missing_gated_metrics(tmp_path, capsys):
+    """A gated baseline metric the current run did not record is listed as
+    missing: not a failure, but not silently dropped from the gate either.
+    Ungated baseline metrics are not listed."""
+    baseline = _snapshot(tmp_path, value=10.0)
+    report = trajectory.compare({"other": trajectory.metric(1.0)}, baseline)
+    assert report.ok
+    assert report.missing == [("gm_speedup", 10.0)]
+    text = report.format()
+    assert "missing gm_speedup" in text
+    assert "job_s" not in text
+
+    current = tmp_path / "current.json"
+    trajectory.record(current, "other", 1.0, unit="x")
+    assert cli_main(["bench", "check", "--from", str(current),
+                     "--dir", str(tmp_path)]) == 0
+    assert "missing gm_speedup" in capsys.readouterr().out
+
+
 def test_trajectory_record_accumulates(tmp_path):
     path = tmp_path / "current.json"
     trajectory.record(path, "a", 1.0, unit="x")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.config import SLCVariant
-from repro.experiments.runner import make_e2mc_backend, make_slc_backend
+from repro.campaign import BASELINE_SCHEME, build_backend
 from repro.gpu import GPUConfig, GPUSimulator, NoCompressionBackend
 from repro.workloads import get_workload
 
@@ -24,11 +23,11 @@ def results(simulator):
         get_workload("NN", scale=SCALE), NoCompressionBackend(), compute_error=False
     )
     out["e2mc"] = simulator.run(
-        get_workload("NN", scale=SCALE), make_e2mc_backend(config), compute_error=False
+        get_workload("NN", scale=SCALE), build_backend(BASELINE_SCHEME, config), compute_error=False
     )
     out["slc"] = simulator.run(
         get_workload("NN", scale=SCALE),
-        make_slc_backend(config, SLCVariant.OPT),
+        build_backend("TSLC-OPT", config),
         compute_error=True,
     )
     return out

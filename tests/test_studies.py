@@ -10,7 +10,6 @@ import pytest
 from repro.campaign import ResultStore
 from repro.campaign.cli import main as cli_main
 from repro.core.config import SLCVariant
-from repro.experiments import run_fig1, run_fig2, run_fig7, run_fig8, run_fig9
 from repro.studies import (
     Fig1Study,
     Fig2Study,
@@ -25,11 +24,15 @@ from repro.studies import (
     ThresholdAblationStudy,
     TournamentStudy,
     available_studies,
+    fig1_rows,
+    fig7_rows,
+    fig8_rows,
     get_study,
     pareto_frontier,
     run_slc_study,
     study_class,
 )
+from repro.studies.compression import compression_stats_for_blocks, workload_blocks
 from repro.studies.cli import build_study, coerce_param
 
 TINY = 1.0 / 1024.0
@@ -92,10 +95,10 @@ def slc_study():
 
 
 def test_fig7_study_matches_direct_simulation_metrics(slc_study):
-    """Acceptance: the Fig. 7 entry point produces numbers identical to
+    """Acceptance: the Fig. 7 row builder produces numbers identical to
     metrics computed directly from the SimulationResults (no SLCStudy
-    helpers involved), through the Study framework."""
-    rows, _ = run_fig7(study=slc_study)
+    helpers involved)."""
+    rows = fig7_rows(slc_study)
     by_key = {(row.workload, row.scheme): row for row in rows}
     for workload in WORKLOADS:
         baseline = slc_study.results[workload]["E2MC"]
@@ -111,9 +114,12 @@ def test_fig7_study_matches_direct_simulation_metrics(slc_study):
 
 
 def test_fig7_study_end_to_end_equals_wrapper(tmp_path):
-    """Fig7Study.run() and the legacy run_fig7 wrapper agree cell by cell."""
+    """Fig7Study.run() and the run_slc_study wrapper over the same store
+    agree cell by cell."""
     result = Fig7Study(workloads=("NN",), scale=TINY).run(store=tmp_path)
-    rows, study = run_fig7(workload_names=["NN"], scale=TINY, store_dir=tmp_path)
+    rows = fig7_rows(
+        run_slc_study(workload_names=["NN"], scale=TINY, store_dir=tmp_path)
+    )
     assert [
         (r.workload, r.scheme, r.speedup) for r in result.data["rows"]
     ] == [(r.workload, r.scheme, r.speedup) for r in rows]
@@ -124,7 +130,7 @@ def test_fig7_study_end_to_end_equals_wrapper(tmp_path):
 
 
 def test_fig8_study_matches_direct_simulation_metrics(slc_study):
-    rows, _ = run_fig8(study=slc_study)
+    rows = fig8_rows(slc_study)
     by_key = {(row.workload, row.scheme): row for row in rows}
     for workload in WORKLOADS:
         baseline = slc_study.results[workload]["E2MC"]
@@ -140,7 +146,8 @@ def test_fig9_study_matches_per_mag_slc_studies():
     """The coupled Fig. 9 grid reduces to the same numbers as one
     run_slc_study per MAG (the historical implementation)."""
     mags = (32, 64)
-    rows, studies = run_fig9(workload_names=["NN"], mags=mags, scale=TINY)
+    data = Fig9Study(workloads=("NN",), mags=mags, scale=TINY).run().data
+    rows, studies = data["rows"], data["studies"]
     assert set(studies) == set(mags)
     for mag in mags:
         reference = run_slc_study(
@@ -156,14 +163,20 @@ def test_fig9_study_matches_per_mag_slc_studies():
 
 
 def test_fig1_fig2_studies_equal_wrappers():
-    rows = run_fig1(workload_names=list(WORKLOADS), compressors=["e2mc"], scale=TINY)
+    """Fig1Study/Fig2Study equal the row builder and the per-workload block
+    statistics they reduce."""
+    rows = fig1_rows(list(WORKLOADS), ["e2mc"], scale=TINY)
     result = Fig1Study(workloads=WORKLOADS, compressors=("e2mc",), scale=TINY).run()
     assert result.data == rows
     assert result.rows[0]["raw_ratio"] == rows[0].raw_ratio
 
-    distribution = run_fig2(workload_names=list(WORKLOADS), scale=TINY)
     result = Fig2Study(workloads=WORKLOADS, scale=TINY).run()
-    assert result.data.per_workload == distribution.per_workload
+    assert result.data.per_workload == {
+        name: compression_stats_for_blocks(
+            workload_blocks(name, scale=TINY), "e2mc", 32
+        ).extra_byte_distribution()
+        for name in WORKLOADS
+    }
     assert sum(r["fraction"] for r in result.rows if r["workload"] == "BS") == (
         pytest.approx(1.0)
     )
