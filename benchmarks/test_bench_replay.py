@@ -24,7 +24,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.replay import replay_trace, replay_trace_scalar
-from repro.utils.blocks import array_to_blocks
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 QUICK_WORKLOADS = ("NN", "FWT", "DCT")
@@ -47,31 +46,25 @@ QUICK_CHUNK_ACCESSES = 32
 class _ReplayContext:
     """Everything ``GPUSimulator.run`` sets up before the replay phase.
 
-    The expensive one-time stages (data generation, kernel execution,
-    backend training, trace construction) run once; :meth:`fresh_state`
-    rebuilds the mutable state (L2 + controllers with the host-to-device
-    copy applied) so each timed replay starts from an identical machine
-    state with setup excluded from the measurement.
+    The expensive one-time stages (``GPUSimulator.prepare``'s data
+    generation, kernel execution and trace construction, then backend
+    training) run once; :meth:`fresh_state` rebuilds the mutable state
+    (L2 + controllers with the host-to-device copy applied) so each timed
+    replay starts from an identical machine state with setup excluded from
+    the measurement.
     """
 
     def __init__(self, name: str, scale: float, scheme: str = "E2MC") -> None:
         self.config = GPUConfig()
-        workload = get_workload(name, scale=scale, seed=2019)
         self.backend = build_backend(scheme, self.config)
         simulator = GPUSimulator(config=self.config)
-        self.input_regions = workload.generate()
-        exact = workload.run(workload.input_arrays(self.input_regions))
-        self.all_regions = dict(self.input_regions)
-        self.all_regions.update(workload.output_regions(exact))
-        self.region_blocks = {
-            name: array_to_blocks(region.array, self.config.block_size_bytes)
-            for name, region in self.all_regions.items()
-        }
-        self.base_addresses = simulator._layout(self.all_regions, self.region_blocks)
-        simulator._train_backend(self.backend, self.input_regions, self.region_blocks)
-        self.trace = workload.trace(
-            self.all_regions, block_size_bytes=self.config.block_size_bytes
-        )
+        prepared = simulator.prepare(get_workload(name, scale=scale, seed=2019))
+        self.backend.train(prepared.train_samples)
+        self.input_regions = prepared.input_regions
+        self.all_regions = prepared.all_regions
+        self.region_blocks = prepared.region_blocks
+        self.base_addresses = prepared.base_addresses
+        self.trace = prepared.trace
         self.interleave = simulator.CHANNEL_INTERLEAVE_BLOCKS
 
     def fresh_state(self) -> tuple[SetAssociativeCache, list[MemoryController]]:

@@ -34,17 +34,16 @@ def main() -> None:
     config = GPUConfig()
     simulator = GPUSimulator(config)
 
-    workload = get_workload(args.workload, scale=args.scale)
-    regions = workload.generate()
-    registry = annotate_regions(regions, threshold_bytes=16)
+    # every run below simulates the same input: prepare it once
+    prepared = simulator.prepare(get_workload(args.workload, scale=args.scale))
+    registry = annotate_regions(prepared.input_regions, threshold_bytes=16)
     print(f"{args.workload}: {len(registry)} memory regions, "
           f"{registry.approximable_count()} annotated safe-to-approximate "
-          f"(Table III lists {workload.approx_region_count} ARs at full scale)\n")
+          f"(Table III lists {prepared.workload.approx_region_count} ARs at "
+          "full scale)\n")
 
-    baseline = simulator.run(
-        get_workload(args.workload, scale=args.scale),
-        build_backend(BASELINE_SCHEME, config),
-        compute_error=False,
+    baseline = simulator.run_prepared(
+        prepared, build_backend(BASELINE_SCHEME, config), compute_error=False
     )
     print(f"E2MC baseline: {baseline.total_bursts} bursts, "
           f"{baseline.exec_time_s * 1e6:.1f} us simulated execution time\n")
@@ -52,9 +51,7 @@ def main() -> None:
     print(f"{'threshold':>9} {'lossy blocks':>13} {'traffic':>9} {'speedup':>8} {'error %':>9}")
     for threshold in thresholds:
         backend = build_backend("TSLC-OPT", config, lossy_threshold_bytes=threshold)
-        result = simulator.run(
-            get_workload(args.workload, scale=args.scale), backend, compute_error=True
-        )
+        result = simulator.run_prepared(prepared, backend, compute_error=True)
         print(
             f"{threshold:>7} B "
             f"{result.lossy_blocks:>10}/{result.stored_blocks:<5}"

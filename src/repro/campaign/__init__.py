@@ -51,7 +51,12 @@ from repro.campaign.store import (
     SQLiteResultStore,
     open_store,
 )
-from repro.campaign.worker import build_backend, execute_job, simulate_job
+from repro.campaign.worker import (
+    InputCache,
+    build_backend,
+    execute_job,
+    simulate_job,
+)
 
 __all__ = [
     "faults",
@@ -85,6 +90,7 @@ __all__ = [
     "build_backend",
     "execute_job",
     "simulate_job",
+    "InputCache",
     "config_to_overrides",
     "overrides_to_config",
 ]

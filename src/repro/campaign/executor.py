@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 import repro.obs as obs
 from repro.campaign.spec import CampaignSpec, Job
 from repro.campaign.store import JobRecord, ResultStore
-from repro.campaign.worker import execute_job
+from repro.campaign.worker import INPUT_CACHE, execute_job
 from repro.obs import metrics, tracing
 from repro.obs.log import get_logger
 
@@ -123,8 +123,16 @@ def serve_cached(
     store: ResultStore | None,
     progress: ProgressFn | None,
 ) -> list[Job]:
-    """Fill ``outcome`` from the store; returns the jobs still to run."""
-    pending: list[Job] = []
+    """Fill ``outcome`` from the store; returns the jobs still to run.
+
+    The pending jobs come grouped by :attr:`Job.input_key` — groups in
+    order of first appearance, grid order within a group — so the pool
+    and the lease queue hand consecutive same-input jobs to each worker,
+    whose :class:`~repro.campaign.worker.InputCache` then prepares every
+    input once.  ``outcome.jobs`` (and so ``iter_records``) keeps grid
+    order.
+    """
+    pending: dict[tuple, list[Job]] = {}
     with tracing.span("campaign.lookup", cat="campaign", jobs=len(outcome.jobs)):
         for job in outcome.jobs:
             stored = store.lookup(job) if store is not None else None
@@ -134,8 +142,8 @@ def serve_cached(
                 if progress is not None:
                     progress(record, len(outcome.records), outcome.n_total)
             else:
-                pending.append(job)
-    return pending
+                pending.setdefault(job.input_key, []).append(job)
+    return [job for group in pending.values() for job in group]
 
 
 def make_collector(
@@ -313,6 +321,8 @@ def run_jobs(
                 outcome.interrupted = True
                 _log.warning("interrupted — %d of %d cells completed",
                              len(outcome.records), outcome.n_total)
+            finally:
+                INPUT_CACHE.clear()
 
     if metrics.enabled():
         metrics.inc("campaign.jobs", outcome.n_total)

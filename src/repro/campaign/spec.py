@@ -175,6 +175,17 @@ class Job:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    @property
+    def input_key(self) -> tuple:
+        """(workload, scale, seed, block size): what the job's input depends on.
+
+        Jobs with equal keys differ only in how the input is compressed, so
+        a worker prepares that input once for all of them (see
+        :class:`repro.campaign.worker.InputCache`).
+        """
+        block_size = overrides_to_config(self.config_overrides).block_size_bytes
+        return (self.workload, self.scale, self.seed, block_size)
+
     def label(self) -> str:
         """Short human-readable identifier used in progress lines."""
         parts = [self.workload, self.scheme, f"thr{self.lossy_threshold_bytes}"]

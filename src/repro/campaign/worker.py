@@ -5,6 +5,11 @@ a requirement for ``ProcessPoolExecutor`` under the ``spawn`` start method —
 and so the campaign package depends only on the core/gpu/workload layers
 (the studies build on the campaign engine, not the other way
 around).
+
+Each process keeps the last prepared workload input in
+:data:`INPUT_CACHE`, so consecutive jobs on one input (the executor hands
+them out grouped) generate it, run its exact kernel and fit its symbol
+model once.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import socket
 import time
 import traceback
 from datetime import datetime, timezone
+from typing import Callable
 
 from repro.campaign.spec import (
     BASELINE_SCHEME,
@@ -30,8 +36,8 @@ from repro.core.config import SLCConfig
 from repro.core.slc import SLCCompressor
 from repro.gpu.backends import CompressionBackend, LosslessBackend, SLCBackend
 from repro.gpu.config import GPUConfig
-from repro.gpu.simulator import GPUSimulator, SimulationResult
-from repro.workloads.registry import get_workload
+from repro.gpu.simulator import GPUSimulator, PreparedInput, SimulationResult
+from repro.workloads.registry import workload_factory
 
 
 def build_backend(
@@ -114,6 +120,52 @@ def default_chunk_accesses() -> int | None:
     return value
 
 
+class InputCache:
+    """One prepared workload input, kept while consecutive jobs share it.
+
+    The key names everything preparation depends on: the registered
+    factory object (so a re-registered name never serves the old input),
+    the workload name, scale, seed and block size.  A miss evicts the held
+    input *before* building the next, so two inputs are never alive at
+    once and a worker's memory stays that of one job.  Held arrays are
+    read-only.  Under :func:`repro.obs.metrics.enabled` every lookup counts
+    ``sim.input_cache.hit`` or ``sim.input_cache.miss``.
+    """
+
+    def __init__(self) -> None:
+        #: (key, prepared input), read and replaced as one attribute: a
+        #: lookup never pairs one input's key with another's data, even
+        #: with threads (in-process distributed workers) racing; the worst
+        #: a race does is prepare an input twice.  No lock, because a lock
+        #: held across a pool's fork would deadlock the child.
+        self._slot: tuple[tuple, PreparedInput] | None = None
+
+    def get(self, key: tuple, build: Callable[[], PreparedInput]) -> PreparedInput:
+        """The input held under ``key``, else ``build()``'s (which is kept)."""
+        slot = self._slot
+        hit = slot is not None and slot[0] == key
+        if metrics.enabled():
+            metrics.inc("sim.input_cache.hit" if hit else "sim.input_cache.miss")
+        if hit:
+            return slot[1]
+        slot = None  # the local reference would keep the old input alive
+        self.clear()
+        prepared = build()
+        prepared.make_read_only()
+        self._slot = (key, prepared)
+        return prepared
+
+    def clear(self) -> None:
+        """Drop the held input."""
+        self._slot = None
+
+
+#: the process's input cache: :func:`simulate_job` takes every input from
+#: it; an in-process :func:`~repro.campaign.executor.run_jobs` clears it on
+#: return, pool and distributed workers keep it for their lifetime
+INPUT_CACHE = InputCache()
+
+
 def simulate_job(
     job: Job,
     batch_store: bool = True,
@@ -123,6 +175,10 @@ def simulate_job(
     payload_digest: bool = False,
 ) -> SimulationResult:
     """Run one job to completion and return its simulation result.
+
+    The workload input comes from :data:`INPUT_CACHE`: a job on the input
+    the previous job used skips preparing it.  Results are identical
+    either way.
 
     Args:
         job: the campaign job description.
@@ -160,7 +216,11 @@ def simulate_job(
     kwargs: dict = {"seed": job.seed}
     if job.scale is not None:
         kwargs["scale"] = job.scale
-    workload = get_workload(job.workload, **kwargs)
+    factory = workload_factory(job.workload)
+    prepared = INPUT_CACHE.get(
+        (factory, *job.input_key),
+        lambda: simulator.prepare(factory(**kwargs)),
+    )
     backend = build_backend(
         job.scheme,
         config,
@@ -168,7 +228,7 @@ def simulate_job(
         mag_bytes=job.mag_bytes,
         batch_codec=batch_codec,
     )
-    return simulator.run(workload, backend, compute_error=job.compute_error)
+    return simulator.run_prepared(prepared, backend, compute_error=job.compute_error)
 
 
 def execute_job(job_dict: dict) -> dict:

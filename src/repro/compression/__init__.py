@@ -26,7 +26,7 @@ from repro.compression.base import (
 from repro.compression.bdi import BDICompressor
 from repro.compression.bpc import BPCCompressor
 from repro.compression.cpack import CPackCompressor
-from repro.compression.e2mc import E2MCCompressor, SymbolModel
+from repro.compression.e2mc import E2MCCompressor, SymbolModel, TrainingSet
 from repro.compression.fpc import FPCCompressor
 from repro.compression.registry import (
     SchemeInfo,
@@ -55,6 +55,7 @@ __all__ = [
     "CPackCompressor",
     "E2MCCompressor",
     "SymbolModel",
+    "TrainingSet",
     "BPCCompressor",
     "as_block_bytes",
     "available_compressors",

@@ -191,6 +191,34 @@ class SymbolModel:
         return self._per_code_cache("decoding", self.code.decoding_table)
 
 
+class TrainingSet(tuple):
+    """Sample blocks that remember the symbol models fitted on them.
+
+    A fit is a pure function of the samples and the model parameters, so
+    E2MC and every TSLC variant at every MAG trained on the same samples
+    can share one :class:`SymbolModel` — and with it the derived LUTs —
+    instead of each refitting its own.  :meth:`E2MCCompressor.train`
+    takes its model from here when handed a ``TrainingSet``; a plain block
+    list still gets a private fit.  A shared model is read-only by
+    convention: retraining replaces a compressor's model, never mutates it.
+    """
+
+    def __init__(self, blocks=()) -> None:
+        self._models: dict[tuple[int, int, int], SymbolModel] = {}
+
+    def symbol_model(
+        self, symbol_bytes: int, max_table_entries: int, max_code_length: int
+    ) -> SymbolModel:
+        """The model fitted on these samples with these parameters (fit once)."""
+        key = (symbol_bytes, max_table_entries, max_code_length)
+        model = self._models.get(key)
+        if model is None:
+            model = SymbolModel(*key)
+            model.fit(self)
+            self._models[key] = model
+        return model
+
+
 class E2MCCompressor(BlockCompressor):
     """Entropy-encoding (Huffman) memory compressor, the SLC baseline.
 
@@ -236,8 +264,23 @@ class E2MCCompressor(BlockCompressor):
     # model management
 
     def train(self, blocks: list[bytes]) -> None:
-        """Build the symbol probability table from sample blocks."""
-        self.model.fit(blocks)
+        """Build the symbol probability table from sample blocks.
+
+        A :class:`TrainingSet` hands out its shared fit for this model's
+        parameters; any other block list is fitted into a fresh model, so
+        a shared model is never refitted in place.
+        """
+        params = (
+            self.model.symbol_bytes,
+            self.model.max_table_entries,
+            self.model.max_code_length,
+        )
+        if isinstance(blocks, TrainingSet):
+            self.model = blocks.symbol_model(*params)
+            return
+        model = SymbolModel(*params)
+        model.fit(blocks)
+        self.model = model
 
     @property
     def trained(self) -> bool:

@@ -28,7 +28,7 @@ from repro.gpu.dram import DRAMChannel, DRAMStats, GDDR5Timing
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.memory_controller import MemoryController, MemoryControllerStats
-from repro.gpu.simulator import GPUSimulator, SimulationResult
+from repro.gpu.simulator import GPUSimulator, PreparedInput, SimulationResult
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "EnergyModel",
     "EnergyBreakdown",
     "GPUSimulator",
+    "PreparedInput",
     "SimulationResult",
     "MemoryAccess",
     "MemoryTrace",

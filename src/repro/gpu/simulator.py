@@ -6,6 +6,10 @@ the trace into memory-controller traffic, GDDR5 channels turn bursts into
 busy time, and analytic timing/energy models turn the resulting counters into
 execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 (approximated) inputs feed the application-specific error metric.
+
+:meth:`GPUSimulator.prepare` does the backend-independent part once (data,
+exact outputs, blocks, layout, training samples, trace) so several
+backends can be simulated on one :class:`PreparedInput`.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compression.e2mc import TrainingSet
 from repro.gpu.backends import CompressionBackend
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.sm import SMCluster
+from repro.gpu.trace import MemoryTrace
 from repro.metrics.fidelity import fidelity_summary
 from repro.obs import metrics
 from repro.obs.tracing import span
@@ -158,6 +164,44 @@ class SimulationResult:
         )
 
 
+@dataclass
+class PreparedInput:
+    """Everything a run derives from the workload alone, before any backend.
+
+    :meth:`GPUSimulator.prepare` builds it: the generated input regions, the
+    exact kernel outputs, every region's raw blocks and base address, the
+    training samples and the block trace.  None of it depends on the
+    compression scheme, the MAG or the lossy threshold, so one prepared
+    input serves every backend simulated on it
+    (:meth:`GPUSimulator.run_prepared`) with bit-identical results — which
+    holds because a workload's ``run``, ``error``, ``trace`` and
+    ``compute_ops`` are pure functions of their arguments.  A shared input
+    must not be modified; :meth:`make_read_only` enforces that for its
+    arrays.
+    """
+
+    workload: Workload
+    input_regions: dict[str, Region]
+    exact_outputs: WorkloadOutput
+    #: input regions followed by the (non-approximable) output regions
+    all_regions: dict[str, Region]
+    region_blocks: dict[str, list[bytes]]
+    base_addresses: dict[str, int]
+    #: evenly sampled input blocks; memoizes the symbol models fitted on them
+    train_samples: TrainingSet
+    trace: MemoryTrace
+    #: the simulator geometry the input was prepared for
+    block_size_bytes: int
+    train_sample_target: int
+
+    def make_read_only(self) -> None:
+        """Make every region array and exact output reject in-place writes."""
+        for region in self.all_regions.values():
+            region.array.flags.writeable = False
+        for array in self.exact_outputs.arrays.values():
+            array.flags.writeable = False
+
+
 class GPUSimulator:
     """Trace-driven simulation of one workload under one compression backend.
 
@@ -245,6 +289,15 @@ class GPUSimulator:
         compute_error: bool = True,
     ) -> SimulationResult:
         """Simulate ``workload`` with ``backend`` and return the result."""
+        return self.run_prepared(self.prepare(workload), backend, compute_error)
+
+    def prepare(self, workload: Workload) -> PreparedInput:
+        """Generate ``workload``'s input and everything derived from it alone.
+
+        Runs the exact kernel, splits every region into blocks, lays the
+        regions out, samples the training blocks and builds the block
+        trace — the backend-independent part of :meth:`run`.
+        """
         block_size = self.config.block_size_bytes
 
         with span("sim.generate", cat="sim", workload=workload.name):
@@ -258,9 +311,61 @@ class GPUSimulator:
                 for name, region in all_regions.items()
             }
             base_addresses = self._layout(all_regions, region_blocks)
+            input_blocks = [
+                block for name in input_regions for block in region_blocks[name]
+            ]
+            train_samples = TrainingSet(
+                sample_evenly(input_blocks, self.train_samples)
+            )
+
+        with span("sim.trace_build", cat="sim", workload=workload.name):
+            trace = workload.trace(all_regions, block_size_bytes=block_size)
+
+        return PreparedInput(
+            workload=workload,
+            input_regions=input_regions,
+            exact_outputs=exact_outputs,
+            all_regions=all_regions,
+            region_blocks=region_blocks,
+            base_addresses=base_addresses,
+            train_samples=train_samples,
+            trace=trace,
+            block_size_bytes=block_size,
+            train_sample_target=self.train_samples,
+        )
+
+    def run_prepared(
+        self,
+        prepared: PreparedInput,
+        backend: CompressionBackend,
+        compute_error: bool = True,
+    ) -> SimulationResult:
+        """Simulate ``backend`` on an input :meth:`prepare` already built.
+
+        Raises:
+            ValueError: if ``prepared`` was built for another block size or
+                training-sample count than this simulator's.
+        """
+        if (prepared.block_size_bytes, prepared.train_sample_target) != (
+            self.config.block_size_bytes, self.train_samples
+        ):
+            raise ValueError(
+                f"input prepared for {prepared.block_size_bytes} B blocks and "
+                f"{prepared.train_sample_target} training samples, simulator "
+                f"uses {self.config.block_size_bytes} B and {self.train_samples}"
+            )
+        workload = prepared.workload
+        input_regions = prepared.input_regions
+        region_blocks = prepared.region_blocks
+        base_addresses = prepared.base_addresses
+        block_size = self.config.block_size_bytes
 
         with span("sim.train", cat="sim", workload=workload.name):
-            self._train_backend(backend, input_regions, region_blocks)
+            # The heavy part of training — counting 16-bit symbols over the
+            # sampled bytes — is one np.bincount inside SymbolModel.fit, done
+            # once per prepared input and model parameters (TrainingSet).
+            if prepared.train_samples:
+                backend.train(prepared.train_samples)
 
         controllers = [
             MemoryController(
@@ -307,10 +412,9 @@ class GPUSimulator:
         # The vectorized engine (repro.replay) and the scalar per-access loop
         # produce bit-identical counters; the engine is the default because
         # trace replay dominates sweep time.
-        with span("sim.trace_build", cat="sim", workload=workload.name):
-            trace = workload.trace(all_regions, block_size_bytes=block_size)
+        trace = prepared.trace
         replay_kwargs = dict(
-            all_regions=all_regions,
+            all_regions=prepared.all_regions,
             region_blocks=region_blocks,
             base_addresses=base_addresses,
             l2=l2,
@@ -333,15 +437,15 @@ class GPUSimulator:
         if compute_error:
             with span("sim.error", cat="sim", workload=workload.name):
                 degraded = self._degraded_inputs(
-                    workload, input_regions, region_blocks, base_addresses, controllers
+                    input_regions, region_blocks, base_addresses, controllers
                 )
                 approx_outputs = workload.run(degraded)
-                error_percent = workload.error(exact_outputs, approx_outputs)
+                error_percent = workload.error(prepared.exact_outputs, approx_outputs)
                 fidelity = self._region_fidelity(input_regions, degraded)
 
         return self._assemble_result(
-            workload, backend, all_regions, controllers, l2, error_percent,
-            fidelity=fidelity,
+            workload, backend, prepared.all_regions, controllers, l2,
+            error_percent, fidelity=fidelity,
         )
 
     # ------------------------------------------------------------------ #
@@ -372,29 +476,8 @@ class GPUSimulator:
         group = block_address // self.CHANNEL_INTERLEAVE_BLOCKS
         return controllers[group % len(controllers)]
 
-    def _train_backend(
-        self,
-        backend: CompressionBackend,
-        input_regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
-    ) -> None:
-        """Sample input blocks to train the backend's probability model.
-
-        The heavy part of training — counting 16-bit symbols over the sampled
-        bytes — runs as one ``np.bincount`` inside the symbol model
-        (:meth:`repro.compression.e2mc.SymbolModel.fit`) rather than a
-        per-block ``Counter`` update.
-        """
-        all_blocks: list[bytes] = []
-        for name in input_regions:
-            all_blocks.extend(region_blocks[name])
-        samples = sample_evenly(all_blocks, self.train_samples)
-        if samples:
-            backend.train(samples)
-
     def _degraded_inputs(
         self,
-        workload: Workload,
         input_regions: dict[str, Region],
         region_blocks: dict[str, list[bytes]],
         base_addresses: dict[str, int],

@@ -53,22 +53,72 @@ def _validated(exact, approx) -> tuple[np.ndarray, np.ndarray]:
     return exact_arr.reshape(-1), approx_arr.reshape(-1)
 
 
+#: smallest positive normal float64; a variance sum below it has lost
+#: precision to underflow
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _unit_peak(arr: np.ndarray) -> np.ndarray:
+    """``arr`` divided by its largest magnitude (unchanged if all zero)."""
+    peak = float(np.max(np.abs(arr)))
+    return arr / peak if peak > 0.0 else arr
+
+
+def _centered(
+    exact_vals: np.ndarray, approx_vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Deviations, the smaller sum of squares and the Pearson denominator.
+
+    The denominator is non-finite when the squares overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact_dev = exact_vals - exact_vals.mean()
+        approx_dev = approx_vals - approx_vals.mean()
+        exact_ss = float(np.dot(exact_dev, exact_dev))
+        approx_ss = float(np.dot(approx_dev, approx_dev))
+        denom = float(np.sqrt(exact_ss * approx_ss))
+    return exact_dev, approx_dev, min(exact_ss, approx_ss), denom
+
+
+def _pearson(exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
+    """Pearson correlation of two validated flat float64 arrays."""
+    exact_dev, approx_dev, smaller_ss, denom = _centered(exact_arr, approx_arr)
+    if not (np.isfinite(denom) and smaller_ss >= _TINY):
+        # The squares overflowed or underflowed (or a field is constant).
+        # Correlation is invariant under positive scaling of either array,
+        # so recompute at unit peak; data whose sums of squares are finite
+        # normal floats never gets here and stays bit-identical to the
+        # direct formula.
+        exact_dev, approx_dev, _, denom = _centered(
+            _unit_peak(exact_arr), _unit_peak(approx_arr)
+        )
+    if denom == 0.0:
+        return 1.0 if np.array_equal(exact_arr, approx_arr) else 0.0
+    corr = float(np.dot(exact_dev, approx_dev)) / denom
+    return float(np.clip(corr, -1.0, 1.0))
+
+
 def pearson_correlation(exact, approx) -> float:
     """Pearson correlation coefficient between exact and approx values.
 
     Bounded to [-1, 1].  A constant field has no variance to correlate, so
     the convention for degenerate inputs is: 1.0 when the arrays are
     element-wise identical (undamaged data is perfectly faithful no matter
-    its shape), 0.0 otherwise.
+    its shape), 0.0 otherwise.  Magnitudes whose products overflow
+    (~1e155 and up) or underflow (~1e-155 and down) are rescaled first, so
+    they correlate like the same data at unit scale.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
-    exact_dev = exact_arr - exact_arr.mean()
-    approx_dev = approx_arr - approx_arr.mean()
-    denom = float(np.sqrt(np.dot(exact_dev, exact_dev) * np.dot(approx_dev, approx_dev)))
-    if denom == 0.0:
-        return 1.0 if np.array_equal(exact_arr, approx_arr) else 0.0
-    corr = float(np.dot(exact_dev, approx_dev)) / denom
-    return float(np.clip(corr, -1.0, 1.0))
+    return _pearson(*_validated(exact, approx))
+
+
+def _ks(exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
+    """KS statistic of two validated flat float64 arrays."""
+    exact_sorted = np.sort(exact_arr)
+    approx_sorted = np.sort(approx_arr)
+    probe = np.concatenate([exact_sorted, approx_sorted])
+    cdf_exact = np.searchsorted(exact_sorted, probe, side="right") / exact_sorted.size
+    cdf_approx = np.searchsorted(approx_sorted, probe, side="right") / approx_sorted.size
+    return float(np.max(np.abs(cdf_exact - cdf_approx)))
 
 
 def ks_statistic(exact, approx) -> float:
@@ -79,13 +129,7 @@ def ks_statistic(exact, approx) -> float:
     values coincide.  Computed with two sorts and ``searchsorted`` — no
     per-element Python loop.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
-    exact_sorted = np.sort(exact_arr)
-    approx_sorted = np.sort(approx_arr)
-    probe = np.concatenate([exact_sorted, approx_sorted])
-    cdf_exact = np.searchsorted(exact_sorted, probe, side="right") / exact_sorted.size
-    cdf_approx = np.searchsorted(approx_sorted, probe, side="right") / approx_sorted.size
-    return float(np.max(np.abs(cdf_exact - cdf_approx)))
+    return _ks(*_validated(exact, approx))
 
 
 def _iqr_scale(exact_arr: np.ndarray) -> float:
@@ -105,6 +149,14 @@ def _iqr_scale(exact_arr: np.ndarray) -> float:
     return max(abs(float(exact_arr.flat[0])), 1.0)
 
 
+def _iqr_errors(exact_arr: np.ndarray, approx_arr: np.ndarray) -> tuple[float, float]:
+    """IQR-normalized (mean, max) error of two validated flat arrays."""
+    normalized = np.abs(exact_arr - approx_arr) / _iqr_scale(exact_arr)
+    max_err = float(normalized.max())
+    # the mean of equal values can round one ulp above them
+    return min(float(normalized.mean()), max_err), max_err
+
+
 def iqr_normalized_errors(exact, approx) -> tuple[float, float]:
     """(mean, max) of ``|exact - approx| / IQR(exact)``.
 
@@ -114,20 +166,24 @@ def iqr_normalized_errors(exact, approx) -> tuple[float, float]:
     across variables with different units — the property enstools relies
     on to compare compression quality across weather fields.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
-    normalized = np.abs(exact_arr - approx_arr) / _iqr_scale(exact_arr)
-    return float(normalized.mean()), float(normalized.max())
+    return _iqr_errors(*_validated(exact, approx))
 
 
 def fidelity_panel(exact, approx) -> dict[str, float]:
     """All fidelity metrics of one exact/approx array pair.
 
-    Keys: ``pearson``, ``ks``, ``iqr_mean``, ``iqr_max``.
+    Keys: ``pearson``, ``ks``, ``iqr_mean``, ``iqr_max``.  The pair is
+    validated once.  An undamaged pair (equal values) skips the sorts and
+    returns the perfect panel, which is exactly what the full computation
+    yields for finite data.
     """
-    iqr_mean, iqr_max = iqr_normalized_errors(exact, approx)
+    exact_arr, approx_arr = _validated(exact, approx)
+    if np.array_equal(exact_arr, approx_arr):
+        return {"pearson": 1.0, "ks": 0.0, "iqr_mean": 0.0, "iqr_max": 0.0}
+    iqr_mean, iqr_max = _iqr_errors(exact_arr, approx_arr)
     return {
-        "pearson": pearson_correlation(exact, approx),
-        "ks": ks_statistic(exact, approx),
+        "pearson": _pearson(exact_arr, approx_arr),
+        "ks": _ks(exact_arr, approx_arr),
         "iqr_mean": iqr_mean,
         "iqr_max": iqr_max,
     }

@@ -29,6 +29,7 @@ from repro.workloads.registry import (
     register_workload,
     table3_rows,
     unregister_workload,
+    workload_factory,
     workload_family,
 )
 from repro.workloads.srad import SRAD1Workload, SRAD2Workload
@@ -68,6 +69,7 @@ __all__ = [
     "get_workload",
     "register_workload",
     "unregister_workload",
+    "workload_factory",
     "workload_family",
     "table3_rows",
     "PAPER_WORKLOAD_ORDER",

@@ -100,6 +100,20 @@ def workload_family(name: str) -> str:
     return _FAMILIES[key]
 
 
+def workload_factory(name: str) -> Callable[..., Workload]:
+    """The factory registered under ``name`` (case-insensitive).
+
+    Its identity tells two registrations of one name apart, which is how
+    the campaign worker's input cache notices a re-registered workload.
+    """
+    key = name.upper()
+    if key not in _REGISTRY:
+        raise KeyError(
+            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
+        )
+    return _REGISTRY[key]
+
+
 def get_workload(name: str, **kwargs) -> Workload:
     """Instantiate a benchmark by its short name (case-insensitive).
 
@@ -107,12 +121,7 @@ def get_workload(name: str, **kwargs) -> Workload:
         name: one of :func:`available_workloads`.
         **kwargs: forwarded to the workload constructor (``scale``, ``seed``).
     """
-    key = name.upper()
-    if key not in _REGISTRY:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
-        )
-    return _REGISTRY[key](**kwargs)
+    return workload_factory(name)(**kwargs)
 
 
 def table3_rows(scale: float | None = None) -> list[tuple[str, str, str, str, int]]:

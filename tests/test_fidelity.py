@@ -240,3 +240,100 @@ def test_summary_key_mismatch_raises():
 def test_summary_empty_raises():
     with pytest.raises(ValueError):
         fidelity_summary({}, {})
+
+
+# --------------------------------------------------------------------- #
+# Pearson at extreme magnitudes (products overflow or underflow)
+
+HUGE = np.array([1e160, 2e160, 3e160, 5e160])
+TINY = np.array([1e-170, 2e-170, 3e-170, 5e-170])
+
+
+def test_pearson_survives_overflowing_products():
+    assert pearson_correlation(HUGE, HUGE) == 1.0
+    assert pearson_correlation(HUGE, -HUGE) == -1.0
+
+
+def test_pearson_survives_underflowing_products():
+    assert pearson_correlation(TINY, 2 * TINY) == 1.0
+    assert pearson_correlation(TINY, -TINY) == -1.0
+    # a constant field stays degenerate after rescaling
+    assert pearson_correlation(np.full(4, 1e-170), TINY) == 0.0
+
+
+@pytest.mark.parametrize("magnitude", [1e160, 1e-170])
+def test_pearson_at_extreme_scale_matches_unit_scale(magnitude):
+    rng = np.random.default_rng(3)
+    exact = rng.normal(size=64)
+    approx = exact + rng.normal(scale=0.3, size=64)
+    exact /= np.abs(exact).max()
+    approx /= np.abs(approx).max()
+    assert pearson_correlation(exact * magnitude, approx * magnitude) == pytest.approx(
+        pearson_correlation(exact, approx), rel=1e-12
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(array_pairs(min_size=2))
+def test_pearson_in_range_is_the_direct_formula(pair):
+    exact, approx = pair
+    exact_dev = exact - exact.mean()
+    approx_dev = approx - approx.mean()
+    denom = float(np.sqrt(np.dot(exact_dev, exact_dev) * np.dot(approx_dev, approx_dev)))
+    if denom == 0.0:
+        return
+    direct = float(np.clip(float(np.dot(exact_dev, approx_dev)) / denom, -1.0, 1.0))
+    assert pearson_correlation(exact, approx) == direct
+
+
+def test_summary_worst_pearson_is_order_independent():
+    rng = np.random.default_rng(11)
+    clean = rng.normal(size=128)
+    noisy = clean + rng.normal(scale=0.5, size=128)
+    exact = {"huge": HUGE, "field": clean}
+    approx = {"huge": -HUGE, "field": noisy}
+    forward = fidelity_summary(exact, approx)
+    backward = fidelity_summary(dict(reversed(list(exact.items()))), approx)
+    assert forward == backward
+    assert forward["fidelity_pearson"] == -1.0
+
+
+# --------------------------------------------------------------------- #
+# the undamaged-pair shortcut
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_equal_pair_panel_equals_the_full_computation(dtype):
+    rng = np.random.default_rng(5)
+    for trial in range(150):
+        magnitude = 10.0 ** rng.uniform(-30, 30)
+        size = int(rng.integers(1, 300))
+        if trial % 3 == 0:
+            exact = np.full(size, magnitude)
+        else:
+            exact = rng.normal(scale=magnitude, size=size)
+        exact = exact.astype(dtype)
+        approx = exact.copy()
+        mean_err, max_err = iqr_normalized_errors(exact, approx)
+        full = {"pearson": pearson_correlation(exact, approx),
+                "ks": ks_statistic(exact, approx),
+                "iqr_mean": mean_err, "iqr_max": max_err}
+        assert fidelity_panel(exact, approx) == full
+
+
+def test_equal_pair_panel_skips_the_sorts(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("an undamaged pair must not be sorted")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    exact = np.linspace(-3.0, 7.0, 1000)
+    assert fidelity_panel(exact, exact.copy()) == {
+        "pearson": 1.0, "ks": 0.0, "iqr_mean": 0.0, "iqr_max": 0.0}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_equal_non_finite_pair_still_raises(bad):
+    poisoned = np.ones(4)
+    poisoned[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fidelity_panel(poisoned, poisoned.copy())
