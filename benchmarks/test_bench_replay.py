@@ -15,15 +15,18 @@ from __future__ import annotations
 import dataclasses
 import time
 
+import numpy as np
+
 from repro.campaign.spec import Job
 from repro.campaign.worker import build_backend, simulate_job
 from repro.compression.stats import geometric_mean
 from repro.obs.metrics import measure_peak_mib
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.memory_controller import MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.replay import replay_trace, replay_trace_scalar
+from repro.replay.engine import record_host_stores
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 QUICK_WORKLOADS = ("NN", "FWT", "DCT")
@@ -49,7 +52,8 @@ class _ReplayContext:
     The expensive one-time stages (``GPUSimulator.prepare``'s data
     generation, kernel execution and trace construction, then backend
     training) run once; :meth:`fresh_state` rebuilds the mutable state
-    (L2 + controllers with the host-to-device copy applied) so each timed
+    (L2 + controllers sharing a block store with the host-to-device copy
+    applied) so each timed
     replay starts from an identical machine state with setup excluded from
     the measurement.
     """
@@ -60,34 +64,39 @@ class _ReplayContext:
         simulator = GPUSimulator(config=self.config)
         prepared = simulator.prepare(get_workload(name, scale=scale, seed=2019))
         self.backend.train(prepared.train_samples)
-        self.input_regions = prepared.input_regions
+        self.prepared = prepared
         self.all_regions = prepared.all_regions
-        self.region_blocks = prepared.region_blocks
+        self.rows = prepared.rows
         self.base_addresses = prepared.base_addresses
         self.trace = prepared.trace
         self.interleave = simulator.CHANNEL_INTERLEAVE_BLOCKS
 
     def fresh_state(self) -> tuple[SetAssociativeCache, list[MemoryController]]:
         config = self.config
+        store = BlockStore(config.block_size_bytes, n_blocks=len(self.rows))
         controllers = [
             MemoryController(
                 controller_id=i,
                 backend=self.backend,
                 mag_bytes=config.mag_bytes,
                 block_size_bytes=config.block_size_bytes,
+                store=store,
             )
             for i in range(config.num_memory_controllers)
         ]
-        for name, region in self.input_regions.items():
-            base = self.base_addresses[name]
-            stored_blocks = self.backend.store_batch(
-                self.region_blocks[name], approximable=region.approximable
+        slices = [
+            (self.prepared.region_slice(name), region)
+            for name, region in self.prepared.input_regions.items()
+        ]
+        for sl, region in slices:
+            store.write(
+                sl, self.backend.store_batch(self.rows[sl], approximable=region.approximable)
             )
-            for index, stored in enumerate(stored_blocks):
-                address = base + index
-                controllers[(address // self.interleave) % len(controllers)].record_stored(
-                    address, stored, count_traffic=False
-                )
+        record_host_stores(
+            controllers,
+            np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in slices]),
+            self.interleave,
+        )
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,
@@ -103,7 +112,7 @@ class _ReplayContext:
             engine(
                 self.trace,
                 all_regions=self.all_regions,
-                region_blocks=self.region_blocks,
+                rows=self.rows,
                 base_addresses=self.base_addresses,
                 l2=l2,
                 controllers=controllers,
@@ -176,7 +185,7 @@ def test_bench_replay_chunked_peak_memory(replay_quick, bench_record):
             replay_trace,
             context.trace,
             all_regions=context.all_regions,
-            region_blocks=context.region_blocks,
+            rows=context.rows,
             base_addresses=context.base_addresses,
             l2=l2,
             controllers=controllers,

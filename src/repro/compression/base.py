@@ -8,6 +8,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.utils.blocks import iter_blocks
+
 
 class CompressionError(RuntimeError):
     """Raised when a block cannot be compressed (malformed input)."""
@@ -77,8 +79,9 @@ class BlockCompressor(ABC):
     name: str = "abstract"
 
     #: True when :meth:`compressed_size_bits_batch` is a vectorized kernel
-    #: rather than the scalar fallback loop (the loop stays available on the
-    #: base class and is the n = 1 oracle every kernel is tested against)
+    #: for this compressor's geometry rather than the scalar fallback loop
+    #: (the loop stays available on the base class and is the n = 1 oracle
+    #: every kernel is tested against)
     batched_analysis: bool = False
 
     def __init__(self, block_size_bytes: int = 128) -> None:
@@ -121,22 +124,23 @@ class BlockCompressor(ABC):
     # ------------------------------------------------------------------ #
     # batched protocol (the vectorized store path of LosslessBackend)
 
-    def compressed_size_bits_batch(self, blocks: list[bytes]) -> np.ndarray:
+    def compressed_size_bits_batch(self, blocks) -> np.ndarray:
         """Compressed sizes of many blocks at once, as an int64 array of bits.
 
-        The default loops :meth:`compress` per block, so *every* compressor
-        supports the batched store path.  Compressors with vectorized
+        ``blocks`` is an ``(n, block_size_bytes)`` uint8 row matrix or a
+        list of blocks.  The default loops :meth:`compress` per block, so
+        *every* compressor supports the batched store path.  Compressors with vectorized
         size-analysis kernels (BDI/FPC/C-Pack/BPC via
         :mod:`repro.kernels.lossless`, E2MC via its LUT kernels) override
         this and set :attr:`batched_analysis`; overrides must stay bit-exact
         against this scalar loop.
         """
         return np.asarray(
-            [self.compress(block).compressed_size_bits for block in blocks],
+            [self.compress(block).compressed_size_bits for block in iter_blocks(blocks)],
             dtype=np.int64,
         )
 
-    def analyze_batch(self, blocks: list[bytes]) -> np.ndarray:
+    def analyze_batch(self, blocks) -> np.ndarray:
         """Batched size analysis — the entry point backends dispatch through.
 
         Alias of :meth:`compressed_size_bits_batch` (compressors override
@@ -145,9 +149,9 @@ class BlockCompressor(ABC):
         """
         return self.compressed_size_bits_batch(blocks)
 
-    def compress_batch(self, blocks: list[bytes]) -> list[CompressedBlock]:
+    def compress_batch(self, blocks) -> list[CompressedBlock]:
         """Batched :meth:`compress`; the default loops (E2MC vectorizes)."""
-        return [self.compress(block) for block in blocks]
+        return [self.compress(block) for block in iter_blocks(blocks)]
 
     def decompress_batch(self, compressed: list[CompressedBlock]) -> list[bytes]:
         """Batched :meth:`decompress`; the default loops (E2MC vectorizes)."""

@@ -66,7 +66,7 @@ class BDICompressor(BlockCompressor):
     name = "bdi"
     batched_analysis = True
 
-    def compressed_size_bits_batch(self, blocks: list[bytes]) -> np.ndarray:
+    def compressed_size_bits_batch(self, blocks) -> np.ndarray:
         """Vectorized size analysis (bit-exact against :meth:`compress`)."""
         from repro.kernels.lossless import bdi_size_bits
 

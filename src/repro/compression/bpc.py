@@ -76,18 +76,19 @@ class BPCCompressor(BlockCompressor):
     """Bit-plane compression over 32-bit words with DBP/DBX transforms."""
 
     name = "bpc"
-    batched_analysis = True
 
     #: deltas of consecutive 32-bit words need up to 33 bits
     _DELTA_BITS = 33
 
-    def compressed_size_bits_batch(self, blocks: list[bytes]) -> np.ndarray:
-        """Vectorized size analysis (bit-exact against :meth:`compress`).
+    @property
+    def batched_analysis(self) -> bool:
+        """The kernel packs each bit plane into an int64, which caps it at
+        64-word (256-byte) blocks; larger blocks use the scalar fallback."""
+        return self.block_size_bytes % 4 == 0 and self.block_size_bytes <= 256
 
-        The kernel packs each bit plane into an int64, which caps it at
-        64-word (256-byte) blocks; larger blocks use the scalar fallback.
-        """
-        if self.block_size_bytes % 4 or self.block_size_bytes > 256:
+    def compressed_size_bits_batch(self, blocks) -> np.ndarray:
+        """Vectorized size analysis (bit-exact against :meth:`compress`)."""
+        if not self.batched_analysis:
             return super().compressed_size_bits_batch(blocks)
         from repro.kernels.lossless import bpc_size_bits
 

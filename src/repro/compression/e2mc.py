@@ -332,17 +332,27 @@ class E2MCCompressor(BlockCompressor):
         view = as_symbol_view(blocks, self.block_size_bytes, self.symbol_bytes)
         return self.model.code_length_table().lengths(view.symbols)
 
+    @property
+    def batched_analysis(self) -> bool:
+        """The dense code-length and codec tables cover symbols of up to 2 bytes."""
+        from repro.kernels.lut import MAX_LUT_SYMBOL_BYTES
+
+        return self.symbol_bytes <= MAX_LUT_SYMBOL_BYTES
+
     def compressed_size_bits_batch(
-        self, blocks: "BatchSymbolView | list[bytes]"
+        self, blocks: "BatchSymbolView | np.ndarray | list[bytes]"
     ) -> np.ndarray:
         """Total stored bits per block, exactly as :meth:`compress` reports.
 
         Payload row sums plus the parallel-decoding header, clamped at the
         raw block size (blocks that would not shrink are stored raw); an
-        untrained model stores everything raw.
+        untrained model stores everything raw.  Symbols wider than the LUT
+        covers take the scalar loop.
         """
         from repro.kernels.symbols import as_symbol_view
 
+        if not self.batched_analysis:
+            return super().compressed_size_bits_batch(blocks)
         view = as_symbol_view(blocks, self.block_size_bytes, self.symbol_bytes)
         if not self.model.trained:
             return np.full(view.n_blocks, self.block_size_bits, dtype=np.int64)
@@ -386,12 +396,6 @@ class E2MCCompressor(BlockCompressor):
     # ------------------------------------------------------------------ #
     # batched payload codec
 
-    def _codec_supported(self) -> bool:
-        """Whether the dense codec tables cover this geometry."""
-        from repro.kernels.codec import MAX_CODEC_SYMBOL_BYTES
-
-        return self.symbol_bytes <= MAX_CODEC_SYMBOL_BYTES
-
     def compress_batch(
         self, blocks: "BatchSymbolView | list[bytes]"
     ) -> list[CompressedBlock]:
@@ -402,12 +406,10 @@ class E2MCCompressor(BlockCompressor):
         incompressible blocks stored raw.  Falls back to the scalar loop for
         symbol widths the dense codec tables cannot cover.
         """
-        from repro.kernels.symbols import BatchSymbolView, as_symbol_view
+        from repro.kernels.symbols import as_symbol_view
 
-        if not self._codec_supported():
-            if isinstance(blocks, BatchSymbolView):
-                blocks = list(blocks)
-            return [self.compress(block) for block in blocks]
+        if not self.batched_analysis:
+            return super().compress_batch(blocks)
         view = as_symbol_view(blocks, self.block_size_bytes, self.symbol_bytes)
         if not self.model.trained:
             return [
@@ -444,7 +446,7 @@ class E2MCCompressor(BlockCompressor):
         Identical results to per-block :meth:`decompress`; raw (uncompressed)
         payloads pass through, Huffman payloads decode in lockstep.
         """
-        if not self._codec_supported():
+        if not self.batched_analysis:
             return [self.decompress(block) for block in compressed]
         from repro.kernels.symbols import SYMBOL_DTYPES
 

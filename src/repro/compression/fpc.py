@@ -50,11 +50,15 @@ class FPCCompressor(BlockCompressor):
     """Frequent Pattern Compression over 32-bit words."""
 
     name = "fpc"
-    batched_analysis = True
 
-    def compressed_size_bits_batch(self, blocks: list[bytes]) -> np.ndarray:
+    @property
+    def batched_analysis(self) -> bool:
+        """The word kernel needs 4-byte-aligned blocks."""
+        return self.block_size_bytes % 4 == 0
+
+    def compressed_size_bits_batch(self, blocks) -> np.ndarray:
         """Vectorized size analysis (bit-exact against :meth:`compress`)."""
-        if self.block_size_bytes % 4:
+        if not self.batched_analysis:
             return super().compressed_size_bits_batch(blocks)
         from repro.kernels.lossless import fpc_size_bits
 

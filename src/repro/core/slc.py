@@ -29,7 +29,7 @@ from repro.core.header import header_size_bits
 from repro.core.prediction import predict_truncated_symbols
 from repro.core.tree import AdderTree, SubBlockSelection
 from repro.utils.bitstream import BitReader, BitWriter
-from repro.utils.blocks import block_to_symbols, symbols_to_block
+from repro.utils.blocks import block_to_symbols, iter_blocks, symbols_to_block
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,10 @@ class SLCCompressor:
         """
         view = self.symbol_view(blocks)
         if view is None:
-            return [self.analyze(block, approximable=approximable) for block in blocks]
+            return [
+                self.analyze(block, approximable=approximable)
+                for block in iter_blocks(blocks)
+            ]
         return self.analyze_batch_arrays(view, approximable=approximable).to_decisions()
 
     def batch_geometry_supported(self) -> bool:
@@ -445,7 +448,8 @@ class SLCCompressor:
         """Batched :meth:`apply_decision`: degraded bytes for a whole region.
 
         Args:
-            blocks: the raw blocks (list of ``block_size_bytes`` chunks or a
+            blocks: the raw blocks (an ``(n, block_size_bytes)`` uint8 row
+                matrix, a list of ``block_size_bytes`` chunks or a
                 :class:`~repro.kernels.symbols.BatchSymbolView`).
             decisions: matching per-block decisions — a list of
                 :class:`SLCDecision` or the
@@ -458,15 +462,13 @@ class SLCCompressor:
             unchanged, lossy blocks with their truncated symbols zero-filled
             (TSLC-SIMP) or predicted (TSLC-PRED/OPT).
         """
-        from repro.kernels.codec import reconstruct_rows
-
         view = self.symbol_view(blocks)
         if view is None:
             from repro.kernels.decision import BatchDecisions
 
             if isinstance(decisions, BatchDecisions):
                 decisions = decisions.to_decisions()
-            blocks = list(blocks)
+            blocks = iter_blocks(blocks)
             if len(decisions) != len(blocks):
                 raise CompressionError(
                     f"got {len(decisions)} decisions for {len(blocks)} blocks"
@@ -475,23 +477,34 @@ class SLCCompressor:
                 self.apply_decision(block, decision)
                 for block, decision in zip(blocks, decisions)
             ]
+        return [row.tobytes() for row in self.apply_decision_rows(view, decisions)]
+
+    def apply_decision_rows(self, view, decisions) -> np.ndarray:
+        """The rows of a symbol view as they read back after ``decisions``.
+
+        Only valid where :meth:`batch_geometry_supported` holds.  Returns
+        ``view.rows`` itself when no block is lossy; otherwise a copy in
+        which only the lossy rows are rewritten, by one vectorized
+        truncation/prediction pass.
+        """
+        from repro.kernels.codec import reconstruct_rows
+
         lossy, start, count = self._decision_arrays(decisions)
         if len(lossy) != view.n_blocks:
             raise CompressionError(
                 f"got {len(lossy)} decisions for {view.n_blocks} blocks"
             )
-        data = [view.block_bytes(i) for i in range(view.n_blocks)]
         rows = np.nonzero(lossy)[0]
-        if rows.size:
-            degraded = reconstruct_rows(
-                view.symbols[rows],
-                start[rows],
-                count[rows],
-                use_prediction=self.config.uses_prediction,
-                element_symbols=self.config.element_symbols,
-            )
-            for index, row in enumerate(rows.tolist()):
-                data[row] = degraded[index].tobytes()
+        if not rows.size:
+            return view.rows
+        data = view.rows.copy()
+        data.view(view.symbols.dtype)[rows] = reconstruct_rows(
+            view.symbols[rows],
+            start[rows],
+            count[rows],
+            use_prediction=self.config.uses_prediction,
+            element_symbols=self.config.element_symbols,
+        )
         return data
 
     def compress_batch(self, blocks, approximable: bool = True) -> list[SLCBlock]:
@@ -505,7 +518,10 @@ class SLCCompressor:
         """
         view = self.symbol_view(blocks)
         if view is None:
-            return [self.compress(block, approximable=approximable) for block in blocks]
+            return [
+                self.compress(block, approximable=approximable)
+                for block in iter_blocks(blocks)
+            ]
         decisions = self.analyze_batch_arrays(view, approximable=approximable)
         from repro.kernels.decision import MODE_LOSSY, MODE_UNCOMPRESSED
 

@@ -20,6 +20,7 @@ from repro.gpu.backends import (
     LosslessBackend,
     NoCompressionBackend,
     SLCBackend,
+    StoredBatch,
     StoredBlock,
 )
 from repro.gpu.cache import CacheStats, SetAssociativeCache
@@ -27,7 +28,7 @@ from repro.gpu.config import GPUConfig, LatencyConfig
 from repro.gpu.dram import DRAMChannel, DRAMStats, GDDR5Timing
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
 from repro.gpu.interconnect import Interconnect
-from repro.gpu.memory_controller import MemoryController, MemoryControllerStats
+from repro.gpu.memory_controller import BlockStore, MemoryController, MemoryControllerStats
 from repro.gpu.simulator import GPUSimulator, PreparedInput, SimulationResult
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
 
@@ -36,7 +37,9 @@ __all__ = [
     "NoCompressionBackend",
     "LosslessBackend",
     "SLCBackend",
+    "StoredBatch",
     "StoredBlock",
+    "BlockStore",
     "GPUConfig",
     "LatencyConfig",
     "SetAssociativeCache",

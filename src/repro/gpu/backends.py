@@ -4,7 +4,10 @@ The memory controller does not care whether blocks are stored raw, losslessly
 compressed or selectively-lossily compressed; it only needs, per block, the
 number of MAG bursts to fetch, the bits actually stored and the data that a
 subsequent read returns.  A :class:`CompressionBackend` provides exactly that
-for three families:
+— one block at a time (:meth:`~CompressionBackend.store`, a
+:class:`StoredBlock`) or for a whole ``(n_blocks, block_size)`` uint8 row
+matrix at once (:meth:`~CompressionBackend.store_batch`, a struct-of-arrays
+:class:`StoredBatch`) — for three families:
 
 * :class:`NoCompressionBackend` — the uncompressed baseline,
 * :class:`LosslessBackend` — any :class:`~repro.compression.base.BlockCompressor`
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from repro.compression.stats import bursts_for_size
 from repro.core.config import SLCMode
 from repro.core.slc import SLCCompressor
 from repro.obs import metrics
+from repro.utils.blocks import as_block_rows
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,56 @@ class StoredBlock:
     data: bytes
     #: whether symbols were approximated
     lossy: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class StoredBatch:
+    """What the memory controller records about a batch of stored blocks.
+
+    The struct-of-arrays form of a list of :class:`StoredBlock`: entry ``i``
+    of every field describes block ``i``.  Two batches are equal when every
+    field is.
+    """
+
+    #: MAG bursts needed to read each block back (int64)
+    bursts: np.ndarray
+    #: bits actually stored per block (int64)
+    stored_bits: np.ndarray
+    #: per-block flag: symbols were approximated
+    lossy: np.ndarray
+    #: ``(n, block_size)`` uint8: what a read of each block returns; rows
+    #: that are stored exactly may share memory with the input rows
+    data: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StoredBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    __hash__ = None
+
+    def take(self, index: np.ndarray) -> "StoredBatch":
+        """The entries at ``index``, as a new batch."""
+        return StoredBatch(
+            bursts=self.bursts[index],
+            stored_bits=self.stored_bits[index],
+            lossy=self.lossy[index],
+            data=self.data[index],
+        )
+
+    @classmethod
+    def from_blocks(cls, blocks: list[StoredBlock], block_size_bytes: int) -> "StoredBatch":
+        """Stack per-block results (the scalar paths) into one batch."""
+        n = len(blocks)
+        return cls(
+            bursts=np.fromiter((b.bursts for b in blocks), np.int64, n),
+            stored_bits=np.fromiter((b.stored_bits for b in blocks), np.int64, n),
+            lossy=np.fromiter((b.lossy for b in blocks), np.bool_, n),
+            data=as_block_rows([b.data for b in blocks], block_size_bytes),
+        )
 
 
 class CompressionBackend(ABC):
@@ -63,16 +117,28 @@ class CompressionBackend(ABC):
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         """Decide how a block is stored and what a read of it returns."""
 
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
+    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched :meth:`store` over all blocks of a region.
 
-        The default simply loops; backends with vectorized analysis kernels
-        (E2MC, SLC) override it.  Results are identical to calling
+        Args:
+            rows: the blocks as an ``(n, block_size_bytes)`` uint8 matrix
+                (a list of ``block_size_bytes`` chunks is accepted too).
+            approximable: whether the blocks' region is safe to approximate.
+
+        The default loops :meth:`store` per row; backends with vectorized
+        analysis override it.  Results are identical to calling
         :meth:`store` per block, in order.
         """
-        return [self.store(block, approximable=approximable) for block in blocks]
+        return self._store_rows(as_block_rows(rows, self.block_size_bytes), approximable)
+
+    def _store_rows(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
+        """The per-block loop, counted as ``backend.scalar_store_rows``."""
+        if metrics.enabled():
+            metrics.inc("backend.scalar_store_rows", rows.shape[0])
+        return StoredBatch.from_blocks(
+            [self.store(row.tobytes(), approximable=approximable) for row in rows],
+            self.block_size_bytes,
+        )
 
     @property
     def compress_latency_cycles(self) -> int:
@@ -96,6 +162,16 @@ class NoCompressionBackend(CompressionBackend):
             stored_bits=self.block_size_bytes * 8,
             data=as_block_bytes(block),
             lossy=False,
+        )
+
+    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
+        rows = as_block_rows(rows, self.block_size_bytes)
+        n = rows.shape[0]
+        return StoredBatch(
+            bursts=np.full(n, self.max_bursts, dtype=np.int64),
+            stored_bits=np.full(n, self.block_size_bytes * 8, dtype=np.int64),
+            lossy=np.zeros(n, dtype=np.bool_),
+            data=rows,
         )
 
 
@@ -138,29 +214,7 @@ class LosslessBackend(CompressionBackend):
         self.compressor.train(blocks)
 
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
-        compressed = self.compressor.compress(block)
-        return self._stored(block, compressed.compressed_size_bits)
-
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
-        """Batched stores through the compressor's batched size analysis.
-
-        Every :class:`~repro.compression.base.BlockCompressor` provides
-        ``analyze_batch`` — vectorized kernels for the registry schemes
-        (E2MC's LUT gather, :mod:`repro.kernels.lossless` for BDI, FPC,
-        C-Pack and BPC), the bit-exact scalar fallback loop for anything
-        else — so the dispatch needs no per-scheme special case and matches
-        :meth:`store` exactly.
-        """
-        return [
-            self._stored(block, size_bits)
-            for block, size_bits in zip(
-                blocks, self.compressor.analyze_batch(blocks).tolist()
-            )
-        ]
-
-    def _stored(self, block: bytes, size_bits: int) -> StoredBlock:
+        size_bits = self.compressor.compress(block).compressed_size_bits
         stored_bytes = min((size_bits + 7) // 8, self.block_size_bytes)
         bursts = min(self.max_bursts, bursts_for_size(stored_bytes, self.mag_bytes))
         if metrics.enabled():
@@ -171,6 +225,36 @@ class LosslessBackend(CompressionBackend):
             stored_bits=size_bits,
             data=as_block_bytes(block),
             lossy=False,
+        )
+
+    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
+        """Batched stores through the compressor's batched size analysis.
+
+        Every :class:`~repro.compression.base.BlockCompressor` provides
+        ``analyze_batch`` — vectorized kernels for the registry schemes
+        (E2MC's LUT gather, :mod:`repro.kernels.lossless` for BDI, FPC,
+        C-Pack and BPC), the bit-exact scalar loop for anything else (counted
+        as ``backend.scalar_store_rows``) — and the MAG burst rounding of
+        :meth:`store` is array arithmetic, so the result matches
+        :meth:`store` exactly.  The rows are stored as they are.
+        """
+        rows = as_block_rows(rows, self.block_size_bytes)
+        n = rows.shape[0]
+        if metrics.enabled() and not self.compressor.batched_analysis:
+            metrics.inc("backend.scalar_store_rows", n)
+        sizes = np.asarray(self.compressor.analyze_batch(rows), dtype=np.int64)
+        stored_bytes = np.minimum((sizes + 7) // 8, self.block_size_bytes)
+        bursts = np.minimum(
+            self.max_bursts, np.maximum(1, -(-stored_bytes // self.mag_bytes))
+        )
+        if metrics.enabled():
+            metrics.inc("backend.blocks_compressed", n)
+            metrics.inc("codec.stored_bits", int(sizes.sum()))
+        return StoredBatch(
+            bursts=bursts,
+            stored_bits=sizes,
+            lossy=np.zeros(n, dtype=np.bool_),
+            data=rows,
         )
 
     @property
@@ -220,30 +304,31 @@ class SLCBackend(CompressionBackend):
         decision = self.slc.analyze(block, approximable=approximable)
         return self._record(block, decision)
 
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
+    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched stores: vectorized Fig. 4 decision + batched payload codec.
 
         The decision arrays come from :meth:`SLCCompressor.analyze_batch_arrays`
-        and the degraded data of every lossy block from one vectorized
-        truncation/prediction pass, so no per-block Python codec work
-        remains.  Per-block results and the backend's own counters are
-        identical to calling :meth:`store` per block, in order (the scalar
-        path stays available as the oracle via ``batch_codec=False``).
+        and the degraded rows of the lossy blocks from one vectorized
+        truncation/prediction pass (:meth:`SLCCompressor.apply_decision_rows`),
+        so no per-block Python codec work remains.  Per-block results and the
+        backend's own counters are identical to calling :meth:`store` per
+        block, in order (the scalar path stays available as the oracle via
+        ``batch_codec=False``).  Geometries the kernels do not cover take
+        the per-block loop, counted as ``backend.scalar_store_rows``.
         """
-        view = self.slc.symbol_view(blocks)
+        rows = as_block_rows(rows, self.block_size_bytes)
+        view = self.slc.symbol_view(rows)
         if view is None:
-            return [self.store(block, approximable=approximable) for block in blocks]
+            return self._store_rows(rows, approximable)
         if not self.batch_codec:
             decisions = self.slc.analyze_batch(view, approximable=approximable)
-            return [
-                self._record(block, decision)
-                for block, decision in zip(view, decisions)
-            ]
+            return StoredBatch.from_blocks(
+                [self._record(block, decision) for block, decision in zip(view, decisions)],
+                self.block_size_bytes,
+            )
         codec_start = time.perf_counter() if metrics.enabled() else 0.0
         decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
-        data = self.slc.apply_decision_batch(view, decisions)
+        data = self.slc.apply_decision_rows(view, decisions)
         lossy = decisions.lossy_mask
         self.total_blocks += len(decisions)
         self.lossy_blocks += int(lossy.sum())
@@ -256,20 +341,12 @@ class SLCBackend(CompressionBackend):
             metrics.inc("codec.stored_bits", int(decisions.stored_size_bits.sum()))
             metrics.inc("backend.blocks_compressed", len(decisions))
             metrics.inc("backend.lossy_blocks", int(lossy.sum()))
-        return [
-            StoredBlock(
-                bursts=bursts,
-                stored_bits=stored_bits,
-                data=block_data,
-                lossy=block_lossy,
-            )
-            for bursts, stored_bits, block_data, block_lossy in zip(
-                decisions.bursts.tolist(),
-                decisions.stored_size_bits.tolist(),
-                data,
-                lossy.tolist(),
-            )
-        ]
+        return StoredBatch(
+            bursts=np.asarray(decisions.bursts, dtype=np.int64),
+            stored_bits=np.asarray(decisions.stored_size_bits, dtype=np.int64),
+            lossy=lossy,
+            data=data,
+        )
 
     def _record(self, block: bytes, decision) -> StoredBlock:
         data = self.slc.apply_decision(block, decision)

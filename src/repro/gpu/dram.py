@@ -57,11 +57,6 @@ class DRAMStats:
             return 0.0
         return self.row_hits / total
 
-    @property
-    def bytes_transferred(self) -> int:
-        """Total bytes moved over the data bus (bursts × 32 B)."""
-        return self.bursts * 32
-
 
 class DRAMChannel:
     """One GDDR5 channel (attached to one memory controller)."""
@@ -105,6 +100,11 @@ class DRAMChannel:
         self.stats.bursts += bursts
         self.stats.busy_cycles += cycles
         return cycles
+
+    @property
+    def bytes_transferred(self) -> int:
+        """Total bytes moved over the data bus (bursts × the channel's MAG)."""
+        return self.stats.bursts * self.mag_bytes
 
     def reset_rows(self) -> None:
         """Precharge all banks (e.g. between kernels)."""

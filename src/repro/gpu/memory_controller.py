@@ -5,15 +5,146 @@ As in Fig. 3 of the paper, the compressor, decompressor and metadata cache
 form; the controller fetches only the number of MAG bursts recorded for the
 block (falling back to the full block on an MDC miss) and decompresses on the
 way to the L2.
+
+What is stored lives in a :class:`BlockStore`: one address-indexed set of
+arrays per run, shared by all of the run's controllers (an address belongs
+to exactly one controller, so sharing changes nothing any controller sees).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.metadata_cache import MetadataCache
-from repro.gpu.backends import CompressionBackend, StoredBlock
+from repro.gpu.backends import CompressionBackend, StoredBatch, StoredBlock
 from repro.gpu.dram import DRAMChannel, GDDR5Timing
+
+
+def controller_index(addresses, interleave_blocks: int, n_controllers: int):
+    """The controller serving each block address (an int or an int array).
+
+    Groups of ``interleave_blocks`` consecutive blocks rotate across the
+    ``n_controllers`` controllers.
+    """
+    return (addresses // interleave_blocks) % n_controllers
+
+
+class BlockStore:
+    """The stored state of every block of one run, indexed by block address.
+
+    Attributes:
+        bursts: MAG bursts a read of each block fetches; 0 means the address
+            was never stored.
+        stored_bits: bits stored per block.
+        lossy: whether the stored block's symbols were approximated.
+        data: ``(n, block_size_bytes)`` uint8: what a read returns.
+
+    The arrays are dense over the address space (a run sizes them to its
+    layout) and grow on demand when a store lands beyond them; an address
+    beyond them reads as never stored.
+    """
+
+    def __init__(self, block_size_bytes: int = 128, n_blocks: int = 0) -> None:
+        self.block_size_bytes = block_size_bytes
+        self.bursts = np.zeros(n_blocks, dtype=np.int64)
+        self.stored_bits = np.zeros(n_blocks, dtype=np.int64)
+        self.lossy = np.zeros(n_blocks, dtype=np.bool_)
+        self.data = np.zeros((n_blocks, block_size_bytes), dtype=np.uint8)
+
+    def __len__(self) -> int:
+        return int(self.bursts.shape[0])
+
+    def _reserve(self, n_blocks: int) -> None:
+        if n_blocks <= len(self):
+            return
+        size = max(n_blocks, 2 * len(self))
+        for name in ("bursts", "stored_bits", "lossy", "data"):
+            old = getattr(self, name)
+            grown = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+            grown[: old.shape[0]] = old
+            setattr(self, name, grown)
+
+    def write(self, addresses: "slice | np.ndarray", batch: StoredBatch) -> None:
+        """Store entry ``i`` of ``batch`` at ``addresses[i]``.
+
+        ``addresses`` is a slice or an array of distinct addresses.
+        """
+        if isinstance(addresses, slice):
+            end = addresses.stop
+        else:
+            end = int(addresses.max()) + 1 if len(addresses) else 0
+        self._reserve(end)
+        self.bursts[addresses] = batch.bursts
+        self.stored_bits[addresses] = batch.stored_bits
+        self.lossy[addresses] = batch.lossy
+        self.data[addresses] = batch.data
+
+    def put(self, address: int, stored: StoredBlock) -> None:
+        """Store one block (the n = 1 path of :meth:`write`)."""
+        self._reserve(address + 1)
+        self.bursts[address] = stored.bursts
+        self.stored_bits[address] = stored.stored_bits
+        self.lossy[address] = stored.lossy
+        self.data[address] = np.frombuffer(stored.data, dtype=np.uint8)
+
+    def get(self, address: int) -> StoredBlock | None:
+        """The block stored at ``address``, or ``None`` if it never was."""
+        if address >= len(self) or not self.bursts[address]:
+            return None
+        return StoredBlock(
+            bursts=int(self.bursts[address]),
+            stored_bits=int(self.stored_bits[address]),
+            data=self.data[address].tobytes(),
+            lossy=bool(self.lossy[address]),
+        )
+
+    def bursts_at(self, addresses: np.ndarray) -> np.ndarray:
+        """Stored burst counts at ``addresses`` (0 where never stored)."""
+        out = np.zeros(addresses.shape, dtype=np.int64)
+        inside = addresses < len(self)
+        out[inside] = self.bursts[addresses[inside]]
+        return out
+
+    def read_rows(self, addresses: slice, original: np.ndarray) -> np.ndarray:
+        """The rows at ``addresses`` (inside the store) as reads return them.
+
+        Stored rows come from the store, never-stored ones from ``original``
+        (the same rows before any store).
+        """
+        stored = self.bursts[addresses] > 0
+        return np.where(stored[:, None], self.data[addresses], original)
+
+    @property
+    def stored_blocks(self) -> int:
+        """Number of distinct addresses stored."""
+        return int(np.count_nonzero(self.bursts))
+
+    @property
+    def total_stored_bits(self) -> int:
+        """Bits stored over every stored block."""
+        return int(self.stored_bits.sum())
+
+    def digest(self) -> str:
+        """SHA-256 over every stored block's state, in address order.
+
+        Hashes address, burst count, stored bits, lossy flag and the stored
+        (possibly degraded) data bytes, so two runs agree iff their payload
+        codecs produced identical storage.
+        """
+        addresses = np.nonzero(self.bursts)[0]
+        digest = hashlib.sha256()
+        for address, bursts, bits, lossy in zip(
+            addresses.tolist(),
+            self.bursts[addresses].tolist(),
+            self.stored_bits[addresses].tolist(),
+            self.lossy[addresses].tolist(),
+        ):
+            digest.update(f"{address}:{bursts}:{bits}:{int(lossy)}:".encode())
+            digest.update(self.data[address])
+        return digest.hexdigest()
 
 
 @dataclass
@@ -34,14 +165,14 @@ class MemoryControllerStats:
         """Bursts moved in either direction."""
         return self.read_bursts + self.write_bursts
 
-    @property
-    def bytes_transferred(self) -> int:
-        """Bytes moved over the DRAM bus (bursts × 32 B)."""
-        return self.total_bursts * 32
-
 
 class MemoryController:
-    """One memory partition: compression backend + MDC + GDDR5 channel."""
+    """One memory partition: compression backend + MDC + GDDR5 channel.
+
+    Args:
+        store: the run's shared :class:`BlockStore`; a controller used on
+            its own gets a private one.
+    """
 
     def __init__(
         self,
@@ -51,6 +182,7 @@ class MemoryController:
         block_size_bytes: int = 128,
         mdc_entries: int = 8192,
         timing: GDDR5Timing | None = None,
+        store: BlockStore | None = None,
     ) -> None:
         self.controller_id = controller_id
         self.backend = backend
@@ -62,7 +194,7 @@ class MemoryController:
         )
         self.channel = DRAMChannel(timing=timing, mag_bytes=mag_bytes)
         self.stats = MemoryControllerStats()
-        self._storage: dict[int, StoredBlock] = {}
+        self.store = store if store is not None else BlockStore(block_size_bytes)
 
     # ------------------------------------------------------------------ #
     # stores (host copies and kernel writebacks)
@@ -84,22 +216,7 @@ class MemoryController:
                 (host-to-device copies before the kernel are not charged).
         """
         stored = self.backend.store(block, approximable=approximable)
-        return self.record_stored(block_address, stored, count_traffic=count_traffic)
-
-    def record_stored(
-        self,
-        block_address: int,
-        stored: StoredBlock,
-        count_traffic: bool = True,
-    ) -> StoredBlock:
-        """Book-keep a block whose compression was already decided.
-
-        The batched store path analyzes a whole region at once
-        (:meth:`~repro.gpu.backends.CompressionBackend.store_batch`) and then
-        records each resulting :class:`StoredBlock` here; the accounting is
-        identical to :meth:`store_block`.
-        """
-        self._storage[block_address] = stored
+        self.store.put(block_address, stored)
         self.mdc.update(block_address, stored.bursts)
         self.stats.compress_invocations += 1
         if stored.lossy:
@@ -119,7 +236,7 @@ class MemoryController:
         Blocks never written through this controller (e.g. constant data that
         the trace touches without a prior store) are treated as uncompressed.
         """
-        stored = self._storage.get(block_address)
+        stored = self.store.get(block_address)
         mdc_bursts = self.mdc.bursts_to_fetch(block_address)
         if stored is None:
             actual_bursts = self.backend.max_bursts
@@ -141,21 +258,12 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # queries
 
-    def stored_data(self, block_address: int) -> bytes | None:
-        """The data currently stored for a block (possibly degraded), if any."""
-        stored = self._storage.get(block_address)
-        return stored.data if stored is not None else None
-
-    def stored_items(self) -> "list[tuple[int, StoredBlock]]":
-        """Every stored block with its address (for digests/inspection)."""
-        return list(self._storage.items())
+    @property
+    def bytes_transferred(self) -> int:
+        """Bytes moved over the DRAM bus (bursts × the controller's MAG)."""
+        return self.stats.total_bursts * self.mag_bytes
 
     @property
     def busy_memory_cycles(self) -> int:
         """DRAM-channel busy time in memory-clock cycles."""
         return self.channel.busy_cycles
-
-    @property
-    def stored_blocks(self) -> int:
-        """Number of distinct blocks stored through this controller."""
-        return len(self._storage)

@@ -8,13 +8,14 @@ execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 (approximated) inputs feed the application-specific error metric.
 
 :meth:`GPUSimulator.prepare` does the backend-independent part once (data,
-exact outputs, blocks, layout, training samples, trace) so several
-backends can be simulated on one :class:`PreparedInput`.
+exact outputs, the row matrix of blocks, layout, training samples, trace)
+so several backends can be simulated on one :class:`PreparedInput`.  Each
+run then keeps what it stores in one address-indexed
+:class:`~repro.gpu.memory_controller.BlockStore` shared by its controllers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,16 +25,16 @@ from repro.gpu.backends import CompressionBackend
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
-from repro.gpu.memory_controller import MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController, controller_index
 from repro.gpu.sm import SMCluster
 from repro.gpu.trace import MemoryTrace
 from repro.metrics.fidelity import fidelity_summary
 from repro.obs import metrics
 from repro.obs.tracing import span
-from repro.replay.engine import replay_trace
+from repro.replay.engine import record_host_stores, replay_trace
 from repro.replay.reference import replay_trace_scalar
-from repro.utils.blocks import array_to_blocks, blocks_to_array
-from repro.utils.sampling import sample_evenly
+from repro.utils.blocks import array_to_rows, block_count, rows_to_array
+from repro.utils.sampling import sample_indices
 from repro.workloads.base import Region, Workload, WorkloadOutput
 
 
@@ -169,8 +170,10 @@ class PreparedInput:
     """Everything a run derives from the workload alone, before any backend.
 
     :meth:`GPUSimulator.prepare` builds it: the generated input regions, the
-    exact kernel outputs, every region's raw blocks and base address, the
-    training samples and the block trace.  None of it depends on the
+    exact kernel outputs, one read-only ``(n_blocks, block_size)`` uint8
+    row matrix over the run's flat address space (each region is the row
+    slice starting at its base address), the training samples and the block
+    trace.  None of it depends on the
     compression scheme, the MAG or the lossy threshold, so one prepared
     input serves every backend simulated on it
     (:meth:`GPUSimulator.run_prepared`) with bit-identical results — which
@@ -185,7 +188,8 @@ class PreparedInput:
     exact_outputs: WorkloadOutput
     #: input regions followed by the (non-approximable) output regions
     all_regions: dict[str, Region]
-    region_blocks: dict[str, list[bytes]]
+    #: raw blocks of every region, row ``a`` holding block address ``a``
+    rows: np.ndarray
     base_addresses: dict[str, int]
     #: evenly sampled input blocks; memoizes the symbol models fitted on them
     train_samples: TrainingSet
@@ -194,8 +198,15 @@ class PreparedInput:
     block_size_bytes: int
     train_sample_target: int
 
+    def region_slice(self, name: str) -> slice:
+        """The block addresses (rows) of region ``name``."""
+        base = self.base_addresses[name]
+        count = block_count(self.all_regions[name].array, self.block_size_bytes)
+        return slice(base, base + count)
+
     def make_read_only(self) -> None:
-        """Make every region array and exact output reject in-place writes."""
+        """Make the rows, every region array and exact output reject writes."""
+        self.rows.flags.writeable = False
         for region in self.all_regions.values():
             region.array.flags.writeable = False
         for array in self.exact_outputs.arrays.values():
@@ -217,9 +228,9 @@ class GPUSimulator:
             compression backend's probability model (E2MC's online sampling).
         batch_store: run the host-to-device store phase through the backend's
             batched analysis kernels (:mod:`repro.kernels`), one
-            ``store_batch`` call per region instead of one ``store`` call per
-            block.  Results are identical; disable only to benchmark the
-            scalar path.
+            ``store_batch`` call and one block-store write per region instead
+            of one ``store_block`` call per block.  Results are identical;
+            disable only to benchmark the scalar path.
         replay_mode: how the kernel-execution phase replays the block trace.
             ``"vectorized"`` (the default) runs the array engine
             (:mod:`repro.replay`): compiled trace, reuse-distance L2,
@@ -294,9 +305,9 @@ class GPUSimulator:
     def prepare(self, workload: Workload) -> PreparedInput:
         """Generate ``workload``'s input and everything derived from it alone.
 
-        Runs the exact kernel, splits every region into blocks, lays the
-        regions out, samples the training blocks and builds the block
-        trace — the backend-independent part of :meth:`run`.
+        Runs the exact kernel, lays the regions out as one row matrix,
+        samples the training blocks and builds the block trace — the
+        backend-independent part of :meth:`run`.
         """
         block_size = self.config.block_size_bytes
 
@@ -306,17 +317,14 @@ class GPUSimulator:
             all_regions: dict[str, Region] = dict(input_regions)
             all_regions.update(workload.output_regions(exact_outputs))
 
-            region_blocks = {
-                name: array_to_blocks(region.array, block_size)
-                for name, region in all_regions.items()
-            }
-            base_addresses = self._layout(all_regions, region_blocks)
-            input_blocks = [
-                block for name in input_regions for block in region_blocks[name]
-            ]
-            train_samples = TrainingSet(
-                sample_evenly(input_blocks, self.train_samples)
-            )
+            rows, base_addresses = self._layout(all_regions, block_size)
+            input_rows = np.concatenate([
+                base_addresses[name]
+                + np.arange(block_count(all_regions[name].array, block_size))
+                for name in input_regions
+            ] or [np.empty(0, dtype=np.int64)])
+            picks = input_rows[sample_indices(len(input_rows), self.train_samples)]
+            train_samples = TrainingSet(row.tobytes() for row in rows[picks])
 
         with span("sim.trace_build", cat="sim", workload=workload.name):
             trace = workload.trace(all_regions, block_size_bytes=block_size)
@@ -326,7 +334,7 @@ class GPUSimulator:
             input_regions=input_regions,
             exact_outputs=exact_outputs,
             all_regions=all_regions,
-            region_blocks=region_blocks,
+            rows=rows,
             base_addresses=base_addresses,
             train_samples=train_samples,
             trace=trace,
@@ -356,8 +364,7 @@ class GPUSimulator:
             )
         workload = prepared.workload
         input_regions = prepared.input_regions
-        region_blocks = prepared.region_blocks
-        base_addresses = prepared.base_addresses
+        rows = prepared.rows
         block_size = self.config.block_size_bytes
 
         with span("sim.train", cat="sim", workload=workload.name):
@@ -367,12 +374,14 @@ class GPUSimulator:
             if prepared.train_samples:
                 backend.train(prepared.train_samples)
 
+        store = BlockStore(block_size, n_blocks=rows.shape[0])
         controllers = [
             MemoryController(
                 controller_id=i,
                 backend=backend,
                 mag_bytes=self.config.mag_bytes,
                 block_size_bytes=block_size,
+                store=store,
             )
             for i in range(self.config.num_memory_controllers)
         ]
@@ -384,26 +393,35 @@ class GPUSimulator:
 
         # Host-to-device copy: every input region is compressed and stored.
         # This traffic happens before the kernel and is not charged to it.
-        # With batch_store the backend analyzes each region's blocks in one
-        # vectorized call; the per-block loop only dispatches the results to
-        # the interleaved controllers.
+        # With batch_store the backend analyzes each region's rows in one
+        # vectorized call whose result is one block-store write; the
+        # controllers then book-keep their share in bulk.
+        interleave = self.CHANNEL_INTERLEAVE_BLOCKS
         with span("sim.h2d_store", cat="sim", workload=workload.name,
                   batch=self.batch_store):
-            for name, region in input_regions.items():
-                base = base_addresses[name]
-                if self.batch_store:
-                    stored_blocks = backend.store_batch(
-                        region_blocks[name], approximable=region.approximable
+            regions = [
+                (prepared.region_slice(name), region)
+                for name, region in input_regions.items()
+            ]
+            if self.batch_store:
+                for sl, region in regions:
+                    store.write(
+                        sl, backend.store_batch(rows[sl], approximable=region.approximable)
                     )
-                    for index, stored in enumerate(stored_blocks):
-                        self._controller(controllers, base + index).record_stored(
-                            base + index, stored, count_traffic=False
-                        )
-                else:
-                    for index, block in enumerate(region_blocks[name]):
-                        self._controller(controllers, base + index).store_block(
-                            base + index,
-                            block,
+                if regions:
+                    record_host_stores(
+                        controllers,
+                        np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in regions]),
+                        interleave,
+                    )
+            else:
+                for sl, region in regions:
+                    for address in range(sl.start, sl.stop):
+                        controllers[
+                            controller_index(address, interleave, len(controllers))
+                        ].store_block(
+                            address,
+                            rows[address].tobytes(),
                             approximable=region.approximable,
                             count_traffic=False,
                         )
@@ -415,11 +433,11 @@ class GPUSimulator:
         trace = prepared.trace
         replay_kwargs = dict(
             all_regions=prepared.all_regions,
-            region_blocks=region_blocks,
-            base_addresses=base_addresses,
+            rows=rows,
+            base_addresses=prepared.base_addresses,
             l2=l2,
             controllers=controllers,
-            interleave_blocks=self.CHANNEL_INTERLEAVE_BLOCKS,
+            interleave_blocks=interleave,
         )
         if self.replay_mode == "vectorized":
             replay = replay_trace
@@ -436,68 +454,51 @@ class GPUSimulator:
         fidelity: dict[str, float] = {}
         if compute_error:
             with span("sim.error", cat="sim", workload=workload.name):
-                degraded = self._degraded_inputs(
-                    input_regions, region_blocks, base_addresses, controllers
-                )
+                # the input arrays as the kernel reads them back
+                degraded = {}
+                for name, region in input_regions.items():
+                    sl = prepared.region_slice(name)
+                    degraded[name] = rows_to_array(
+                        store.read_rows(sl, rows[sl]),
+                        region.array.dtype,
+                        region.array.shape,
+                    )
                 approx_outputs = workload.run(degraded)
                 error_percent = workload.error(prepared.exact_outputs, approx_outputs)
                 fidelity = self._region_fidelity(input_regions, degraded)
 
         return self._assemble_result(
-            workload, backend, prepared.all_regions, controllers, l2,
+            workload, backend, prepared.all_regions, controllers, store, l2,
             error_percent, fidelity=fidelity,
         )
 
     # ------------------------------------------------------------------ #
     # pipeline stages
 
+    @staticmethod
     def _layout(
-        self,
-        regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
-    ) -> dict[str, int]:
-        """Assign each region a base block address in a flat address space."""
+        regions: dict[str, Region], block_size: int
+    ) -> tuple[np.ndarray, dict[str, int]]:
+        """Lay the regions out back to back in a flat block address space.
+
+        Returns the ``(n_blocks, block_size)`` uint8 row matrix of the whole
+        space and each region's base block address.
+        """
         base_addresses: dict[str, int] = {}
         next_block = 0
-        for name in regions:
+        for name, region in regions.items():
             base_addresses[name] = next_block
-            next_block += len(region_blocks[name])
-        return base_addresses
+            next_block += block_count(region.array, block_size)
+        rows = np.empty((next_block, block_size), dtype=np.uint8)
+        for name, region in regions.items():
+            region_rows = array_to_rows(region.array, block_size)
+            rows[base_addresses[name] : base_addresses[name] + len(region_rows)] = region_rows
+        return rows, base_addresses
 
     #: consecutive blocks kept on the same controller (2 KB, one DRAM row)
     #: before moving to the next — the coarse interleaving real GPUs use to
     #: preserve row-buffer locality while still balancing channels.
     CHANNEL_INTERLEAVE_BLOCKS = 16
-
-    def _controller(
-        self, controllers: list[MemoryController], block_address: int
-    ) -> MemoryController:
-        """Interleave block addresses across memory controllers."""
-        group = block_address // self.CHANNEL_INTERLEAVE_BLOCKS
-        return controllers[group % len(controllers)]
-
-    def _degraded_inputs(
-        self,
-        input_regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
-        base_addresses: dict[str, int],
-        controllers: list[MemoryController],
-    ) -> dict[str, np.ndarray]:
-        """Reassemble the input arrays as the kernel would read them back."""
-        degraded: dict[str, np.ndarray] = {}
-        for name, region in input_regions.items():
-            base = base_addresses[name]
-            blocks = []
-            for index, original in enumerate(region_blocks[name]):
-                stored = self._controller(controllers, base + index).stored_data(
-                    base + index
-                )
-                blocks.append(stored if stored is not None else original)
-            degraded[name] = blocks_to_array(
-                blocks, region.array.dtype, region.array.shape,
-                block_size=self.config.block_size_bytes,
-            )
-        return degraded
 
     @staticmethod
     def _region_fidelity(
@@ -528,6 +529,7 @@ class GPUSimulator:
         backend: CompressionBackend,
         all_regions: dict[str, Region],
         controllers: list[MemoryController],
+        store: BlockStore,
         l2: SetAssociativeCache,
         error_percent: float,
         fidelity: dict[str, float] | None = None,
@@ -538,7 +540,7 @@ class GPUSimulator:
         dram_bytes = total_bursts * self.config.mag_bytes
         row_misses = sum(c.channel.stats.row_misses for c in controllers)
         lossy_blocks = sum(c.stats.lossy_blocks for c in controllers)
-        stored_blocks = sum(c.stored_blocks for c in controllers)
+        stored_blocks = store.stored_blocks
         compress_ops = sum(c.stats.compress_invocations for c in controllers)
         decompress_ops = sum(c.stats.decompress_invocations for c in controllers)
         mdc_hit_rates = [c.mdc.stats.hit_rate for c in controllers if c.mdc.stats.accesses]
@@ -582,16 +584,12 @@ class GPUSimulator:
             # final stored footprint in bits; with the uncompressed footprint
             # (stored_blocks * block bits) this yields the raw compression
             # ratio of a run without re-walking the storage
-            "stored_bits": sum(
-                stored.stored_bits
-                for controller in controllers
-                for _, stored in controller.stored_items()
-            ),
+            "stored_bits": store.total_stored_bits,
         }
         if fidelity:
             extra_metrics.update(fidelity)
         if self.payload_digest:
-            extra_metrics["payload_sha256"] = self._payload_digest(controllers)
+            extra_metrics["payload_sha256"] = store.digest()
 
         if metrics.enabled():
             metrics.inc("sim.runs")
@@ -624,25 +622,3 @@ class GPUSimulator:
             mdc_hit_rate=mdc_hit_rate,
             extra_metrics=extra_metrics,
         )
-
-    @staticmethod
-    def _payload_digest(controllers: list[MemoryController]) -> str:
-        """SHA-256 over the final stored state of every block, address-ordered.
-
-        Hashes address, burst count, stored bits, lossy flag and the stored
-        (possibly degraded) data bytes, so two runs agree iff their payload
-        codecs produced identical storage.
-        """
-        entries = [
-            (address, stored)
-            for controller in controllers
-            for address, stored in controller.stored_items()
-        ]
-        digest = hashlib.sha256()
-        for address, stored in sorted(entries, key=lambda item: item[0]):
-            digest.update(
-                f"{address}:{stored.bursts}:{stored.stored_bits}:"
-                f"{int(stored.lossy)}:".encode()
-            )
-            digest.update(stored.data)
-        return digest.hexdigest()

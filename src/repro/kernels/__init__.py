@@ -6,8 +6,9 @@ for unit-level reasoning, far too slow for campaign sweeps that analyze every
 block of every region of nine workloads.  This package re-expresses the
 size-analysis pipeline as array programs over all blocks of a region at once:
 
-* :class:`~repro.kernels.symbols.BatchSymbolView` — raw region bytes as an
-  ``(n_blocks, symbols_per_block)`` matrix via one :func:`numpy.frombuffer`;
+* :class:`~repro.kernels.symbols.BatchSymbolView` — a region's
+  ``(n_blocks, block_size)`` uint8 row matrix reinterpreted in place as an
+  ``(n_blocks, symbols_per_block)`` symbol matrix;
 * :class:`~repro.kernels.lut.CodeLengthLUT` — the trained Huffman code
   expanded into a 65536-entry code-length table, so per-block code lengths
   are one fancy-index and payload sizes a row sum;

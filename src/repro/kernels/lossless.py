@@ -19,9 +19,9 @@ cycle anyway.  Payload encode/decode stays scalar via the compressors'
 
 Techniques shared by the kernels:
 
-* blocks become an ``(n_blocks, block_bytes)`` uint8 matrix via one
-  ``np.frombuffer`` over the joined buffer, then ``.view()`` reinterprets
-  rows as 16/32/64-bit little-endian words without copying;
+* blocks arrive as an ``(n_blocks, block_bytes)`` uint8 row matrix (a block
+  list is joined once), then ``.view()`` reinterprets rows as 16/32/64-bit
+  little-endian words without copying;
 * wrap-around deltas are computed in unsigned arithmetic and reinterpreted
   as two's-complement via ``.view(signed)`` — the exact semantics of the
   scalar ``_to_signed`` helpers;
@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressionError
+from repro.utils.blocks import as_block_rows
 
 #: the (base_bytes, delta_bytes) encodings of the scalar BDI implementation,
 #: in the same trial order
@@ -44,16 +45,15 @@ _BDI_ENCODINGS = ((8, 1), (8, 2), (8, 4), (4, 1), (4, 2), (2, 1))
 _BDI_ENCODING_BITS = 4
 
 
-def _byte_matrix(blocks: list[bytes], block_size_bytes: int) -> np.ndarray:
-    """All blocks as one ``(n, block_size_bytes)`` uint8 matrix (zero-copy rows)."""
-    n = len(blocks)
-    joined = b"".join(blocks)
-    if len(joined) != n * block_size_bytes:
-        raise CompressionError(
-            f"expected {n} blocks of {block_size_bytes} bytes, "
-            f"got {len(joined)} bytes total"
-        )
-    return np.frombuffer(joined, dtype=np.uint8).reshape(n, block_size_bytes)
+def _byte_matrix(blocks, block_size_bytes: int) -> np.ndarray:
+    """All blocks as one ``(n, block_size_bytes)`` uint8 matrix.
+
+    A row matrix is used as is; a block list is joined once.
+    """
+    try:
+        return as_block_rows(blocks, block_size_bytes)
+    except ValueError as exc:
+        raise CompressionError(str(exc)) from None
 
 
 def _zero_run_bits(zero_mask: np.ndarray, max_run: int, token_bits: int) -> np.ndarray:
@@ -82,7 +82,7 @@ def _zero_run_bits(zero_mask: np.ndarray, max_run: int, token_bits: int) -> np.n
 # BDI
 
 
-def bdi_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
+def bdi_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`BDICompressor`.
 
     For every encoding, words are viewed at the base width; the delta from
@@ -132,7 +132,7 @@ def bdi_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarra
 # FPC
 
 
-def fpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
+def fpc_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`FPCCompressor`.
 
     Non-zero words are classified with ``np.select`` in the scalar encoder's
@@ -177,7 +177,7 @@ def fpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarra
 # C-Pack
 
 
-def cpack_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
+def cpack_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`CPackCompressor`.
 
     The 16-entry FIFO dictionary is inherently sequential in the word
@@ -242,7 +242,7 @@ def cpack_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndar
 # BPC
 
 
-def bpc_size_bits(blocks: list[bytes], block_size_bytes: int = 128) -> np.ndarray:
+def bpc_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`BPCCompressor`.
 
     Word deltas (33-bit two's complement, exact in int64) are transposed

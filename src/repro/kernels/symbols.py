@@ -2,16 +2,18 @@
 
 The scalar path slices every block out of its region and converts it to a
 Python list of symbols (:func:`repro.utils.blocks.block_to_symbols`).  For a
-whole region that is two Python loops per block; the batch path instead views
-the raw bytes through :func:`numpy.frombuffer` once, yielding a
-``(n_blocks, symbols_per_block)`` unsigned-integer matrix that every
-downstream kernel (code-length LUT, adder tree, Fig. 4 decision) indexes
-without further per-block work.
+whole region that is two Python loops per block; the batch path instead
+reinterprets the region's ``(n_blocks, block_size)`` uint8 row matrix in
+place (``.view``), yielding a ``(n_blocks, symbols_per_block)``
+unsigned-integer matrix that every downstream kernel (code-length LUT, adder
+tree, Fig. 4 decision) indexes without further per-block work.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.blocks import array_to_rows, as_block_rows
 
 #: little-endian unsigned dtypes by symbol width (matches the byte order of
 #: :func:`repro.utils.blocks.block_to_symbols`)
@@ -22,10 +24,11 @@ class BatchSymbolView:
     """All blocks of a byte region as one ``(n_blocks, symbols_per_block)`` matrix.
 
     Args:
-        raw: the region's raw bytes (``bytes``, ``bytearray`` or a NumPy
-            array, which is flattened to its underlying bytes).  A trailing
-            partial block is zero-padded, mirroring
-            :func:`repro.utils.blocks.array_to_blocks`.
+        raw: the blocks — an ``(n_blocks, block_size_bytes)`` uint8 row
+            matrix (viewed without a copy), or a region's raw bytes
+            (``bytes``, ``bytearray`` or any other NumPy array, which is
+            flattened to its underlying bytes).  A trailing partial block is
+            zero-padded, mirroring :func:`repro.utils.blocks.array_to_rows`.
         block_size_bytes: memory block size (128 B in the paper).
         symbol_bytes: symbol width; 1, 2 and 4 byte symbols are supported
             (2-byte/16-bit symbols are the paper's configuration).
@@ -49,18 +52,17 @@ class BatchSymbolView:
                 f"block size {block_size_bytes} is not a multiple of "
                 f"symbol size {symbol_bytes}"
             )
-        if isinstance(raw, np.ndarray):
-            raw = np.ascontiguousarray(raw).tobytes()
+        if not isinstance(raw, np.ndarray):
+            raw = np.frombuffer(bytes(raw), dtype=np.uint8)
+        if raw.dtype == np.uint8 and raw.ndim == 2 and raw.shape[1] == block_size_bytes:
+            rows = np.ascontiguousarray(raw)
         else:
-            raw = bytes(raw)
-        remainder = len(raw) % block_size_bytes
-        if remainder:
-            raw = raw + b"\x00" * (block_size_bytes - remainder)
+            rows = array_to_rows(raw, block_size_bytes)
         self.block_size_bytes = block_size_bytes
         self.symbol_bytes = symbol_bytes
-        flat = np.frombuffer(raw, dtype=SYMBOL_DTYPES[symbol_bytes])
-        self.symbols = flat.reshape(-1, block_size_bytes // symbol_bytes)
-        self._raw = raw
+        #: the blocks as an ``(n_blocks, block_size_bytes)`` uint8 matrix
+        self.rows = rows
+        self.symbols = rows.view(SYMBOL_DTYPES[symbol_bytes])
 
     @classmethod
     def from_blocks(
@@ -70,12 +72,7 @@ class BatchSymbolView:
         symbol_bytes: int = 2,
     ) -> "BatchSymbolView":
         """Build a view from pre-sliced blocks (each exactly one block long)."""
-        for index, block in enumerate(blocks):
-            if len(block) != block_size_bytes:
-                raise ValueError(
-                    f"block {index} is {len(block)} bytes, expected {block_size_bytes}"
-                )
-        return cls(b"".join(blocks), block_size_bytes, symbol_bytes)
+        return cls(as_block_rows(blocks, block_size_bytes), block_size_bytes, symbol_bytes)
 
     @classmethod
     def from_array(
@@ -107,16 +104,18 @@ class BatchSymbolView:
 
     def block_bytes(self, index: int) -> bytes:
         """Raw bytes of block ``index`` (for scalar fallbacks and reconstruction)."""
-        start = index * self.block_size_bytes
-        return self._raw[start:start + self.block_size_bytes]
+        return self.rows[index].tobytes()
 
 
 def as_symbol_view(
-    blocks: "BatchSymbolView | list[bytes]",
+    blocks: "BatchSymbolView | np.ndarray | list[bytes]",
     block_size_bytes: int,
     symbol_bytes: int,
 ) -> BatchSymbolView:
-    """Coerce ``blocks`` (a view or a block list) into a :class:`BatchSymbolView`."""
+    """Coerce ``blocks`` (a view, a row matrix or a block list) into a view.
+
+    A row matrix is viewed in place; only a block list is joined.
+    """
     if isinstance(blocks, BatchSymbolView):
         if (blocks.block_size_bytes, blocks.symbol_bytes) != (
             block_size_bytes,
@@ -128,4 +127,6 @@ def as_symbol_view(
                 f"does not match the compressor ({block_size_bytes} B, {symbol_bytes} B)"
             )
         return blocks
-    return BatchSymbolView.from_blocks(list(blocks), block_size_bytes, symbol_bytes)
+    return BatchSymbolView(
+        as_block_rows(blocks, block_size_bytes), block_size_bytes, symbol_bytes
+    )

@@ -1,30 +1,35 @@
 """The vectorized trace-replay engine.
 
-Reproduces the scalar kernel-execution loop of ``GPUSimulator.run`` —
-per-access L2 lookups, per-miss memory-controller method chains — as a
-handful of array passes, bit-exact on every counter the simulation result is
-assembled from:
+Reproduces the scalar kernel-execution loop of
+:func:`~repro.replay.reference.replay_trace_scalar` — per-access L2 lookups,
+per-miss memory-controller method chains — as a handful of array passes,
+bit-exact on every counter the simulation result is assembled from:
 
 1. the trace is compiled to flat address/write/count arrays
    (:meth:`~repro.gpu.trace.MemoryTrace.compile`),
 2. the L2 resolves all hits at once (:func:`~repro.replay.l2.replay_l2`)
    yielding the miss stream in trace order,
-3. write misses go through the backend's batched analysis kernels *and*
-   batched payload codec (``store_batch``: vectorized Fig. 4 decision plus
-   one truncation/prediction pass producing every stored block's degraded
-   bytes, see :mod:`repro.kernels.codec`), grouped by the region's
-   ``approximable`` flag,
+3. write misses take their rows from the run's row matrix by address and go
+   through the backend's batched analysis kernels *and* batched payload
+   codec (``store_batch``: vectorized Fig. 4 decision plus one
+   truncation/prediction pass over the lossy rows, see
+   :mod:`repro.kernels.codec`), grouped by the region's ``approximable``
+   flag,
 4. the miss stream is partitioned per memory controller
    (``CHANNEL_INTERLEAVE_BLOCKS`` interleave) and each controller's events
    run through a vectorized storage-timeline forward fill (the burst count a
-   read fetches is the one recorded by the latest preceding store), the MDC
-   model (:func:`~repro.replay.mdc.replay_mdc`) and the grouped DRAM
-   row-buffer scan (:func:`~repro.replay.dram.replay_dram`).
+   read fetches is the one recorded by the latest preceding store, seeded
+   from the shared :class:`~repro.gpu.memory_controller.BlockStore`), the
+   MDC model (:func:`~repro.replay.mdc.replay_mdc`) and the grouped DRAM
+   row-buffer scan (:func:`~repro.replay.dram.replay_dram`),
+5. each write batch's final stores go back to the block store in one
+   assignment.
 
-The mutated objects (L2, controllers, their MDCs, channels and storage, and
-the backend's own counters) end up in the same state the scalar loop leaves
-them in, so result assembly and the degraded-input error computation are
-unchanged.
+The mutated objects (L2, controllers, their MDCs and channels, the block
+store and the backend's own counters) end up in the same state the scalar
+loop leaves them in, so result assembly and the degraded-input error
+computation are unchanged.  :func:`record_host_stores` does the
+controllers' book-keeping of the host-to-device copy the same way.
 """
 
 from __future__ import annotations
@@ -32,21 +37,58 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpu.cache import SetAssociativeCache
-from repro.gpu.memory_controller import MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController, controller_index
 from repro.gpu.trace import MemoryTrace
 from repro.obs import metrics
 from repro.obs.tracing import span
 from repro.replay.dram import replay_dram
 from repro.replay.l2 import replay_l2
 from repro.replay.mdc import replay_mdc
+from repro.utils.blocks import block_count
 from repro.workloads.base import Region
+
+
+def _shared_store(controllers: list[MemoryController]) -> BlockStore:
+    """The one block store every controller of a run shares."""
+    store = controllers[0].store
+    if any(controller.store is not store for controller in controllers):
+        raise ValueError("the controllers of one run must share one BlockStore")
+    return store
+
+
+def record_host_stores(
+    controllers: list[MemoryController],
+    addresses: np.ndarray,
+    interleave_blocks: int,
+) -> None:
+    """Book-keep host-to-device copies already written to the block store.
+
+    Equivalent to ``store_block(address, ..., count_traffic=False)`` on the
+    owning controller for each address in order: each controller counts its
+    compressions and lossy blocks and refreshes its MDC entries with the
+    stored burst counts (update-only events through
+    :func:`~repro.replay.mdc.replay_mdc`, whose exact path covers
+    evictions).
+    """
+    store = _shared_store(controllers)
+    owner = controller_index(addresses, interleave_blocks, len(controllers))
+    for c, controller in enumerate(controllers):
+        mine = addresses[owner == c]
+        if not mine.size:
+            continue
+        replay_mdc(
+            controller.mdc, mine, np.zeros(mine.shape, dtype=np.bool_),
+            store.bursts[mine],
+        )
+        controller.stats.compress_invocations += int(mine.size)
+        controller.stats.lossy_blocks += int(store.lossy[mine].sum())
 
 
 def replay_trace(
     trace: MemoryTrace,
     *,
     all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
+    rows: np.ndarray,
     base_addresses: dict[str, int],
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
@@ -63,7 +105,7 @@ def replay_trace(
     MDC, DRAM open-row and storage-timeline state across chunk boundaries
     through the mutable model objects themselves — every replay stage
     composes (:func:`~repro.replay.l2.replay_l2` seeds from and writes back
-    the cache; controller storage/MDC/channel state advances in place), so
+    the cache; block store, MDC and channel state advance in place), so
     all counters and stored payloads are bit-identical to the unchunked
     replay while peak memory stays O(chunk) instead of O(trace).
     """
@@ -77,7 +119,7 @@ def replay_trace(
                 _replay_compiled(
                     compiled,
                     all_regions=all_regions,
-                    region_blocks=region_blocks,
+                    rows=rows,
                     l2=l2,
                     controllers=controllers,
                     interleave_blocks=interleave_blocks,
@@ -91,7 +133,7 @@ def replay_trace(
     _replay_compiled(
         compiled,
         all_regions=all_regions,
-        region_blocks=region_blocks,
+        rows=rows,
         l2=l2,
         controllers=controllers,
         interleave_blocks=interleave_blocks,
@@ -104,12 +146,13 @@ def _replay_compiled(
     compiled,
     *,
     all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
+    rows: np.ndarray,
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
     interleave_blocks: int,
 ) -> None:
     """Replay one compiled window (the whole trace, or one chunk)."""
+    store = _shared_store(controllers)
     with span("replay.l2", cat="replay", accesses=int(compiled.addresses.shape[0])):
         miss_mask = replay_l2(
             l2, compiled.addresses, compiled.is_write, compiled.counts
@@ -123,7 +166,6 @@ def _replay_compiled(
     miss_addr = compiled.addresses[miss_mask]
     miss_write = compiled.is_write[miss_mask]
     miss_region = compiled.region_index[miss_mask]
-    miss_block = compiled.block_index[miss_mask]
     n_miss = miss_addr.shape[0]
     backend = controllers[0].backend
 
@@ -132,41 +174,42 @@ def _replay_compiled(
     # grouped by approximable flag (per-block results and the backend's own
     # counters are identical to per-miss ``store`` calls; only the call
     # grouping differs).
-    stored_by_miss: list = [None] * n_miss
     miss_bursts = np.zeros(n_miss, dtype=np.int64)
+    miss_lossy = np.zeros(n_miss, dtype=np.bool_)
+    write_backs = []
     write_indices = np.nonzero(miss_write)[0]
     if write_indices.size:
         with span("replay.store_batch", cat="replay",
                   writes=int(write_indices.size)):
-            region_names = compiled.regions
+            regions = [all_regions[name] for name in compiled.regions]
+            _check_write_bounds(
+                regions,
+                miss_region[write_indices],
+                compiled.block_index[miss_mask][write_indices],
+                rows.shape[1],
+            )
             approximable = np.fromiter(
-                (all_regions[name].approximable for name in region_names),
-                np.bool_,
-                len(region_names),
+                (region.approximable for region in regions), np.bool_, len(regions)
             )
             write_approx = approximable[miss_region[write_indices]]
             for flag in (True, False):
                 selected = write_indices[write_approx == flag]
                 if not selected.size:
                     continue
-                blocks = [
-                    region_blocks[region_names[ri]][bi]
-                    for ri, bi in zip(
-                        miss_region[selected].tolist(), miss_block[selected].tolist()
-                    )
-                ]
-                for i, stored in zip(
-                    selected.tolist(), backend.store_batch(blocks, approximable=flag)
-                ):
-                    stored_by_miss[i] = stored
-                    miss_bursts[i] = stored.bursts
+                addresses = miss_addr[selected]
+                batch = backend.store_batch(rows[addresses], approximable=flag)
+                miss_bursts[selected] = batch.bursts
+                miss_lossy[selected] = batch.lossy
+                write_backs.append((addresses, batch))
 
     # ------------------------------------------------------------------ #
-    # per-controller miss-path accounting
+    # per-controller miss-path accounting, seeded from the store as it was
+    # before this window's writes
     with span("replay.controllers", cat="replay", misses=n_miss):
-        controller_index = (miss_addr // interleave_blocks) % len(controllers)
-        by_controller = np.argsort(controller_index, kind="stable")
-        counts = np.bincount(controller_index, minlength=len(controllers))
+        initial_bursts = store.bursts_at(miss_addr)
+        owner = controller_index(miss_addr, interleave_blocks, len(controllers))
+        by_controller = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=len(controllers))
         offsets = np.cumsum(counts) - counts
         for c, controller in enumerate(controllers):
             if not counts[c]:
@@ -177,8 +220,36 @@ def _replay_compiled(
                 addresses=miss_addr[events],
                 is_write=miss_write[events],
                 stored_bursts=miss_bursts[events],
-                stored_blocks=[stored_by_miss[i] for i in events.tolist()],
+                initial_bursts=initial_bursts[events],
+                lossy=miss_lossy[events],
             )
+
+    # The store ends up holding each written address's last stored block.
+    for addresses, batch in write_backs:
+        last = addresses.shape[0] - 1 - np.unique(addresses[::-1], return_index=True)[1]
+        store.write(addresses[last], batch.take(last))
+
+
+def _check_write_bounds(
+    regions: list[Region],
+    region_index: np.ndarray,
+    block_index: np.ndarray,
+    block_size: int,
+) -> None:
+    """Reject a write past the end of its region (there is no row for it)."""
+    limits = np.fromiter(
+        (block_count(region.array, block_size) for region in regions),
+        np.int64,
+        len(regions),
+    )
+    outside = np.nonzero(block_index >= limits[region_index])[0]
+    if outside.size:
+        first = outside[0]
+        raise IndexError(
+            f"write to block {int(block_index[first])} of region "
+            f"{regions[region_index[first]].name!r}, which has "
+            f"{int(limits[region_index[first]])} blocks"
+        )
 
 
 def _replay_controller(
@@ -187,28 +258,25 @@ def _replay_controller(
     addresses: np.ndarray,
     is_write: np.ndarray,
     stored_bursts: np.ndarray,
-    stored_blocks: list,
+    initial_bursts: np.ndarray,
+    lossy: np.ndarray,
 ) -> None:
-    """Account one controller's miss events (in service order)."""
+    """Account one controller's miss events (in service order).
+
+    ``initial_bursts`` holds each event's address's stored burst count
+    before the window (0 if never stored); ``stored_bursts`` and ``lossy``
+    describe the write events' new stores.
+    """
     n = addresses.shape[0]
     is_read = ~is_write
-    backend_max = controller.backend.max_bursts
 
     # Storage timeline: the burst count a read fetches is the one recorded
-    # by the latest preceding store of that address — seeded from the
-    # controller's storage (host-to-device copies), advanced by write
-    # misses.  Computed as a per-address forward fill over events sorted by
-    # (address, time).
+    # by the latest preceding store of that address — seeded from the block
+    # store (host-to-device copies, earlier windows; never-stored blocks
+    # read uncompressed), advanced by write misses.  Computed as a
+    # per-address forward fill over events sorted by (address, time).
+    seed = np.where(initial_bursts > 0, initial_bursts, controller.backend.max_bursts)
     unique = np.unique(addresses)
-    storage = controller._storage
-    initial_bursts = np.fromiter(
-        (
-            stored.bursts if (stored := storage.get(address)) is not None else backend_max
-            for address in unique.tolist()
-        ),
-        np.int64,
-        unique.shape[0],
-    )
     by_address = np.argsort(addresses, kind="stable")
     sorted_addresses = addresses[by_address]
     sorted_writes = is_write[by_address]
@@ -222,7 +290,7 @@ def _replay_controller(
     sorted_actual = np.where(
         stored_before,
         sorted_bursts[np.maximum(last_store, 0)],
-        initial_bursts[group],
+        seed[by_address],
     )
     actual = np.empty(n, dtype=np.int64)
     actual[by_address] = sorted_actual
@@ -247,16 +315,7 @@ def _replay_controller(
     stats.decompress_invocations += n_reads
     stats.compress_invocations += n_writes
     stats.mdc_extra_bursts += int((fetched[is_read] - actual[is_read]).sum())
-    stats.lossy_blocks += sum(
-        1 for stored in stored_blocks if stored is not None and stored.lossy
-    )
-
-    # Storage ends up holding each written address's final stored block.
-    group_end = group_start + np.diff(np.append(group_start, n)) - 1
-    final_store = last_store[group_end]
-    for g in np.nonzero(final_store >= group_start)[0].tolist():
-        event = int(by_address[final_store[g]])
-        storage[int(unique[g])] = stored_blocks[event]
+    stats.lossy_blocks += int(lossy[is_write].sum())
 
     replay_dram(
         controller.channel,

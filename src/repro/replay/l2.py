@@ -101,11 +101,10 @@ def replay_l2(
     stack = np.full((rows, ways), -1, dtype=np.int64)
     dirty = np.zeros((rows, ways), dtype=np.bool_)
     for row, set_index in enumerate(active_sets.tolist()):
-        for col, (line, line_dirty) in enumerate(
-            reversed(cache._sets[set_index].items())
-        ):
-            stack[row, col] = line
-            dirty[row, col] = line_dirty
+        resident = cache._sets[set_index]
+        if resident:
+            stack[row, : len(resident)] = list(reversed(resident.keys()))
+            dirty[row, : len(resident)] = list(reversed(resident.values()))
 
     hits = misses = evictions = writebacks = 0
     col_idx = np.arange(ways)
@@ -151,11 +150,11 @@ def replay_l2(
     cache.stats.evictions += evictions
     cache.stats.writebacks += writebacks
 
-    # Write the final stacks back as OrderedDicts (LRU -> MRU order).
-    for row, set_index in enumerate(active_sets.tolist()):
-        resident: OrderedDict[int, bool] = OrderedDict()
-        for col in range(ways - 1, -1, -1):
-            if stack[row, col] != -1:
-                resident[int(stack[row, col])] = bool(dirty[row, col])
-        cache._sets[set_index] = resident
+    # Write the final stacks back as OrderedDicts (LRU -> MRU order); the
+    # empty (-1) slots of a stack are its LRU tail.
+    empty = (stack == -1).sum(axis=1).tolist()
+    for set_index, lines, dirt, skip in zip(
+        active_sets.tolist(), stack[:, ::-1].tolist(), dirty[:, ::-1].tolist(), empty
+    ):
+        cache._sets[set_index] = OrderedDict(zip(lines[skip:], dirt[skip:]))
     return miss_mask

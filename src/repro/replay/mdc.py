@@ -2,7 +2,7 @@
 
 Every miss-path event touches the MDC: an L2 read miss does a ``lookup``
 followed by an ``update`` (:meth:`MemoryController.read_block`), and a write
-miss or store does an ``update`` (:meth:`MemoryController.record_stored`).
+miss or store does an ``update`` (:meth:`MemoryController.store_block`).
 Since every event ends with the address inserted most-recently-used, the MDC
 behaves as a plain fully-associative LRU over the *event* stream, and a
 lookup hits iff fewer than ``capacity_entries`` distinct addresses were
@@ -60,7 +60,8 @@ def replay_mdc(
 
     unique, first_index = np.unique(addresses, return_index=True)
     resident = np.fromiter(mdc._entries, np.int64, len(mdc._entries))
-    untouched = resident[~np.isin(resident, unique)]
+    keep = ~np.isin(resident, unique)
+    untouched = resident[keep]
     if len(unique) + len(untouched) > mdc.capacity_entries:
         # Evictions are possible: replay through the exact scalar MDC.
         if metrics.enabled():
@@ -92,12 +93,8 @@ def replay_mdc(
     # below every touched address; touched addresses rank by last event.
     last_index = n - 1 - np.unique(addresses[::-1], return_index=True)[1]
     recency = np.argsort(last_index)
-    entries: OrderedDict[int, int] = OrderedDict()
-    for address in untouched.tolist():
-        entries[address] = mdc._entries[address]
-    for address, index in zip(
-        unique[recency].tolist(), last_index[recency].tolist()
-    ):
-        entries[address] = int(values[index])
-    mdc._entries = entries
+    resident_values = np.fromiter(mdc._entries.values(), np.int64, len(mdc._entries))
+    keys = np.concatenate([untouched, unique[recency]])
+    entry_values = np.concatenate([resident_values[keep], values[last_index[recency]]])
+    mdc._entries = OrderedDict(zip(keys.tolist(), entry_values.tolist()))
     return hits

@@ -9,9 +9,12 @@ reproduce bit-exactly, and remains selectable via
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.gpu.cache import SetAssociativeCache
-from repro.gpu.memory_controller import MemoryController
+from repro.gpu.memory_controller import MemoryController, controller_index
 from repro.gpu.trace import MemoryTrace
+from repro.utils.blocks import block_count
 from repro.workloads.base import Region
 
 
@@ -19,7 +22,7 @@ def replay_trace_scalar(
     trace: MemoryTrace,
     *,
     all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
+    rows: np.ndarray,
     base_addresses: dict[str, int],
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
@@ -30,7 +33,8 @@ def replay_trace_scalar(
     Args:
         trace: the workload's block-granular memory trace.
         all_regions: every region the trace references.
-        region_blocks: per-region raw block contents.
+        rows: the raw blocks of the run's flat address space, one
+            ``block_size``-byte row per block address.
         base_addresses: global base block address of every region.
         l2: the shared L2 cache.
         controllers: the memory controllers (block addresses interleave
@@ -45,12 +49,19 @@ def replay_trace_scalar(
             hit = l2.access(address, is_write=access.is_write)
             if hit:
                 continue
-            controller = controllers[(address // interleave_blocks) % num_controllers]
+            controller = controllers[
+                controller_index(address, interleave_blocks, num_controllers)
+            ]
             if access.is_write:
-                block = region_blocks[access.region][access.block_index]
+                limit = block_count(region.array, rows.shape[1])
+                if access.block_index >= limit:
+                    raise IndexError(
+                        f"write to block {access.block_index} of region "
+                        f"{region.name!r}, which has {limit} blocks"
+                    )
                 controller.store_block(
                     address,
-                    block,
+                    rows[address].tobytes(),
                     approximable=region.approximable,
                     count_traffic=True,
                 )

@@ -2,8 +2,10 @@
 
 GPU memory compression operates on cache-line-sized blocks (128 B in the
 paper).  Workload data lives in NumPy arrays; these helpers convert between
-array storage and the byte blocks the compressors and the memory controller
-see, and between blocks and the 16-bit symbol streams E2MC/SLC operate on.
+array storage and the ``(n_blocks, block_size)`` uint8 row matrices the
+batched compressors, the memory controller and the block store work on (or
+lists of per-block ``bytes`` for the scalar paths), and between blocks and
+the 16-bit symbol streams E2MC/SLC operate on.
 """
 
 from __future__ import annotations
@@ -15,22 +17,77 @@ SYMBOL_BYTES = 2
 WORD_BYTES = 4
 
 
-def array_to_blocks(array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> list[bytes]:
-    """Split an array's raw bytes into ``block_size`` chunks.
-
-    The final block is zero-padded to ``block_size`` bytes, mirroring how a
-    memory allocation is padded to whole cache lines.
-    """
+def block_count(array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
+    """Number of ``block_size`` blocks an array occupies (last one padded)."""
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    raw = np.ascontiguousarray(array).tobytes()
-    blocks = []
-    for start in range(0, len(raw), block_size):
-        chunk = raw[start:start + block_size]
-        if len(chunk) < block_size:
-            chunk = chunk + b"\x00" * (block_size - len(chunk))
-        blocks.append(chunk)
+    return -(-array.nbytes // block_size)
+
+
+def array_to_rows(array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+    """An array's raw bytes as an ``(n_blocks, block_size)`` uint8 matrix.
+
+    The final row is zero-padded to ``block_size`` bytes, mirroring how a
+    memory allocation is padded to whole cache lines.
+    """
+    n_blocks = block_count(array, block_size)
+    raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+    rows = np.zeros((n_blocks, block_size), dtype=np.uint8)
+    rows.reshape(-1)[: raw.shape[0]] = raw
+    return rows
+
+
+def rows_to_array(
+    rows: np.ndarray, dtype: np.dtype, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Reassemble an array from rows produced by :func:`array_to_rows` (a copy)."""
+    count = int(np.prod(shape))
+    needed = count * np.dtype(dtype).itemsize
+    raw = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
+    if raw.shape[0] < needed:
+        raise ValueError(
+            f"blocks provide {raw.shape[0]} bytes but shape {shape} needs {needed}"
+        )
+    return raw[:needed].view(dtype).reshape(shape).copy()
+
+
+def as_block_rows(blocks, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+    """``blocks`` as an ``(n, block_size)`` uint8 matrix.
+
+    A uint8 matrix of that width passes through without a copy (made
+    C-contiguous if it is not); a list of ``block_size``-byte chunks is
+    joined once.
+
+    Raises:
+        ValueError: if the blocks are not all ``block_size`` bytes long.
+    """
+    if isinstance(blocks, np.ndarray):
+        if blocks.dtype != np.uint8 or blocks.ndim != 2 or blocks.shape[1] != block_size:
+            raise ValueError(
+                f"expected an (n, {block_size}) uint8 block matrix, got "
+                f"{blocks.dtype} of shape {blocks.shape}"
+            )
+        return np.ascontiguousarray(blocks)
+    blocks = list(blocks)
+    joined = b"".join(blocks)
+    if len(joined) != len(blocks) * block_size:
+        raise ValueError(
+            f"expected {len(blocks)} blocks of {block_size} bytes, "
+            f"got {len(joined)} bytes total"
+        )
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(blocks), block_size)
+
+
+def iter_blocks(blocks) -> list[bytes]:
+    """Per-block ``bytes`` of a row matrix; a block list passes through."""
+    if isinstance(blocks, np.ndarray):
+        return [row.tobytes() for row in blocks]
     return blocks
+
+
+def array_to_blocks(array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> list[bytes]:
+    """:func:`array_to_rows` as a list of ``block_size``-byte chunks."""
+    return [row.tobytes() for row in array_to_rows(array, block_size)]
 
 
 def blocks_to_array(
@@ -40,16 +97,8 @@ def blocks_to_array(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> np.ndarray:
     """Reassemble an array from blocks produced by :func:`array_to_blocks`."""
-    raw = b"".join(blocks)
-    count = int(np.prod(shape))
-    itemsize = np.dtype(dtype).itemsize
-    needed = count * itemsize
-    if len(raw) < needed:
-        raise ValueError(
-            f"blocks provide {len(raw)} bytes but shape {shape} needs {needed}"
-        )
-    flat = np.frombuffer(raw[:needed], dtype=dtype)
-    return flat.reshape(shape).copy()
+    raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+    return rows_to_array(raw, dtype, shape)
 
 
 def block_to_symbols(block: bytes, symbol_bytes: int = SYMBOL_BYTES) -> list[int]:

@@ -14,7 +14,7 @@ from repro.compression.e2mc import E2MCCompressor, SymbolModel
 from repro.core.config import SLCConfig, SLCVariant
 from repro.core.slc import SLCCompressor
 from repro.core.tree import AdderTree
-from repro.gpu.backends import LosslessBackend, SLCBackend
+from repro.gpu.backends import LosslessBackend, SLCBackend, StoredBatch
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels import (
     BatchSymbolView,
@@ -22,7 +22,7 @@ from repro.kernels import (
     CodeLengthLUT,
     select_subblocks,
 )
-from repro.utils.blocks import array_to_blocks, block_to_symbols
+from repro.utils.blocks import array_to_blocks, as_block_rows, block_to_symbols
 from repro.workloads.registry import get_workload
 
 MAGS = [16, 32, 64]
@@ -248,8 +248,8 @@ def test_slc_backend_store_batch_matches_scalar():
     batch_backend = SLCBackend(SLCCompressor(config))
     scalar_backend.train(blocks[:256])
     batch_backend.train(blocks[:256])
-    scalar_stored = [scalar_backend.store(b) for b in blocks]
-    batch_stored = batch_backend.store_batch(blocks)
+    scalar_stored = StoredBatch.from_blocks([scalar_backend.store(b) for b in blocks], 128)
+    batch_stored = batch_backend.store_batch(as_block_rows(blocks))
     assert batch_stored == scalar_stored
     assert batch_backend.total_blocks == scalar_backend.total_blocks
     assert batch_backend.lossy_blocks == scalar_backend.lossy_blocks
@@ -262,9 +262,9 @@ def test_lossless_backend_store_batch_matches_scalar():
     batch_backend = LosslessBackend(E2MCCompressor())
     scalar_backend.train(blocks[:256])
     batch_backend.train(blocks[:256])
-    assert batch_backend.store_batch(blocks) == [
-        scalar_backend.store(b) for b in blocks
-    ]
+    assert batch_backend.store_batch(as_block_rows(blocks)) == StoredBatch.from_blocks(
+        [scalar_backend.store(b) for b in blocks], 128
+    )
 
 
 @pytest.mark.parametrize("scheme", ["e2mc", "slc"])

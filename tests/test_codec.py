@@ -25,12 +25,12 @@ from repro.compression.base import CompressionError, DecompressionError
 from repro.compression.e2mc import ESCAPE_SYMBOL, E2MCCompressor, SymbolModel
 from repro.core.config import SLCConfig, SLCMode, SLCVariant
 from repro.core.slc import SLCBlock, SLCCompressor, SLCDecision
-from repro.gpu.backends import SLCBackend
+from repro.gpu.backends import SLCBackend, StoredBatch
 from repro.kernels.codec import HuffmanCodecLUT, reconstruct_rows
 from repro.kernels.symbols import BatchSymbolView
 from repro.obs import metrics
 from repro.utils.bitstream import BitReader, BitWriter
-from repro.utils.blocks import block_to_symbols, symbols_to_block
+from repro.utils.blocks import as_block_rows, block_to_symbols, symbols_to_block
 
 from tests.conftest import make_float_blocks, make_mixed_blocks
 
@@ -207,9 +207,10 @@ def test_store_batch_matches_scalar_store_counters():
     oracle_backend = SLCBackend(SLCCompressor(config), batch_codec=False)
     for backend in (scalar_backend, batch_backend, oracle_backend):
         backend.train(blocks)
-    scalar = [scalar_backend.store(b) for b in blocks]
-    assert batch_backend.store_batch(blocks) == scalar
-    assert oracle_backend.store_batch(blocks) == scalar
+    scalar = StoredBatch.from_blocks([scalar_backend.store(b) for b in blocks], BLOCK)
+    rows = as_block_rows(blocks, BLOCK)
+    assert batch_backend.store_batch(rows) == scalar
+    assert oracle_backend.store_batch(rows) == scalar
     for backend in (batch_backend, oracle_backend):
         assert backend.total_blocks == scalar_backend.total_blocks
         assert backend.lossy_blocks == scalar_backend.lossy_blocks

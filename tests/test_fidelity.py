@@ -8,7 +8,7 @@ behaviour on malformed inputs (shape mismatch, empty arrays, NaN/inf).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.metrics.fidelity import (
@@ -109,13 +109,20 @@ def test_iqr_error_affine_invariant(pair, a, b):
 
 @settings(max_examples=100, deadline=None)
 @given(arrays(min_size=2), st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+@example(exact=np.array([1.81256273e-28, 0.0]), shift=1.0)
 def test_pearson_shift_invariant(exact, shift):
-    r = pearson_correlation(exact, exact + shift)
-    if np.ptp(exact) == 0.0:
-        # constant fields: equality convention, see below
-        assert r in (0.0, 1.0)
-    else:
-        assert r == pytest.approx(1.0, abs=1e-9)
+    shifted = exact + shift
+    r = pearson_correlation(exact, shifted)
+    if np.ptp(shifted) == 0.0:
+        # A constant shifted field — exact was constant, or the shift swamped
+        # its variation in float64 ([1.8e-28, 0] + 1.0 == [1.0, 1.0]): the
+        # constant-field convention, see below.
+        assert r == (1.0 if np.array_equal(exact, shifted) else 0.0)
+        return
+    # Near-swamped variation is mostly rounding noise and does not stay
+    # correlated (e.g. [0, 1e-16, 2e-16, 3e-16] vs itself + 1.0 gives 0.63).
+    assume(np.ptp(exact) > 1e-9 * (abs(shift) + np.abs(exact).max()))
+    assert r == pytest.approx(1.0, abs=1e-9)
 
 
 # --------------------------------------------------------------------- #

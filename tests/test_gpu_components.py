@@ -229,15 +229,17 @@ def test_cache_negative_address_rejected():
 # DRAM
 
 
-def test_dram_row_hit_vs_miss_cycles():
-    channel = DRAMChannel()
-    first = channel.service(0, 4)       # row miss: activate + 4 bursts
-    second = channel.service(128, 4)    # same row: just 4 bursts
+@pytest.mark.parametrize("mag", [16, 32, 64])
+def test_dram_row_hit_vs_miss_cycles(mag):
+    channel = DRAMChannel(mag_bytes=mag)
+    bursts = 128 // mag                       # one 128 B block
+    first = channel.service(0, bursts)        # row miss: activate + bursts
+    second = channel.service(128, bursts)     # same row: just the bursts
     assert first > second
     assert channel.stats.row_hits == 1
     assert channel.stats.row_misses == 1
-    assert channel.stats.bursts == 8
-    assert channel.stats.bytes_transferred == 8 * 32
+    assert channel.stats.bursts == 2 * bursts
+    assert channel.bytes_transferred == 256
 
 
 def test_dram_row_conflict_pays_precharge():

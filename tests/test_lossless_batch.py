@@ -20,9 +20,9 @@ from repro.campaign.worker import build_backend
 from repro.compression import available_compressors, get_compressor, scheme_latency
 from repro.compression.base import BlockCompressor, CompressedBlock
 from repro.compression.registry import register_compressor
-from repro.gpu.backends import LosslessBackend, NoCompressionBackend
+from repro.gpu.backends import LosslessBackend, NoCompressionBackend, StoredBatch
 from repro.gpu.config import GPUConfig
-from repro.utils.blocks import array_to_blocks
+from repro.utils.blocks import array_to_blocks, as_block_rows
 from repro.workloads.registry import get_workload
 
 from tests.conftest import make_float_blocks, make_mixed_blocks
@@ -142,7 +142,9 @@ def test_bpc_large_block_falls_back_to_scalar():
 def test_backend_store_batch_matches_scalar_store(scheme):
     blocks = _structured_blocks(seed=9) + make_float_blocks(seed=13)
     backend = LosslessBackend(get_compressor(scheme))
-    assert backend.store_batch(blocks) == [backend.store(b) for b in blocks]
+    assert backend.store_batch(as_block_rows(blocks)) == StoredBatch.from_blocks(
+        [backend.store(b) for b in blocks], 128
+    )
 
 
 def test_backend_dispatches_scalar_compressors_too():
@@ -165,9 +167,9 @@ def test_backend_dispatches_scalar_compressors_too():
 
     backend = LosslessBackend(HalfCompressor())
     blocks = [bytes(128), bytes(range(128))]
-    stored = backend.store_batch(blocks)
-    assert stored == [backend.store(b) for b in blocks]
-    assert all(s.stored_bits == 512 for s in stored)
+    stored = backend.store_batch(as_block_rows(blocks))
+    assert stored == StoredBatch.from_blocks([backend.store(b) for b in blocks], 128)
+    assert (stored.stored_bits == 512).all()
     # unregistered name: the E2MC fallback latencies apply
     assert backend.compress_latency_cycles == 46
     assert backend.decompress_latency_cycles == 20
@@ -226,11 +228,13 @@ def test_build_backend_lossless_schemes(scheme):
 
 def test_stored_block_keeps_bytes_without_copy():
     block = bytes(range(128))
+    rows = as_block_rows([block])
     lossless = LosslessBackend(get_compressor("bdi"))
     assert lossless.store(block).data is block
-    assert lossless.store_batch([block])[0].data is block
+    assert lossless.store_batch(rows).data is rows
     raw = NoCompressionBackend()
     assert raw.store(block).data is block
+    assert raw.store_batch(rows).data is rows
 
 
 def test_stored_block_copies_non_bytes_input():

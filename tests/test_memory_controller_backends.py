@@ -92,7 +92,7 @@ def test_store_then_read_returns_stored_data(slc_backend, blocks):
     assert len(data) == 128
     assert controller.stats.reads == 1
     assert controller.stats.writes == 0
-    assert controller.stored_blocks == 1
+    assert controller.store.stored_blocks == 1
 
 
 def test_store_counts_write_traffic_when_requested(blocks):
@@ -130,17 +130,23 @@ def test_read_after_store_uses_recorded_bursts(slc_backend, blocks):
     assert controller.stats.read_bursts == stored.bursts
 
 
-def test_controller_tracks_dram_busy_cycles(blocks):
-    controller = make_controller()
+@pytest.mark.parametrize("mag", [16, 32, 64])
+def test_controller_tracks_dram_busy_cycles(blocks, mag):
+    controller = MemoryController(
+        0, NoCompressionBackend(mag_bytes=mag), mag_bytes=mag, mdc_entries=64
+    )
     controller.store_block(0, blocks[0], count_traffic=True)
     controller.read_block(0)
+    bursts_per_block = 128 // mag
     assert controller.busy_memory_cycles > 0
-    assert controller.stats.total_bursts == 8
-    assert controller.stats.bytes_transferred == 8 * 32
+    assert controller.stats.total_bursts == 2 * bursts_per_block
+    # one 128 B block written and read back: 256 B at every MAG
+    assert controller.bytes_transferred == 256
+    assert controller.channel.bytes_transferred == 256
 
 
 def test_stored_data_accessor(blocks):
     controller = make_controller()
-    assert controller.stored_data(5) is None
+    assert controller.store.get(5) is None
     controller.store_block(5, blocks[0], count_traffic=False)
-    assert controller.stored_data(5) == blocks[0]
+    assert controller.store.get(5).data == blocks[0]

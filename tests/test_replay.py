@@ -24,7 +24,7 @@ from repro.core.slc import SLCCompressor
 from repro.gpu.backends import NoCompressionBackend, SLCBackend
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.dram import DRAMChannel, GDDR5Timing
-from repro.gpu.memory_controller import MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
 from repro.replay import (
     replay_dram,
@@ -33,7 +33,7 @@ from repro.replay import (
     replay_trace,
     replay_trace_scalar,
 )
-from repro.utils.blocks import array_to_blocks
+from repro.utils.blocks import array_to_rows
 from repro.workloads.base import Region
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER
 
@@ -301,28 +301,31 @@ def _make_state(seed: int, backend_kind: str, mdc_entries: int):
         "inp": Region(name="inp", array=arrays["inp"], approximable=True),
         "out": Region(name="out", array=arrays["out"], approximable=False, is_output=True),
     }
-    region_blocks = {name: array_to_blocks(r.array, 128) for name, r in regions.items()}
+    region_rows = {name: array_to_rows(r.array, 128) for name, r in regions.items()}
+    rows = np.concatenate(list(region_rows.values()))
     base_addresses, base = {}, 0
     for name in regions:
         base_addresses[name] = base
-        base += len(region_blocks[name])
+        base += len(region_rows[name])
 
     if backend_kind == "slc":
         backend = SLCBackend(SLCCompressor(SLCConfig(variant=SLCVariant.OPT)))
-        backend.train(region_blocks["inp"])
+        backend.train([row.tobytes() for row in region_rows["inp"]])
     else:
         backend = NoCompressionBackend()
+    store = BlockStore(128, n_blocks=len(rows))
     controllers = [
-        MemoryController(i, backend, mdc_entries=mdc_entries) for i in range(2)
+        MemoryController(i, backend, mdc_entries=mdc_entries, store=store)
+        for i in range(2)
     ]
     # host-to-device copy of the input region (not charged)
-    for index, block in enumerate(region_blocks["inp"]):
+    for index, row in enumerate(region_rows["inp"]):
         address = base_addresses["inp"] + index
         controllers[(address // 2) % 2].store_block(
-            address, block, approximable=True, count_traffic=False
+            address, row.tobytes(), approximable=True, count_traffic=False
         )
     l2 = SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2)  # 2 sets, 2 ways
-    return regions, region_blocks, base_addresses, l2, controllers
+    return regions, rows, base_addresses, l2, controllers
 
 
 def _controller_state(controller: MemoryController):
@@ -330,20 +333,27 @@ def _controller_state(controller: MemoryController):
         vars(controller.stats).copy(),
         _mdc_state(controller.mdc),
         _dram_state(controller.channel),
-        {a: (s.bursts, s.stored_bits, s.data, s.lossy) for a, s in controller._storage.items()},
     )
+
+
+def _store_state(store: BlockStore):
+    return {
+        a: (int(store.bursts[a]), int(store.stored_bits[a]), store.data[a].tobytes(),
+            bool(store.lossy[a]))
+        for a in np.nonzero(store.bursts)[0].tolist()
+    }
 
 
 def _run_both(trace: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int):
     results = []
     for engine in (replay_trace_scalar, replay_trace):
-        regions, blocks, bases, l2, controllers = _make_state(
+        regions, rows, bases, l2, controllers = _make_state(
             seed, backend_kind, mdc_entries
         )
         engine(
             trace,
             all_regions=regions,
-            region_blocks=blocks,
+            rows=rows,
             base_addresses=bases,
             l2=l2,
             controllers=controllers,
@@ -352,6 +362,7 @@ def _run_both(trace: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int
         state = (
             _cache_state(l2),
             [_controller_state(c) for c in controllers],
+            _store_state(controllers[0].store),
         )
         if backend_kind == "slc":
             state += (
