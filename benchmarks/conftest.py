@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+#: tolerance band recorded with every gated ``_quick`` metric: quick runs
+#: are small and CI runners noisy, so they get a wider band than a
+#: snapshot's default
+QUICK_TOLERANCE = 0.5
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -124,7 +129,8 @@ def bench_record(request):
 
     A no-op unless ``--bench-record PATH`` was given.  Quick-mode callers
     suffix their metric names ``_quick`` themselves — quick and full
-    measurements are not comparable, so they must never gate each other.
+    measurements are not comparable, so they must never gate each other —
+    and a gated ``_quick`` metric is recorded with :data:`QUICK_TOLERANCE`.
     """
     path = request.config.getoption("--bench-record")
 
@@ -142,6 +148,7 @@ def bench_record(request):
         trajectory.record(
             path, name, value, unit=unit,
             higher_is_better=higher_is_better, gate=gate,
+            tolerance=QUICK_TOLERANCE if gate and name.endswith("_quick") else None,
         )
 
     return _record

@@ -15,18 +15,15 @@ from __future__ import annotations
 import dataclasses
 import time
 
-import numpy as np
-
 from repro.campaign.spec import Job
 from repro.campaign.worker import build_backend, simulate_job
 from repro.compression.stats import geometric_mean
 from repro.obs.metrics import measure_peak_mib
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.memory_controller import BlockStore, MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController, book_host_copies
 from repro.gpu.simulator import GPUSimulator
 from repro.replay import replay_trace, replay_trace_scalar
-from repro.replay.engine import record_host_stores
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 QUICK_WORKLOADS = ("NN", "FWT", "DCT")
@@ -53,9 +50,10 @@ class _ReplayContext:
     generation, kernel execution and trace construction, then backend
     training) run once; :meth:`fresh_state` rebuilds the mutable state
     (L2 + controllers sharing a block store with the host-to-device copy
-    applied) so each timed
-    replay starts from an identical machine state with setup excluded from
-    the measurement.
+    stored and booked) so each timed replay starts from an identical
+    machine state with setup excluded from the measurement.  The vectorized
+    engine builds its plan inside the timed call (no replay cache), as a
+    job's first replay on an input does.
     """
 
     def __init__(self, name: str, scale: float, scheme: str = "E2MC") -> None:
@@ -84,19 +82,12 @@ class _ReplayContext:
             )
             for i in range(config.num_memory_controllers)
         ]
-        slices = [
-            (self.prepared.region_slice(name), region)
-            for name, region in self.prepared.input_regions.items()
-        ]
-        for sl, region in slices:
+        for name, region in self.prepared.input_regions.items():
+            sl = self.prepared.region_slice(name)
             store.write(
                 sl, self.backend.store_batch(self.rows[sl], approximable=region.approximable)
             )
-        record_host_stores(
-            controllers,
-            np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in slices]),
-            self.interleave,
-        )
+        book_host_copies(controllers, self.interleave)
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,

@@ -128,7 +128,9 @@ class InputCache:
     the workload name, scale, seed and block size.  A miss evicts the held
     input *before* building the next, so two inputs are never alive at
     once and a worker's memory stays that of one job.  Held arrays are
-    read-only.  Under :func:`repro.obs.metrics.enabled` every lookup counts
+    read-only.  The input's replay plans and per-row sizes
+    (:attr:`~repro.gpu.simulator.PreparedInput.replay_cache`) live and die
+    with it.  Under :func:`repro.obs.metrics.enabled` every lookup counts
     ``sim.input_cache.hit`` or ``sim.input_cache.miss``.
     """
 

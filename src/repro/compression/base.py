@@ -84,6 +84,10 @@ class BlockCompressor(ABC):
     #: every kernel is tested against)
     batched_analysis: bool = False
 
+    #: True when a block's size depends on its bytes and ``block_size_bytes``
+    #: alone (no trained model, no other parameter)
+    sizes_from_block_alone: bool = False
+
     def __init__(self, block_size_bytes: int = 128) -> None:
         if block_size_bytes <= 0:
             raise ValueError(f"block size must be positive, got {block_size_bytes}")
@@ -139,6 +143,19 @@ class BlockCompressor(ABC):
             [self.compress(block).compressed_size_bits for block in iter_blocks(blocks)],
             dtype=np.int64,
         )
+
+    @property
+    def size_key(self) -> tuple | None:
+        """A key naming this compressor's batched block sizes, or ``None``.
+
+        Compressors with equal keys report equal
+        :meth:`compressed_size_bits_batch` for every block, so sizes
+        computed once over a row matrix serve them all.  ``None`` opts out;
+        scalar-loop fallbacks always do, so they stay counted per store.
+        """
+        if self.sizes_from_block_alone and self.batched_analysis:
+            return (type(self), self.block_size_bytes)
+        return None
 
     def analyze_batch(self, blocks) -> np.ndarray:
         """Batched size analysis — the entry point backends dispatch through.

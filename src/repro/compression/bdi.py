@@ -65,6 +65,7 @@ class BDICompressor(BlockCompressor):
 
     name = "bdi"
     batched_analysis = True
+    sizes_from_block_alone = True
 
     def compressed_size_bits_batch(self, blocks) -> np.ndarray:
         """Vectorized size analysis (bit-exact against :meth:`compress`)."""

@@ -80,6 +80,8 @@ class BPCCompressor(BlockCompressor):
     #: deltas of consecutive 32-bit words need up to 33 bits
     _DELTA_BITS = 33
 
+    sizes_from_block_alone = True
+
     @property
     def batched_analysis(self) -> bool:
         """The kernel packs each bit plane into an int64, which caps it at

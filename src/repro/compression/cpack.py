@@ -35,6 +35,7 @@ class CPackCompressor(BlockCompressor):
     """C-PACK block compressor with a 16-entry FIFO dictionary."""
 
     name = "cpack"
+    sizes_from_block_alone = True
 
     @property
     def batched_analysis(self) -> bool:

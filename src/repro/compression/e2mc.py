@@ -44,14 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels -> e2mc)
 ESCAPE_SYMBOL = -1
 
 
-@dataclass
+@dataclass(eq=False)
 class SymbolModel:
     """Huffman probability model over fixed-width symbols.
 
     The model mirrors the E2MC hardware: a bounded-size frequency table of the
     most common symbols (filled by sampling), a length-limited canonical
     Huffman code over those symbols plus an escape symbol, and an escape path
-    that emits the raw symbol bits after the escape codeword.
+    that emits the raw symbol bits after the escape codeword.  A model is
+    trained in place, so it compares and hashes by identity.
     """
 
     symbol_bytes: int = 2
@@ -338,6 +339,19 @@ class E2MCCompressor(BlockCompressor):
         from repro.kernels.lut import MAX_LUT_SYMBOL_BYTES
 
         return self.symbol_bytes <= MAX_LUT_SYMBOL_BYTES
+
+    @property
+    def size_key(self) -> tuple | None:
+        """Sizes follow from the block, the geometry and the trained model.
+
+        The model is keyed by identity: every E2MC compressor trained on
+        one :class:`TrainingSet` shares its model, and so its sizes, and a
+        model is never refitted once trained through :meth:`train`.
+        """
+        if not (self.batched_analysis and self.model.trained):
+            return None
+        return (type(self), self.block_size_bytes, self.symbol_bytes,
+                self.header_bits, self.model)
 
     def compressed_size_bits_batch(
         self, blocks: "BatchSymbolView | np.ndarray | list[bytes]"

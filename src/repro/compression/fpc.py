@@ -50,6 +50,7 @@ class FPCCompressor(BlockCompressor):
     """Frequent Pattern Compression over 32-bit words."""
 
     name = "fpc"
+    sizes_from_block_alone = True
 
     @property
     def batched_analysis(self) -> bool:

@@ -113,6 +113,17 @@ class CompressionBackend(ABC):
     def train(self, blocks: list[bytes]) -> None:  # noqa: B027 - optional hook
         """Adapt any probability model to sample data (E2MC / SLC only)."""
 
+    @property
+    def size_key(self) -> tuple | None:
+        """Key of per-row stored bits computed once per row matrix, or ``None``.
+
+        A backend with a key stores a row from its size alone
+        (:meth:`LosslessBackend.from_sizes`), so one input's sizes serve
+        every MAG; ``None`` (the default) stores through
+        :meth:`store_batch`.
+        """
+        return None
+
     @abstractmethod
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         """Decide how a block is stored and what a read of it returns."""
@@ -227,6 +238,11 @@ class LosslessBackend(CompressionBackend):
             lossy=False,
         )
 
+    @property
+    def size_key(self) -> tuple | None:
+        """The compressor's size key: stored bits depend on the row alone."""
+        return self.compressor.size_key
+
     def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched stores through the compressor's batched size analysis.
 
@@ -239,10 +255,20 @@ class LosslessBackend(CompressionBackend):
         :meth:`store` exactly.  The rows are stored as they are.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
-        n = rows.shape[0]
+        return self.from_sizes(self.size_bits(rows), rows)
+
+    def size_bits(self, rows: np.ndarray) -> np.ndarray:
+        """Stored bits of each row of an ``(n, block_size_bytes)`` matrix."""
         if metrics.enabled() and not self.compressor.batched_analysis:
-            metrics.inc("backend.scalar_store_rows", n)
-        sizes = np.asarray(self.compressor.analyze_batch(rows), dtype=np.int64)
+            metrics.inc("backend.scalar_store_rows", rows.shape[0])
+        return np.asarray(self.compressor.analyze_batch(rows), dtype=np.int64)
+
+    def from_sizes(self, sizes: np.ndarray, rows: np.ndarray) -> StoredBatch:
+        """Store ``rows`` as they are, given their :meth:`size_bits`.
+
+        The MAG burst rounding of :meth:`store`, in array arithmetic.
+        """
+        n = rows.shape[0]
         stored_bytes = np.minimum((sizes + 7) // 8, self.block_size_bytes)
         bursts = np.minimum(
             self.max_bursts, np.maximum(1, -(-stored_bytes // self.mag_bytes))

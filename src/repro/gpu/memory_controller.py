@@ -9,6 +9,12 @@ way to the L2.
 What is stored lives in a :class:`BlockStore`: one address-indexed set of
 arrays per run, shared by all of the run's controllers (an address belongs
 to exactly one controller, so sharing changes nothing any controller sees).
+
+A batched host-to-device copy only writes the store.  The controllers book
+those blocks (MDC fill, compression and lossy counts) at the start of the
+run's first replay, the one that finds every MDC untouched
+(:func:`unbooked_host_copies`); :meth:`MemoryController.store_block` books
+a block as it stores it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,37 @@ def controller_index(addresses, interleave_blocks: int, n_controllers: int):
     ``n_controllers`` controllers.
     """
     return (addresses // interleave_blocks) % n_controllers
+
+
+def shared_store(controllers: list["MemoryController"]) -> "BlockStore":
+    """The one block store every controller of a run shares."""
+    store = controllers[0].store
+    if any(controller.store is not store for controller in controllers):
+        raise ValueError("the controllers of one run must share one BlockStore")
+    return store
+
+
+def unbooked_host_copies(controllers: list["MemoryController"]) -> np.ndarray:
+    """Addresses of the stored blocks no controller has booked yet, ascending.
+
+    While every controller's MDC is untouched, everything in the shared
+    store is a host-to-device copy written without booking; afterwards
+    nothing is.
+    """
+    if any(c.mdc.stats.updates or len(c.mdc) for c in controllers):
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(shared_store(controllers).bursts)
+
+
+def book_host_copies(controllers: list["MemoryController"], interleave_blocks: int) -> None:
+    """Book every unbooked host copy on its controller, one block at a time.
+
+    The n = 1 form of what a replay plan does before the kernel's misses.
+    """
+    for address in unbooked_host_copies(controllers).tolist():
+        controllers[
+            controller_index(address, interleave_blocks, len(controllers))
+        ].book_stored(address)
 
 
 class BlockStore:
@@ -217,15 +254,19 @@ class MemoryController:
         """
         stored = self.backend.store(block, approximable=approximable)
         self.store.put(block_address, stored)
-        self.mdc.update(block_address, stored.bursts)
-        self.stats.compress_invocations += 1
-        if stored.lossy:
-            self.stats.lossy_blocks += 1
+        self.book_stored(block_address)
         if count_traffic:
             self.stats.writes += 1
             self.stats.write_bursts += stored.bursts
             self.channel.service(block_address * self.block_size_bytes, stored.bursts)
         return stored
+
+    def book_stored(self, block_address: int) -> None:
+        """Book a block already in the store: MDC entry and compression counts."""
+        self.mdc.update(block_address, int(self.store.bursts[block_address]))
+        self.stats.compress_invocations += 1
+        if self.store.lossy[block_address]:
+            self.stats.lossy_blocks += 1
 
     # ------------------------------------------------------------------ #
     # loads (L2 misses)

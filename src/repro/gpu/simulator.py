@@ -9,8 +9,10 @@ execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 
 :meth:`GPUSimulator.prepare` does the backend-independent part once (data,
 exact outputs, the row matrix of blocks, layout, training samples, trace)
-so several backends can be simulated on one :class:`PreparedInput`.  Each
-run then keeps what it stores in one address-indexed
+so several backends can be simulated on one :class:`PreparedInput`, which
+also caches their shared replay plans and lossless per-row sizes
+(:class:`~repro.replay.plan.ReplayCache`).  Each run then keeps what it
+stores in one address-indexed
 :class:`~repro.gpu.memory_controller.BlockStore` shared by its controllers.
 """
 
@@ -31,7 +33,8 @@ from repro.gpu.trace import MemoryTrace
 from repro.metrics.fidelity import fidelity_summary
 from repro.obs import metrics
 from repro.obs.tracing import span
-from repro.replay.engine import record_host_stores, replay_trace
+from repro.replay import engine
+from repro.replay.plan import ReplayCache
 from repro.replay.reference import replay_trace_scalar
 from repro.utils.blocks import array_to_rows, block_count, rows_to_array
 from repro.utils.sampling import sample_indices
@@ -180,7 +183,7 @@ class PreparedInput:
     holds because a workload's ``run``, ``error``, ``trace`` and
     ``compute_ops`` are pure functions of their arguments.  A shared input
     must not be modified; :meth:`make_read_only` enforces that for its
-    arrays.
+    arrays.  Its :attr:`replay_cache` fills as runs use it.
     """
 
     workload: Workload
@@ -197,6 +200,11 @@ class PreparedInput:
     #: the simulator geometry the input was prepared for
     block_size_bytes: int
     train_sample_target: int
+    #: replay plans per simulator geometry and per-row sizes per compressor
+    replay_cache: ReplayCache = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.replay_cache = ReplayCache(self.trace, self.rows)
 
     def region_slice(self, name: str) -> slice:
         """The block addresses (rows) of region ``name``."""
@@ -393,27 +401,21 @@ class GPUSimulator:
 
         # Host-to-device copy: every input region is compressed and stored.
         # This traffic happens before the kernel and is not charged to it.
-        # With batch_store the backend analyzes each region's rows in one
-        # vectorized call whose result is one block-store write; the
-        # controllers then book-keep their share in bulk.
+        # With batch_store each region is one vectorized store (from the
+        # input's per-row sizes where the backend allows) and one
+        # block-store write; the replay books the copies into the
+        # controllers.
         interleave = self.CHANNEL_INTERLEAVE_BLOCKS
+        cache = prepared.replay_cache if self.batch_store else None
         with span("sim.h2d_store", cat="sim", workload=workload.name,
                   batch=self.batch_store):
             regions = [
                 (prepared.region_slice(name), region)
                 for name, region in input_regions.items()
             ]
-            if self.batch_store:
+            if cache is not None:
                 for sl, region in regions:
-                    store.write(
-                        sl, backend.store_batch(rows[sl], approximable=region.approximable)
-                    )
-                if regions:
-                    record_host_stores(
-                        controllers,
-                        np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in regions]),
-                        interleave,
-                    )
+                    store.write(sl, cache.store(backend, sl, region.approximable))
             else:
                 for sl, region in regions:
                     for address in range(sl.start, sl.stop):
@@ -429,7 +431,8 @@ class GPUSimulator:
         # Kernel execution: replay the workload's block trace through the L2.
         # The vectorized engine (repro.replay) and the scalar per-access loop
         # produce bit-identical counters; the engine is the default because
-        # trace replay dominates sweep time.
+        # trace replay dominates sweep time, and it takes its plan from the
+        # input's replay cache.
         trace = prepared.trace
         replay_kwargs = dict(
             all_regions=prepared.all_regions,
@@ -440,8 +443,9 @@ class GPUSimulator:
             interleave_blocks=interleave,
         )
         if self.replay_mode == "vectorized":
-            replay = replay_trace
+            replay = engine.replay_trace
             replay_kwargs["chunk_accesses"] = self.chunk_accesses
+            replay_kwargs["cache"] = cache
         else:
             # The scalar loop streams one access at a time already — a chunk
             # budget is meaningless there, so it is silently ignored.

@@ -90,17 +90,20 @@ def record(
     unit: str = "",
     higher_is_better: bool = True,
     gate: bool = True,
+    tolerance: float | None = None,
 ) -> None:
     """Merge one measured metric into the recorded-metrics file at ``path``.
 
     The file accumulates across pytest invocations (CI runs the kernels,
     replay and codec smokes as separate steps), so it is read-modify-write
-    rather than truncate-on-first-use.
+    rather than truncate-on-first-use.  ``tolerance`` is kept with the
+    metric, so a snapshot taken from the file gates it with that band.
     """
     path = Path(path)
     data = load_recorded(path) if path.exists() else {"metrics": {}}
     data["metrics"][name] = metric(
-        value, unit=unit, higher_is_better=higher_is_better, gate=gate
+        value, unit=unit, higher_is_better=higher_is_better, gate=gate,
+        tolerance=tolerance,
     )
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 

@@ -13,10 +13,14 @@ equivalents that reproduce the scalar counters **bit-exactly**:
   metadata-cache replay over a controller's miss-event stream.
 * :func:`repro.replay.dram.replay_dram` — grouped per-(controller, bank)
   row-hit/row-miss scan replacing per-request ``DRAMChannel.service`` calls.
-* :func:`repro.replay.engine.replay_trace` — the orchestrator wired into
-  ``GPUSimulator.run`` behind the ``replay_mode`` knob.
+* :mod:`repro.replay.plan` — the backend-independent outcome of a replay
+  (:class:`~repro.replay.plan.ReplayPlan`), built once per prepared input
+  and geometry, and its per-job evaluation.
+* :func:`repro.replay.engine.replay_trace` — the simulator's replay entry
+  point and ``replay_mode="vectorized"``, its default.
 * :func:`repro.replay.reference.replay_trace_scalar` — the original scalar
-  loop, kept as the n = 1 reference the equivalence suite checks against.
+  loop and ``replay_mode="scalar"``, kept as the n = 1 reference the
+  equivalence suite checks against.
 """
 
 from repro.replay.dram import replay_dram

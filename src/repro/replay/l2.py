@@ -26,10 +26,32 @@ the just-touched MRU line, exactly as in the scalar loop.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.gpu.cache import SetAssociativeCache
+
+
+@dataclass(frozen=True)
+class L2Outcome:
+    """What replaying an address stream does to a cache, before it is applied."""
+
+    #: counter increments: hits, misses, evictions, writebacks
+    stats: tuple[int, int, int, int]
+    #: ``(set index, ((line, dirty), ...))`` for every set the stream
+    #: touched: its final contents, LRU first
+    sets: tuple[tuple[int, tuple[tuple[int, bool], ...]], ...]
+
+    def apply(self, cache: SetAssociativeCache) -> None:
+        """Advance ``cache`` (stats and touched sets) to the replayed state."""
+        hits, misses, evictions, writebacks = self.stats
+        cache.stats.hits += hits
+        cache.stats.misses += misses
+        cache.stats.evictions += evictions
+        cache.stats.writebacks += writebacks
+        for set_index, items in self.sets:
+            cache._sets[set_index] = OrderedDict(items)
 
 
 def replay_l2(
@@ -57,15 +79,28 @@ def replay_l2(
         Boolean miss mask aligned with ``addresses`` (one entry per RLE
         access: only the first access of a repeat run can miss).
     """
+    miss_mask, outcome = resolve_l2(cache, addresses, is_write, counts)
+    outcome.apply(cache)
+    return miss_mask
+
+
+def resolve_l2(
+    cache: SetAssociativeCache,
+    addresses: np.ndarray,
+    is_write: np.ndarray,
+    counts: np.ndarray | None = None,
+) -> tuple[np.ndarray, L2Outcome]:
+    """:func:`replay_l2` without touching ``cache``: the miss mask and the
+    outcome to apply."""
     addresses = np.asarray(addresses, dtype=np.int64)
     is_write = np.asarray(is_write, dtype=np.bool_)
     n = addresses.shape[0]
     miss_mask = np.zeros(n, dtype=np.bool_)
+    repeats = 0
     if counts is not None:
-        counts = np.asarray(counts, dtype=np.int64)
-        cache.stats.hits += int((counts - 1).sum())
+        repeats = int((np.asarray(counts, dtype=np.int64) - 1).sum())
     if n == 0:
-        return miss_mask
+        return miss_mask, L2Outcome((repeats, 0, 0, 0), ())
     if addresses.min() < 0:
         raise ValueError("block address must be non-negative")
 
@@ -145,16 +180,12 @@ def replay_l2(
         writebacks += int((evicted & victim_dirty).sum())
         miss_mask[pos_mat[:k, t][miss]] = True
 
-    cache.stats.hits += hits
-    cache.stats.misses += misses
-    cache.stats.evictions += evictions
-    cache.stats.writebacks += writebacks
-
-    # Write the final stacks back as OrderedDicts (LRU -> MRU order); the
-    # empty (-1) slots of a stack are its LRU tail.
-    empty = (stack == -1).sum(axis=1).tolist()
-    for set_index, lines, dirt, skip in zip(
-        active_sets.tolist(), stack[:, ::-1].tolist(), dirty[:, ::-1].tolist(), empty
-    ):
-        cache._sets[set_index] = OrderedDict(zip(lines[skip:], dirt[skip:]))
-    return miss_mask
+    # The final stacks, LRU first; a stack's empty (-1) slots are its tail.
+    filled = (stack != -1).sum(axis=1).tolist()
+    sets = tuple(
+        (set_index, tuple(zip(lines[:size][::-1], dirt[:size][::-1])))
+        for set_index, lines, dirt, size in zip(
+            active_sets.tolist(), stack.tolist(), dirty.tolist(), filled
+        )
+    )
+    return miss_mask, L2Outcome((hits + repeats, misses, evictions, writebacks), sets)

@@ -1,0 +1,455 @@
+"""Replay plans: the scheme-independent part of a trace replay, built once.
+
+Most of what the kernel-execution phase decides does not depend on the
+compression backend.  It depends only on the trace, the run's layout and
+the simulator geometry: the L2 size, line and ways, the controller count
+and interleave, the MDC entries and the DRAM timing.
+
+* which accesses miss the L2, and the L2's final contents and counters
+  (:func:`~repro.replay.l2.resolve_l2`);
+* which controller serves each miss, and in what order;
+* which store each read fetches: the latest earlier write miss of its
+  address, else what the block store held when the replay started (the host
+  copy), else nothing, which reads uncompressed;
+* every MDC hit, the MDC's final key order and its counters, over the fills
+  of the unbooked host copies followed by the misses (stored values never
+  change a hit);
+* each DRAM channel's row misses, precharges and final open rows
+  (:func:`~repro.replay.dram.scan_rows`);
+* for each write group (one per ``approximable`` flag), the last store of
+  every address.
+
+A :class:`ReplayPlan` holds all of it as read-only arrays, and
+:func:`evaluate` does the backend's part per job: ``store_batch`` on the
+write-miss rows, the burst gathers and sums, the MDC values (checked to lie
+in ``1..max_bursts``), the DRAM busy cycles and the final stores.  A
+:class:`ReplayCache` keeps one prepared input's plans, keyed by geometry,
+and its lossless per-row sizes, so every scheme and MAG simulated on the
+input shares both.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from repro.core.metadata_cache import MetadataCache
+from repro.gpu.backends import CompressionBackend, StoredBatch
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.memory_controller import (
+    MemoryController,
+    controller_index,
+    shared_store,
+    unbooked_host_copies,
+)
+from repro.gpu.trace import CompiledTrace, MemoryTrace
+from repro.obs import metrics
+from repro.obs.tracing import span
+from repro.replay.dram import RowScan, apply_rows, scan_rows
+from repro.replay.l2 import L2Outcome, resolve_l2
+from repro.replay.mdc import replay_mdc
+from repro.utils.blocks import block_count
+from repro.workloads.base import Region
+
+
+@dataclass(frozen=True, eq=False)
+class ControllerPlan:
+    """One memory controller's part of a :class:`ReplayPlan`."""
+
+    #: indices of the misses it serves, in service order
+    events: np.ndarray
+    #: indices into :attr:`ReplayPlan.host_addresses` of its host copies
+    host: np.ndarray
+    #: MDC entries it held before the replay
+    resident: int
+    #: final MDC keys, LRU first
+    mdc_keys: np.ndarray
+    #: where each final MDC value comes from: an index into the resident
+    #: values, then the host copies' bursts, then the events' bursts
+    mdc_source: np.ndarray
+    #: MDC counter increments: hits, misses, evictions, updates
+    mdc_stats: tuple[int, int, int, int]
+    #: the channel's row-buffer outcome
+    rows: RowScan
+
+
+@dataclass(frozen=True, eq=False)
+class ReplayPlan:
+    """The backend-independent outcome of replaying one compiled trace."""
+
+    #: accesses replayed, back-to-back repeats included
+    accesses: int
+    l2: L2Outcome
+    #: the L2 miss stream in trace order: block address and write flag
+    addresses: np.ndarray
+    is_write: np.ndarray
+    #: per miss: the write miss whose store it sees (itself for a write),
+    #: or -1 for the store's state before the replay
+    source: np.ndarray
+    #: per miss: whether its MDC lookup hits (never for a write)
+    mdc_hit: np.ndarray
+    #: ``(approximable, selected misses, last store of each address)``
+    write_groups: tuple[tuple[bool, np.ndarray, np.ndarray], ...]
+    #: the host copies the replay books first, ascending
+    host_addresses: np.ndarray
+    controllers: tuple[ControllerPlan, ...]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _check_bounds(compiled: CompiledTrace, regions: list[Region], block_size: int) -> None:
+    """Reject an access past the end of its region (there is no row for it)."""
+    limits = np.fromiter(
+        (block_count(region.array, block_size) for region in regions),
+        np.int64,
+        len(regions),
+    )
+    outside = np.flatnonzero(compiled.block_index >= limits[compiled.region_index])
+    if outside.size:
+        first = outside[0]
+        region = compiled.region_index[first]
+        verb = "write to" if compiled.is_write[first] else "read of"
+        raise IndexError(
+            f"{verb} block {int(compiled.block_index[first])} of region "
+            f"{regions[region].name!r}, which has {int(limits[region])} blocks"
+        )
+
+
+def _store_sources(addresses: np.ndarray, is_write: np.ndarray) -> np.ndarray:
+    """Per miss, the latest write miss of its address up to and including it.
+
+    A per-address forward fill over the misses sorted by (address, time);
+    -1 where the address has no write miss yet.
+    """
+    n = addresses.shape[0]
+    by_address = np.argsort(addresses, kind="stable")
+    sorted_addresses = addresses[by_address]
+    last_write = np.maximum.accumulate(
+        np.where(is_write[by_address], np.arange(n), -1)
+    )
+    group_start = np.searchsorted(sorted_addresses, sorted_addresses)
+    source = np.empty(n, dtype=np.int64)
+    source[by_address] = np.where(
+        last_write >= group_start, by_address[np.maximum(last_write, 0)], -1
+    )
+    return source
+
+
+def _plan_mdc(
+    mdc: MetadataCache,
+    host: np.ndarray,
+    addresses: np.ndarray,
+    is_read: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """MDC hits, final entries and counters over host fills then miss events.
+
+    Replays both streams through a shadow copy of ``mdc`` whose values are
+    codes — ``1..r`` for the ``r`` resident entries, then one per fill and
+    event — so the final entries name the value each one keeps.  The fills
+    and the events are two replays, so each takes the fast path whenever
+    it can.  Returns the events' hits, the final keys, each key's value
+    source (code - 1) and the counter increments.
+    """
+    resident = len(mdc)
+    end = resident + host.size + addresses.size
+    shadow = MetadataCache(capacity_entries=mdc.capacity_entries, max_bursts=max(1, end))
+    shadow._entries = OrderedDict(zip(mdc._entries, range(1, resident + 1)))
+    fills = resident + host.size
+    replay_mdc(shadow, host, np.zeros(host.size, dtype=np.bool_),
+               np.arange(resident + 1, fills + 1))
+    hits = replay_mdc(shadow, addresses, is_read, np.arange(fills + 1, end + 1))
+    n = len(shadow)
+    keys = np.fromiter(shadow._entries.keys(), np.int64, n)
+    source = np.fromiter(shadow._entries.values(), np.int64, n) - 1
+    stats = shadow.stats
+    return hits, keys, source, (stats.hits, stats.misses, stats.evictions, stats.updates)
+
+
+def build_plan(
+    compiled: CompiledTrace,
+    *,
+    regions: list[Region],
+    block_size: int,
+    l2: SetAssociativeCache,
+    controllers: list[MemoryController],
+    interleave_blocks: int,
+) -> ReplayPlan:
+    """Plan the replay of ``compiled`` from the objects' current state.
+
+    ``regions`` are ``compiled.regions`` in order.  Nothing is modified.
+
+    Raises:
+        IndexError: if an access lies past the end of its region.
+    """
+    _check_bounds(compiled, regions, block_size)
+    with span("replay.l2", cat="replay", accesses=len(compiled)):
+        miss, l2_outcome = resolve_l2(
+            l2, compiled.addresses, compiled.is_write, compiled.counts
+        )
+    addresses = compiled.addresses[miss]
+    is_write = compiled.is_write[miss]
+    approximable = np.fromiter(
+        (region.approximable for region in regions), np.bool_, len(regions)
+    )[compiled.region_index[miss]]
+    owner = controller_index(addresses, interleave_blocks, len(controllers))
+    host = unbooked_host_copies(controllers)
+    host_owner = controller_index(host, interleave_blocks, len(controllers))
+
+    write_groups = []
+    writes = np.flatnonzero(is_write)
+    for flag in (True, False):
+        selected = writes[approximable[writes] == flag]
+        if selected.size:
+            chosen = addresses[selected]
+            last = chosen.size - 1 - np.unique(chosen[::-1], return_index=True)[1]
+            _read_only(selected, last)
+            write_groups.append((flag, selected, last))
+
+    mdc_hit = np.zeros(addresses.shape[0], dtype=np.bool_)
+    parts = []
+    with span("replay.controllers", cat="replay", misses=int(addresses.shape[0])):
+        for c, controller in enumerate(controllers):
+            events = np.flatnonzero(owner == c)
+            mine = np.flatnonzero(host_owner == c)
+            hits, keys, source, mdc_stats = _plan_mdc(
+                controller.mdc, host[mine], addresses[events], ~is_write[events]
+            )
+            mdc_hit[events] = hits
+            _read_only(events, mine, keys, source)
+            parts.append(ControllerPlan(
+                events=events,
+                host=mine,
+                resident=len(controller.mdc),
+                mdc_keys=keys,
+                mdc_source=source,
+                mdc_stats=mdc_stats,
+                rows=scan_rows(
+                    controller.channel, addresses[events] * controller.block_size_bytes
+                ),
+            ))
+
+    plan = ReplayPlan(
+        accesses=int(compiled.counts.sum()),
+        l2=l2_outcome,
+        addresses=addresses,
+        is_write=is_write,
+        source=_store_sources(addresses, is_write),
+        mdc_hit=mdc_hit,
+        write_groups=tuple(write_groups),
+        host_addresses=host,
+        controllers=tuple(parts),
+    )
+    _read_only(
+        plan.addresses, plan.is_write, plan.source, plan.mdc_hit, plan.host_addresses
+    )
+    return plan
+
+
+def evaluate(
+    plan: ReplayPlan,
+    *,
+    rows: np.ndarray,
+    l2: SetAssociativeCache,
+    controllers: list[MemoryController],
+    cache: "ReplayCache | None" = None,
+) -> None:
+    """Apply ``plan`` with the controllers' backend.
+
+    The objects must be in the state the plan was built from.  Write misses
+    are stored through ``cache`` (its per-row sizes) when given, else
+    through ``store_batch`` on their rows.
+
+    Raises:
+        ValueError: if a burst count the MDC would record lies outside
+            ``1..max_bursts``.
+    """
+    store = shared_store(controllers)
+    backend = controllers[0].backend
+    n = plan.addresses.shape[0]
+
+    bursts = np.zeros(n, dtype=np.int64)
+    lossy = np.zeros(n, dtype=np.bool_)
+    write_backs = []
+    for flag, selected, last in plan.write_groups:
+        addresses = plan.addresses[selected]
+        with span("replay.store_batch", cat="replay", writes=int(selected.size)):
+            if cache is not None:
+                batch = cache.store(backend, addresses, flag)
+            else:
+                batch = backend.store_batch(rows[addresses], approximable=flag)
+        bursts[selected] = batch.bursts
+        lossy[selected] = batch.lossy
+        write_backs.append((addresses[last], batch.take(last)))
+
+    # The bursts each miss's block is stored with: its source write's, else
+    # the store's before the replay (a never-stored block reads uncompressed).
+    before = store.bursts_at(plan.addresses)
+    actual = np.where(
+        plan.source >= 0,
+        bursts[plan.source],
+        np.where(before > 0, before, backend.max_bursts),
+    )
+    host_bursts = store.bursts[plan.host_addresses]
+    host_lossy = store.lossy[plan.host_addresses]
+
+    for controller, part in zip(controllers, plan.controllers):
+        mdc = controller.mdc
+        write = plan.is_write[part.events]
+        read = ~write
+        values = actual[part.events]
+        table = np.concatenate([
+            np.fromiter(mdc._entries.values(), np.int64, part.resident),
+            host_bursts[part.host],
+            values,
+        ])
+        if table.size and (table.min() < 1 or table.max() > mdc.max_bursts):
+            raise ValueError(f"burst count must be 1..{mdc.max_bursts}")
+        # A read that misses the MDC fetches the worst case.
+        fetched = np.where(write | plan.mdc_hit[part.events], values, mdc.max_bursts)
+        read_bursts = int(fetched[read].sum())
+        write_bursts = int(values[write].sum())
+        n_reads = int(read.sum())
+        n_writes = part.events.size - n_reads
+
+        stats = controller.stats
+        stats.reads += n_reads
+        stats.writes += n_writes
+        stats.read_bursts += read_bursts
+        stats.write_bursts += write_bursts
+        stats.decompress_invocations += n_reads
+        stats.compress_invocations += n_writes + part.host.size
+        stats.mdc_extra_bursts += read_bursts - int(values[read].sum())
+        stats.lossy_blocks += (
+            int(lossy[part.events].sum()) + int(host_lossy[part.host].sum())
+        )
+
+        mdc._entries = OrderedDict(
+            zip(part.mdc_keys.tolist(), table[part.mdc_source].tolist())
+        )
+        hits, misses, evictions, updates = part.mdc_stats
+        mdc.stats.hits += hits
+        mdc.stats.misses += misses
+        mdc.stats.evictions += evictions
+        mdc.stats.updates += updates
+        apply_rows(controller.channel, part.rows, read_bursts + write_bursts)
+
+    plan.l2.apply(l2)
+    for addresses, batch in write_backs:
+        store.write(addresses, batch)
+    if metrics.enabled():
+        metrics.inc("replay.accesses", plan.accesses)
+        metrics.inc("replay.l2_misses", n)
+
+
+def _geometry(
+    l2: SetAssociativeCache, controllers: list[MemoryController], interleave_blocks: int
+) -> tuple:
+    """Everything besides the trace that a plan depends on."""
+    return (
+        l2.size_bytes, l2.line_bytes, l2.ways, interleave_blocks,
+        tuple(
+            (c.block_size_bytes, c.mdc.capacity_entries, c.channel.timing)
+            for c in controllers
+        ),
+    )
+
+
+def _fresh(l2: SetAssociativeCache, controllers: list[MemoryController]) -> bool:
+    """Whether nothing has been replayed on these objects yet."""
+    return not any(l2._sets) and all(
+        not (c.mdc.stats.updates or len(c.mdc))
+        and all(row is None for row in c.channel._open_rows.values())
+        for c in controllers
+    )
+
+
+class ReplayCache:
+    """What the runs on one prepared input share: plans and per-row sizes.
+
+    A :class:`~repro.gpu.simulator.PreparedInput` holds one; it is dropped
+    with the input.
+
+    * :attr:`plans` maps a geometry (:func:`_geometry`) to the plan of a
+      run's first, unchunked replay, from fresh L2, MDC and DRAM state.
+    * :attr:`sizes` maps a backend's :attr:`~repro.gpu.backends.
+      CompressionBackend.size_key` to the stored bits of every row, computed
+      once in slices of :attr:`SIZE_SLICE_ROWS` rows.  Another MAG then only
+      re-rounds the bursts.
+
+    Every array it holds is read-only.  Threads sharing an input may race
+    to build the same plan or sizes; both results are equal, and either is
+    kept.
+    """
+
+    #: rows per size-kernel call; bounds the kernels' temporary arrays
+    SIZE_SLICE_ROWS = 1024
+
+    def __init__(self, trace: MemoryTrace, rows: np.ndarray) -> None:
+        self.trace = trace
+        self.rows = rows
+        self.plans: dict[tuple, ReplayPlan] = {}
+        self.sizes: dict[tuple, np.ndarray] = {}
+
+    def store(
+        self,
+        backend: CompressionBackend,
+        addresses: "slice | np.ndarray",
+        approximable: bool,
+    ) -> StoredBatch:
+        """``backend.store_batch(rows[addresses], approximable)``, from the
+        memoized sizes when the backend has a size key."""
+        key = backend.size_key
+        if key is None:
+            return backend.store_batch(self.rows[addresses], approximable=approximable)
+        sizes = self.sizes.get(key)
+        if sizes is None:
+            step = self.SIZE_SLICE_ROWS
+            sizes = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                backend.size_bits(self.rows[start:start + step])
+                for start in range(0, self.rows.shape[0], step)
+            ])
+            _read_only(sizes)
+            self.sizes[key] = sizes
+        return backend.from_sizes(sizes[addresses], self.rows[addresses])
+
+    def plan(
+        self,
+        trace: MemoryTrace,
+        rows: np.ndarray,
+        l2: SetAssociativeCache,
+        controllers: list[MemoryController],
+        interleave_blocks: int,
+        build: Callable[[], ReplayPlan],
+    ) -> ReplayPlan:
+        """The cached plan for this geometry, else ``build()``'s (kept).
+
+        Counts ``replay.plan.reuse`` on a hit under
+        :func:`repro.obs.metrics.enabled`.
+
+        Raises:
+            ValueError: if ``trace`` or ``rows`` belong to another input, or
+                the objects are not fresh, or their store holds other host
+                copies than the cached plan books.
+        """
+        if trace is not self.trace or rows is not self.rows:
+            raise ValueError("the replay cache belongs to another prepared input")
+        if not _fresh(l2, controllers):
+            raise ValueError(
+                "a cached replay plan starts from fresh L2, MDC and DRAM state"
+            )
+        key = _geometry(l2, controllers, interleave_blocks)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = build()
+            return plan
+        if not np.array_equal(unbooked_host_copies(controllers), plan.host_addresses):
+            raise ValueError("the block store holds other host copies than the plan")
+        if metrics.enabled():
+            metrics.inc("replay.plan.reuse")
+        return plan

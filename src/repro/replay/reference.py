@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpu.cache import SetAssociativeCache
-from repro.gpu.memory_controller import MemoryController, controller_index
+from repro.gpu.memory_controller import (
+    MemoryController,
+    book_host_copies,
+    controller_index,
+)
 from repro.gpu.trace import MemoryTrace
 from repro.utils.blocks import block_count
 from repro.workloads.base import Region
@@ -40,10 +44,26 @@ def replay_trace_scalar(
         controllers: the memory controllers (block addresses interleave
             across them in groups of ``interleave_blocks``).
         interleave_blocks: consecutive blocks kept on one controller.
+
+    Host copies written to the store but not yet booked (see
+    :func:`~repro.gpu.memory_controller.unbooked_host_copies`) are booked
+    first, one block at a time.
     """
+    book_host_copies(controllers, interleave_blocks)
     num_controllers = len(controllers)
+    limits = {
+        name: block_count(region.array, rows.shape[1])
+        for name, region in all_regions.items()
+    }
     for access in trace:
         region = all_regions[access.region]
+        limit = limits[access.region]
+        if access.block_index >= limit:
+            verb = "write to" if access.is_write else "read of"
+            raise IndexError(
+                f"{verb} block {access.block_index} of region "
+                f"{region.name!r}, which has {limit} blocks"
+            )
         address = base_addresses[access.region] + access.block_index
         for _ in range(access.count):
             hit = l2.access(address, is_write=access.is_write)
@@ -53,12 +73,6 @@ def replay_trace_scalar(
                 controller_index(address, interleave_blocks, num_controllers)
             ]
             if access.is_write:
-                limit = block_count(region.array, rows.shape[1])
-                if access.block_index >= limit:
-                    raise IndexError(
-                        f"write to block {access.block_index} of region "
-                        f"{region.name!r}, which has {limit} blocks"
-                    )
                 controller.store_block(
                     address,
                     rows[address].tobytes(),

@@ -234,16 +234,22 @@ def test_replay_requires_one_shared_store():
         )
 
 
-@pytest.mark.parametrize("engine", [replay_trace, replay_trace_scalar])
-def test_write_past_region_end_fails_loudly(engine):
+@pytest.mark.parametrize("engine, access", [
+    pytest.param(replay_trace, AccessType.WRITE, id="replay_trace"),
+    pytest.param(replay_trace_scalar, AccessType.WRITE, id="replay_trace_scalar"),
+    pytest.param(replay_trace, AccessType.READ, id="replay_trace-read"),
+    pytest.param(replay_trace_scalar, AccessType.READ, id="replay_trace_scalar-read"),
+])
+def test_write_past_region_end_fails_loudly(engine, access):
     regions = {
         "a": Region(name="a", array=np.zeros(32, dtype=np.float32)),
         "b": Region(name="b", array=np.zeros(32, dtype=np.float32)),
     }
     store = BlockStore(128, n_blocks=2)
     controllers = [MemoryController(0, NoCompressionBackend(), store=store)]
-    trace = MemoryTrace([MemoryAccess("a", 1, AccessType.WRITE)])
-    with pytest.raises(IndexError, match="block 1 of region 'a', which has 1 blocks"):
+    trace = MemoryTrace([MemoryAccess("a", 1, access)])
+    verb = "write to" if access is AccessType.WRITE else "read of"
+    with pytest.raises(IndexError, match=f"{verb} block 1 of region 'a', which has 1 blocks"):
         engine(
             trace, all_regions=regions, rows=np.zeros((2, 128), np.uint8),
             base_addresses={"a": 0, "b": 1}, l2=SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2),

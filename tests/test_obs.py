@@ -231,6 +231,24 @@ def test_trajectory_record_accumulates(tmp_path):
     assert data["metrics"]["b"]["gate"] is False
 
 
+def test_recorded_tolerance_reaches_the_snapshot_gate(tmp_path, capsys):
+    """A per-metric tolerance recorded with a measurement is kept by the
+    snapshot taken from it and bands that metric in later checks."""
+    current = tmp_path / "current.json"
+    trajectory.record(current, "gm_quick", 10.0, unit="x", tolerance=0.5)
+    trajectory.record(current, "gm", 10.0, unit="x")
+    assert cli_main(["bench", "snapshot", "--from", str(current),
+                     "--dir", str(tmp_path)]) == 0
+    doc = trajectory.load_snapshot(tmp_path / "BENCH_0001.json")
+    assert doc["metrics"]["gm_quick"]["tolerance"] == 0.5
+    assert "tolerance" not in doc["metrics"]["gm"]
+    report = trajectory.compare(
+        {"gm_quick": trajectory.metric(6.0), "gm": trajectory.metric(6.0)}, doc
+    )
+    assert [name for name, *_ in report.passed] == ["gm_quick"]
+    assert [name for name, *_ in report.regressions] == ["gm"]
+
+
 def test_bench_check_cli_gate(tmp_path, capsys):
     """The CI gate demonstrably fails (exit 1) when the GM speedup drops."""
     _snapshot(tmp_path, value=10.0, tolerance=0.2)
