@@ -2,17 +2,19 @@
 
 ``run_campaign`` is the one entry point: it expands a spec, serves every
 already-stored grid cell from the result store (content-hash lookup, zero
-simulation), and fans the remaining jobs out over a ``ProcessPoolExecutor``
-when ``workers > 1``.  The result exposes records in deterministic grid
+simulation), and runs the remaining jobs on ``workers`` long-lived pool
+processes when ``workers > 1``, each kept on the input it holds (see
+:func:`pick_input`).  The result exposes records in deterministic grid
 order however they completed, per-job failures are captured as error
 records instead of propagating, and every fresh result is appended to the
 store the moment it arrives, so an interrupted sweep resumes where it
 stopped.
 
 Robustness knobs: ``job_timeout`` converts a wedged job into a captured
-error record instead of stalling the campaign forever, and Ctrl-C marks
-the partial outcome ``interrupted`` (completed records are already in the
-store) instead of dumping a traceback.  The distributed coordinator
+error record instead of stalling the campaign forever, a pool process that
+dies mid-job costs only its job (also a captured error record), and Ctrl-C
+marks the partial outcome ``interrupted`` (completed records are already
+in the store) instead of dumping a traceback.  The distributed coordinator
 (:mod:`repro.campaign.service`) reuses the cache pass and the record
 collector so both execution paths store byte-identical records.
 """
@@ -20,13 +22,16 @@ collector so both execution paths store byte-identical records.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import signal
 import socket
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Collection, Hashable, Iterator, Mapping
 
 import repro.obs as obs
 from repro.campaign.spec import CampaignSpec, Job
@@ -126,11 +131,11 @@ def serve_cached(
     """Fill ``outcome`` from the store; returns the jobs still to run.
 
     The pending jobs come grouped by :attr:`Job.input_key` — groups in
-    order of first appearance, grid order within a group — so the pool
-    and the lease queue hand consecutive same-input jobs to each worker,
-    whose :class:`~repro.campaign.worker.InputCache` then prepares every
-    input once.  ``outcome.jobs`` (and so ``iter_records``) keeps grid
-    order.
+    order of first appearance, grid order within a group.  The local pool
+    keeps each worker on the group it holds (:func:`pick_input`), so its
+    :class:`~repro.campaign.worker.InputCache` prepares the input about
+    once; the lease queue hands the jobs out in this order, first in first
+    out.  ``outcome.jobs`` (and so ``iter_records``) keeps grid order.
     """
     pending: dict[tuple, list[Job]] = {}
     with tracing.span("campaign.lookup", cat="campaign", jobs=len(outcome.jobs)):
@@ -173,37 +178,148 @@ def make_collector(
     return collect
 
 
-def timeout_record(job: Job, timeout_s: float) -> dict:
-    """Error-record dict for a job whose future exceeded ``job_timeout``."""
+def _lost_record(job: Job, error: str, elapsed_s: float, **provenance) -> dict:
+    """Error-record dict for a job the pool gave up on without a result."""
     return {
         "job_hash": job.content_hash,
         "job": job.to_dict(),
         "status": "error",
         "result": None,
-        "error": (
-            f"job exceeded job_timeout={timeout_s:g}s and was abandoned "
-            "(worker process may still be running; re-run to retry)"
-        ),
-        "elapsed_s": float(timeout_s),
+        "error": error,
+        "elapsed_s": float(elapsed_s),
         "provenance": {"hostname": socket.gethostname(), "pid": os.getpid(),
-                       "timed_out": True},
+                       **provenance},
     }
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Best-effort kill of a pool holding wedged workers.
+def timeout_record(job: Job, timeout_s: float) -> dict:
+    """Error-record dict for a job that exceeded ``job_timeout``."""
+    return _lost_record(
+        job,
+        f"job exceeded job_timeout={timeout_s:g}s and was abandoned "
+        "(its worker process was replaced; re-run to retry)",
+        timeout_s,
+        timed_out=True,
+    )
 
-    ``shutdown(wait=False)`` alone leaves a truly hung worker process
-    blocking interpreter exit (concurrent.futures joins workers atexit),
-    so the leaked processes are terminated outright.  Uses the private
-    ``_processes`` map — guarded, because there is no public handle.
+
+def worker_died_record(job: Job, exitcode: int | None, elapsed_s: float) -> dict:
+    """Error-record dict for a job whose pool process died while running it."""
+    return _lost_record(
+        job,
+        f"worker process died with exit code {exitcode} while running the "
+        "job (its process was replaced; re-run to retry)",
+        elapsed_s,
+        worker_died=True,
+        exitcode=exitcode,
+    )
+
+
+def pick_input(
+    pending: Mapping[Hashable, int],
+    held: Hashable | None,
+    others: Collection[Hashable],
+) -> Hashable | None:
+    """The input a free pool worker takes its next job from.
+
+    ``pending`` counts each input's unsent jobs, inputs in order of first
+    appearance; ``held`` is the input the worker holds and ``others`` the
+    inputs the other workers hold.  The worker stays on its input while it
+    has jobs.  Otherwise it takes the largest input no other worker holds,
+    and only when every remaining input is held does it join the held one
+    with the most jobs; ties go to the input that appeared first.  None
+    when no job is left.
     """
-    pool.shutdown(wait=False, cancel_futures=True)
-    try:
-        for proc in list((pool._processes or {}).values()):
-            proc.terminate()
-    except Exception:
-        pass
+    left = [key for key, count in pending.items() if count]
+    if held in left:
+        return held
+    unheld = [key for key in left if key not in others]
+    return max(unheld or left, key=pending.__getitem__, default=None)
+
+
+def _serve(conn: Connection, obs_state: dict) -> None:
+    """A pool process: run each ``(fn, job_dict)`` received, send back its record.
+
+    Stops on ``None``.  Ctrl-C is left to the parent, which stops its
+    workers itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    obs.apply_state(obs_state)
+    while (message := conn.recv()) is not None:
+        fn, job_dict = message
+        conn.send(fn(job_dict))
+
+
+class _PoolWorker:
+    """One pool process, the job it runs and the input it holds."""
+
+    def __init__(self) -> None:
+        self._start()
+
+    def _start(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        # The default start method (fork on Linux): a worker starts with the
+        # parent's imports.  Spawning two workers cost 0.3-0.4 s of imports
+        # on a 2-core host, a third of a tournament study, against 5 ms.
+        self.process = multiprocessing.Process(
+            target=_serve, args=(child, obs.state()), daemon=True
+        )
+        self.process.start()
+        child.close()
+        #: input key of the last job sent: the process's INPUT_CACHE entry
+        self.held: tuple | None = None
+        self.job: Job | None = None
+        self.sent_at = self.deadline = math.inf
+
+    def send(self, job: Job, timeout: float | None) -> None:
+        """Start ``job``; its timeout clock starts now."""
+        self.job, self.held = job, job.input_key
+        self.sent_at = time.monotonic()
+        self.deadline = math.inf if timeout is None else self.sent_at + timeout
+        with suppress(OSError):  # a dead process shows up in receive()
+            self.conn.send((execute_job, job.to_dict()))
+
+    def receive(self) -> dict:
+        """The sent job's record, or a died record if the process exited."""
+        try:
+            record = self.conn.recv()
+        except (EOFError, OSError):
+            job, elapsed = self.job, time.monotonic() - self.sent_at
+            exitcode = self.replace()
+            _log.warning("worker process died (exit code %s) running %s, "
+                         "recording it as failed", exitcode, job.label())
+            if metrics.enabled():
+                metrics.inc("campaign.worker.died")
+            return worker_died_record(job, exitcode, elapsed)
+        self.job = None
+        return record
+
+    def expire(self, timeout: float) -> dict:
+        """Replace the process of a job past its deadline; the timeout record."""
+        job = self.job
+        self.replace()
+        _log.warning("job %s timed out after %gs, recording as failed",
+                     job.label(), timeout)
+        if metrics.enabled():
+            metrics.inc("campaign.job.timeout")
+        return timeout_record(job, timeout)
+
+    def replace(self) -> int | None:
+        """Start a fresh process holding no input; returns the old exit code."""
+        exitcode = self.stop()
+        self._start()
+        return exitcode
+
+    def stop(self) -> int | None:
+        """End the process, asked when idle and killed when busy; its exit code."""
+        if self.job is None:
+            with suppress(OSError):
+                self.conn.send(None)
+        else:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+        return self.process.exitcode
 
 
 def _run_pool(
@@ -213,61 +329,56 @@ def _run_pool(
     collect: Callable[[dict], None],
     outcome: CampaignResult,
 ) -> None:
-    """Fan ``pending`` over a process pool, collecting in completion order.
+    """Run ``pending`` on long-lived pool processes, collecting as jobs finish.
 
-    At most ``workers`` jobs are in flight, so a job's timeout clock starts
-    when it is submitted to a free slot, not when the campaign started.
-    A timed-out future is converted into a captured error record and its
-    slot re-used; the wedged process is terminated during shutdown.
+    The parent sends each worker one job at a time and remembers the input
+    it holds: :func:`pick_input` keeps a worker on its input's jobs, so
+    each input is prepared about once however many schemes and MAGs share
+    it.  A job's timeout clock starts when it is sent.  A job that times
+    out, or whose process dies, becomes a captured error record, and only
+    that worker's process is replaced; the others keep theirs and their
+    inputs.
     """
-    max_workers = min(workers, len(pending))
-    pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=obs.worker_init,
-        initargs=(obs.state(),),
-    )
-    queued: deque[Job] = deque(pending)
-    in_flight: dict = {}  # future -> (job, deadline)
-    timed_out = False
+    queues: dict[tuple, deque[Job]] = {}
+    for job in pending:
+        queues.setdefault(job.input_key, deque()).append(job)
+    pool: list[_PoolWorker] = []
     try:
-        while queued or in_flight:
-            while queued and len(in_flight) < max_workers:
-                job = queued.popleft()
-                deadline = (
-                    math.inf if job_timeout is None
-                    else time.monotonic() + job_timeout
-                )
-                in_flight[pool.submit(execute_job, job.to_dict())] = (job, deadline)
-            timeout = None
-            if job_timeout is not None:
-                next_deadline = min(dl for _, dl in in_flight.values())
-                timeout = max(0.0, next_deadline - time.monotonic())
-            done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
-            for future in done:
-                del in_flight[future]
-                collect(future.result())
-            if job_timeout is not None:
-                now = time.monotonic()
-                expired = [f for f, (_, dl) in in_flight.items() if dl <= now]
-                for future in expired:
-                    job, _ = in_flight.pop(future)
-                    future.cancel()  # almost certainly running; best-effort
-                    timed_out = True
-                    _log.warning("job %s timed out after %gs, recording as "
-                                 "failed", job.label(), job_timeout)
-                    if metrics.enabled():
-                        metrics.inc("campaign.job.timeout")
-                    collect(timeout_record(job, job_timeout))
+        for _ in range(min(workers, len(pending))):
+            pool.append(_PoolWorker())
+        while True:
+            for worker in pool:
+                if worker.job is None:
+                    key = pick_input(
+                        {key: len(queue) for key, queue in queues.items()},
+                        worker.held,
+                        {other.held for other in pool if other is not worker},
+                    )
+                    if key is not None:
+                        worker.send(queues[key].popleft(), job_timeout)
+            busy = [worker for worker in pool if worker.job is not None]
+            if not busy:
+                break
+            deadline = min(worker.deadline for worker in busy)
+            ready = wait(
+                [worker.conn for worker in busy],
+                None if deadline == math.inf
+                else max(0.0, deadline - time.monotonic()),
+            )
+            now = time.monotonic()
+            for worker in busy:
+                if worker.conn in ready:
+                    collect(worker.receive())
+                elif worker.deadline <= now:
+                    collect(worker.expire(job_timeout))
     except KeyboardInterrupt:
         outcome.interrupted = True
         _log.warning("interrupted — cancelling %d pending job(s)",
-                     len(in_flight) + len(queued))
-        _terminate_pool(pool)
-        return
-    if timed_out:
-        _terminate_pool(pool)
-    else:
-        pool.shutdown()
+                     sum(worker.job is not None for worker in pool)
+                     + sum(map(len, queues.values())))
+    finally:
+        for worker in pool:
+            worker.stop()
 
 
 def run_jobs(
@@ -310,8 +421,8 @@ def run_jobs(
             # Collect in completion order so every finished job is persisted
             # and reported immediately — an interrupted sweep keeps
             # everything that finished, even while a slow early job is still
-            # running.  The pool initializer carries the observability
-            # switches into the workers (robust under both fork and spawn).
+            # running.  Each pool process applies the parent's observability
+            # switches when it starts (robust under both fork and spawn).
             _run_pool(pending, workers, job_timeout, collect, outcome)
         else:
             try:

@@ -21,8 +21,8 @@ against a single-process run bit for bit.
 Failure handling lives in the queue (lease expiry, strikes, quarantine);
 the service layer adds graceful degradation: if no worker shows up (or all
 of them die) within the grace period, the coordinator falls back to the
-in-process ``ProcessPoolExecutor`` path for whatever is left, so a
-campaign started as distributed always completes.
+local process pool (:func:`~repro.campaign.executor.run_jobs`) for
+whatever is left, so a campaign started as distributed always completes.
 
 :class:`CampaignService` is transport-free (``handle(method, path,
 payload)``), so the protocol is unit-testable without sockets; the HTTP

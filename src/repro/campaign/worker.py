@@ -1,15 +1,16 @@
 """Job execution: the function a campaign worker process runs.
 
 Kept in its own module so :func:`execute_job` is importable at top level —
-a requirement for ``ProcessPoolExecutor`` under the ``spawn`` start method —
-and so the campaign package depends only on the core/gpu/workload layers
-(the studies build on the campaign engine, not the other way
-around).
+the executor pickles it by name to its pool processes — and so the
+campaign package depends only on the core/gpu/workload layers (the
+studies build on the campaign engine, not the other way around).
 
 Each process keeps the last prepared workload input in
-:data:`INPUT_CACHE`, so consecutive jobs on one input (the executor hands
-them out grouped) generate it, run its exact kernel and fit its symbol
-model once.
+:data:`INPUT_CACHE`, so consecutive jobs on one input generate it, run its
+exact kernel and fit its symbol model once.  The local pool sends each
+worker the jobs of the input it holds back to back
+(:func:`repro.campaign.executor.pick_input`); distributed workers take
+leases in the queue's grouped first-in-first-out order.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ def default_chunk_accesses() -> int | None:
 
 class InputCache:
     """One prepared workload input, kept while consecutive jobs share it.
+
+    A pool worker's jobs share its input until that input's jobs run out
+    (:func:`repro.campaign.executor.pick_input`), so each input is
+    prepared about once per campaign, not once per worker.
 
     The key names everything preparation depends on: the registered
     factory object (so a re-registered name never serves the old input),

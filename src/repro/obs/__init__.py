@@ -20,10 +20,9 @@ path pays (almost) nothing when nobody is watching:
   CI regression gate that keeps "fast as the hardware allows" measured
   instead of remembered.
 
-:func:`state` / :func:`apply_state` / :func:`worker_init` carry the
-enable flags across the ``ProcessPoolExecutor`` boundary so spans and
-metrics recorded inside worker processes are collected exactly like the
-parent's.
+:func:`state` / :func:`apply_state` carry the enable flags into campaign
+pool and distributed worker processes, so spans and metrics recorded
+there are collected exactly like the parent's.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "tracing",
     "state",
     "apply_state",
-    "worker_init",
 ]
 
 
@@ -53,13 +51,3 @@ def apply_state(obs_state: dict) -> None:
     tracing.enable(bool(obs_state.get("tracing")))
     metrics.enable(bool(obs_state.get("metrics")))
     metrics.enable_tracemalloc(bool(obs_state.get("tracemalloc")))
-
-
-def worker_init(obs_state: dict) -> None:
-    """``ProcessPoolExecutor`` initializer: inherit the parent's switches.
-
-    Top-level (picklable) so it survives the ``spawn`` start method; under
-    ``fork`` it is also what makes the flags explicit instead of relying on
-    inherited module state.
-    """
-    apply_state(obs_state)

@@ -14,8 +14,8 @@ Design constraints, in order:
    even with instrumentation compiled in.
 2. **Process-portable.**  Spans carry wall-clock microsecond timestamps
    (``time.time_ns``), which all processes on a host share, plus their
-   ``pid``/``tid`` — so worker spans serialized back over the
-   ``ProcessPoolExecutor`` boundary merge into one coherent timeline.
+   ``pid``/``tid`` — so worker spans serialized back from the campaign
+   pool's processes merge into one coherent timeline.
    Durations come from ``time.perf_counter_ns`` (monotonic).
 3. **Context-aware.**  A :data:`contextvars.ContextVar` tracks the
    innermost open span, so each span records its parent's name without

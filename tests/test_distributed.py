@@ -10,6 +10,7 @@ for in-process sites, via ``REPRO_FAULT_SPEC`` for worker subprocesses.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import subprocess
 import sys
@@ -64,7 +65,6 @@ def worker_cmd(url: str, *extra: str) -> list[str]:
 
 
 def worker_env(**overrides: str) -> dict:
-    import os
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(faults.ENV_VAR, None)
@@ -268,7 +268,7 @@ def test_heartbeat_renews_and_detects_quarantine():
 
 
 # --------------------------------------------------------------------- #
-# job_timeout (satellite): a wedged future becomes a captured error
+# job_timeout and worker death: a lost job becomes a captured error
 
 
 def _wedge(job_dict: dict) -> dict:
@@ -309,6 +309,34 @@ def test_job_timeout_spares_healthy_jobs(monkeypatch, tmp_path):
     monkeypatch.setattr(executor_mod, "execute_job", real_execute_job)
     retried = run_jobs(None, jobs, store=store, workers=1)
     assert retried.n_cached == 1 and retried.n_executed == 1
+    assert retried.n_failed == 0
+
+
+def _die_on_seed_one(job_dict: dict) -> dict:
+    if job_dict.get("seed") == 1:
+        os._exit(9)
+    return real_execute_job(job_dict)
+
+
+def test_pool_worker_death_costs_only_its_job(monkeypatch, tmp_path):
+    monkeypatch.setattr(executor_mod, "execute_job", _die_on_seed_one)
+    store = ResultStore(tmp_path / "camp")
+    jobs = [Job(workload="NN", scheme="E2MC", scale=TINY_DIST,
+                compute_error=False, seed=i) for i in range(4)]
+    outcome = run_jobs(None, jobs, store=store, workers=2)
+    assert outcome.n_failed == 1 and outcome.n_missing == 0
+    by_seed = {job.seed: record for job, record in outcome.iter_records()}
+    assert all(by_seed[seed].ok for seed in (0, 2, 3))
+    assert by_seed[1].provenance.get("worker_died") is True
+    assert by_seed[1].provenance.get("exitcode") == 9
+    assert "exit code 9" in (by_seed[1].error or "")
+    # only the dead process was replaced: the healthy cells ran on the
+    # surviving worker and the replacement, two processes at most
+    assert len({by_seed[seed].provenance["pid"] for seed in (0, 2, 3)}) <= 2
+    # the died cell is retried, the others are served from the store
+    monkeypatch.setattr(executor_mod, "execute_job", real_execute_job)
+    retried = run_jobs(None, jobs, store=store, workers=2)
+    assert retried.n_cached == 3 and retried.n_executed == 1
     assert retried.n_failed == 0
 
 

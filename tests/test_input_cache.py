@@ -5,18 +5,28 @@ regions, exact outputs, blocks, layout, training samples, trace) and the
 symbol models fitted on it, so consecutive jobs on one input skip all of
 that.  These tests pin that a warm job is bit-identical to a cold one for
 every scheme, that the cache can never serve a stale or mutated input or
-hold two at once, and that the executor hands jobs out grouped by input.
+hold two at once, and that the local pool keeps each worker on the input
+it holds (:func:`~repro.campaign.executor.pick_input`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import worker
-from repro.campaign.executor import CampaignResult, run_jobs, serve_cached
+from repro.campaign.executor import (
+    CampaignResult,
+    pick_input,
+    run_jobs,
+    serve_cached,
+)
 from repro.campaign.spec import KNOWN_SCHEMES, PAPER_SCHEMES, CampaignSpec, Job
+from repro.campaign.store import ResultStore
 from repro.compression.e2mc import E2MCCompressor, SymbolModel
 from repro.gpu.simulator import GPUSimulator
 from repro.obs import metrics
@@ -205,6 +215,140 @@ def test_in_process_run_prepares_each_input_once_and_keeps_grid_order(metrics_on
 
     worker.INPUT_CACHE.get((NearestNeighborWorkload, *jobs[0].input_key), build)
     assert built == ["NN"]
+
+
+def _dispatch(sizes: list[int], n_workers: int, order: list[int]) -> list[tuple]:
+    """Drive :func:`pick_input` as the pool does; returns each hand-out.
+
+    ``order`` picks which busy worker finishes next (index into the busy
+    list; the first one once ``order`` runs out).  A hand-out is
+    ``(worker, input, job index within the input)``.
+    """
+    pending = dict(enumerate(sizes))
+    held: list[int | None] = [None] * n_workers
+    busy = [False] * n_workers
+    finishes = iter(order)
+    handed: list[tuple] = []
+    while True:
+        for w in range(n_workers):
+            if busy[w]:
+                continue
+            key = pick_input(pending, held[w],
+                             {held[o] for o in range(n_workers) if o != w})
+            if key is None:
+                continue
+            # a worker never leaves an input that still has pending jobs
+            assert held[w] is None or key == held[w] or not pending[held[w]]
+            handed.append((w, key, sizes[key] - pending[key]))
+            pending[key] -= 1
+            held[w], busy[w] = key, True
+        running = [w for w in range(n_workers) if busy[w]]
+        if not running:
+            return handed
+        busy[running[next(finishes, 0) % len(running)]] = False
+
+
+def _prepares(handed: list[tuple]) -> int:
+    """How many hand-outs send a worker to an input it does not hold."""
+    held: dict[int, int] = {}
+    count = 0
+    for w, key, _ in handed:
+        count += held.get(w) != key
+        held[w] = key
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=7),
+    n_workers=st.integers(min_value=1, max_value=4),
+    order=st.lists(st.integers(min_value=0, max_value=3), max_size=250),
+)
+@example(sizes=[100, 60, 5, 5], n_workers=2, order=[])
+@example(sizes=[100, 60, 5, 5], n_workers=2, order=[0, 1] * 100)
+@example(sizes=[5, 5, 5], n_workers=4, order=[3, 2, 1] * 4)
+def test_property_dispatch_hands_each_job_once_and_bounds_prepares(
+        sizes, n_workers, order):
+    """Every job is handed out once, with at most W(W-1)/2 extra prepares.
+
+    An input is prepared again only when a worker joins an input another
+    worker holds, which the rule allows only once every remaining input is
+    held.  From then on no input is fresh and the R remaining inputs run
+    out one after another; a worker moves only when its input has run out,
+    always to one that runs out later.  So a worker moves at most R times,
+    or R - i times if it holds the i-th input to run out.  With k workers
+    holding no remaining input, R <= W - k, and kR + sum(R - i) peaks at
+    k = 1, R = W - 1: W(W-1)/2 moves, one for 2 workers.
+    """
+    handed = _dispatch(sizes, n_workers, order)
+    assert sorted((key, index) for _, key, index in handed) == [
+        (key, index) for key, size in enumerate(sizes) for index in range(size)]
+    assert _prepares(handed) <= len(sizes) + n_workers * (n_workers - 1) // 2
+
+
+def test_dispatch_keeps_a_fast_worker_off_a_slow_workers_input():
+    """Groups of 100/60/5/5 jobs, worker 1 stuck on its first job: worker 0
+    runs every other input before it joins the one worker 1 holds."""
+    handed = _dispatch([100, 60, 5, 5], 2, [])
+    assert [key for w, key, _ in handed if w == 1] == [1]
+    inputs_of_worker_0 = [key for w, key, _ in handed if w == 0]
+    assert list(dict.fromkeys(inputs_of_worker_0)) == [0, 2, 3, 1]
+    assert _prepares(handed) == 4 + 1
+
+
+def test_pick_input_rule():
+    counts = {"a": 3, "b": 5, "c": 5, "d": 0}
+    assert pick_input(counts, "a", {"b"}) == "a"  # stays while "a" has jobs
+    assert pick_input(counts, "d", {"b"}) == "c"  # largest unheld
+    assert pick_input(counts, None, set()) == "b"  # tie: first appearance
+    assert pick_input(counts, "d", {"a", "b", "c"}) == "b"  # all held
+    assert pick_input({"a": 0}, "a", set()) is None
+
+
+def _paper_grid() -> CampaignSpec:
+    return CampaignSpec(workloads=("NN", "FWT", "BP"), schemes=PAPER_SCHEMES,
+                        scales=(SCALE,), compute_error=False)
+
+
+def test_pool_prepares_each_input_about_once_and_matches_serial(metrics_on):
+    jobs = _paper_grid().expand()
+    pooled = run_jobs(_paper_grid(), jobs, workers=2)
+    assert [job for job, _ in pooled.iter_records()] == jobs
+    misses = sum(_cache_counts(record.metrics["counters"])[1]
+                 for _, record in pooled.iter_records())
+    # 3 inputs, 2 workers: inputs + workers - 1
+    assert misses <= 4
+    serial = run_jobs(_paper_grid(), jobs, workers=1)
+    for job, record in pooled.iter_records():
+        assert record.ok
+        assert record.result.to_dict() == serial.record_for(job).result.to_dict()
+
+
+@pytest.fixture(params=[1, 2], ids=["in-process", "pool"])
+def workers(request: pytest.FixtureRequest) -> int:
+    """Both executor paths: the in-process loop and the process pool."""
+    return request.param
+
+
+def test_ctrl_c_keeps_finished_cells_and_leaves_no_process(workers, tmp_path):
+    store = ResultStore(tmp_path / "camp")
+    seen: list[str] = []
+
+    def interrupt_on_second(record, done, total):
+        seen.append(record.job.content_hash)
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+
+    jobs = _paper_grid().expand()
+    outcome = run_jobs(None, jobs, store=store, workers=workers,
+                       progress=interrupt_on_second)
+    assert outcome.interrupted
+    assert 2 <= len(outcome.records) < len(jobs)
+    assert multiprocessing.active_children() == []
+    # every finished cell is in the store: a re-run serves it cached
+    resumed = run_jobs(None, jobs, store=store, workers=workers)
+    assert not resumed.interrupted and resumed.n_missing == 0
+    assert resumed.n_cached == len(outcome.records)
 
 
 def test_symbol_model_is_fitted_once_per_input_and_model_parameters(monkeypatch):
