@@ -43,14 +43,7 @@ from repro.campaign.spec import (
     expand_specs,
     overrides_to_config,
 )
-from repro.campaign.store import (
-    STORE_BACKENDS,
-    JobRecord,
-    JSONLResultStore,
-    ResultStore,
-    SQLiteResultStore,
-    open_store,
-)
+from repro.campaign.store import JobRecord, ResultStore, open_store
 from repro.campaign.worker import (
     InputCache,
     build_backend,
@@ -75,14 +68,11 @@ __all__ = [
     "LOSSLESS_SCHEMES",
     "PAPER_SCHEMES",
     "SCHEME_VARIANTS",
-    "STORE_BACKENDS",
     "CampaignSpec",
     "Job",
     "JobRecord",
     "CampaignResult",
     "ResultStore",
-    "JSONLResultStore",
-    "SQLiteResultStore",
     "open_store",
     "run_campaign",
     "run_jobs",

@@ -8,7 +8,7 @@ Subcommands::
     repro campaign status   compare the stored spec against results on disk
     repro campaign export   flatten stored results to CSV
     repro campaign diff     compare two stores cell-by-cell (drift check)
-    repro campaign compact  drop stale JSONL lines / vacuum a SQLite store
+    repro campaign compact  rewrite a store without its stale and torn lines
     repro study ...         run/list/export declarative studies
     repro bench ...         perf-trajectory snapshots and the regression gate
     repro version           print the package version
@@ -21,9 +21,9 @@ process and every worker) and ``campaign run`` ``--metrics`` (per-job
 counter/value snapshots, aggregated by ``campaign status --metrics``).
 
 A campaign directory is self-describing: ``campaign.json`` holds the spec,
-``results.jsonl`` (or ``results.sqlite`` with ``--store-backend sqlite``)
-the content-addressed results.  Re-running ``campaign run`` on the same
-directory only simulates grid cells that are missing.
+``results.jsonl`` the content-addressed results.  Re-running ``campaign
+run`` on the same directory only simulates grid cells that are missing;
+the commands that only read a store refuse a ``--dir`` that does not exist.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.campaign.executor import CampaignResult, run_campaign
 from repro.campaign.remote import run_worker
 from repro.campaign.service import CampaignCoordinator
 from repro.campaign.spec import PAPER_SCHEMES, CampaignSpec
-from repro.campaign.store import STORE_BACKENDS, JobRecord, ResultStore, open_store
+from repro.campaign.store import JobRecord, ResultStore, open_store
 from repro.obs import metrics, tracing
 from repro.obs.cli import add_bench_parser, enable_observability, finish_trace
 from repro.obs.log import LOG_LEVELS, get_logger, setup_logging
@@ -241,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         _apply_chunk_accesses(args)
         spec = _spec_from_args(args)
-        store = ResultStore(args.dir, args.store_backend)
+        store = ResultStore(args.dir)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         _log.error("error: %s", message)
@@ -266,7 +266,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # workers set their own budget via 'campaign worker --chunk-accesses'.
         _apply_chunk_accesses(args)
         spec = _spec_from_args(args)
-        store = ResultStore(args.dir, args.store_backend)
+        store = ResultStore(args.dir)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         _log.error("error: %s", message)
@@ -308,10 +308,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
     """``campaign worker``: join a coordinator and execute leased jobs."""
     try:
         _apply_chunk_accesses(args)
+        store = ResultStore(args.dir) if args.dir else None
     except ValueError as exc:
         _log.error("error: %s", exc)
         return 2
-    store = ResultStore(args.dir, args.store_backend) if args.dir else None
     try:
         summary = run_worker(
             args.url,
@@ -332,9 +332,27 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0 if summary.reason in ("done", "idle", "coordinator gone") else 1
 
 
+def _existing_store(path: str) -> ResultStore | None:
+    """The store of an existing campaign directory, or None after ``error:``.
+
+    ``status`` and ``export`` only read: a typo'd ``--dir`` must not be
+    created as an empty campaign and reported on.
+    """
+    if not os.path.exists(path):
+        _log.error("error: no campaign directory at %s", path)
+        return None
+    try:
+        return ResultStore(path)
+    except ValueError as exc:
+        _log.error("error: %s", exc)
+        return None
+
+
 def cmd_status(args: argparse.Namespace) -> int:
     """``campaign status``: diff the saved spec against stored results."""
-    store = ResultStore(args.dir, args.store_backend)
+    store = _existing_store(args.dir)
+    if store is None:
+        return 2
     spec = store.load_spec()
     if spec is None:
         print(f"no campaign.json under {store.directory} "
@@ -401,7 +419,9 @@ def _export_row(record: JobRecord) -> dict:
 
 def cmd_export(args: argparse.Namespace) -> int:
     """``campaign export``: flatten stored results to CSV."""
-    store = ResultStore(args.dir, args.store_backend)
+    store = _existing_store(args.dir)
+    if store is None:
+        return 2
     records = store.records()
     handle = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
     try:
@@ -465,9 +485,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
     drift check into a vacuous pass.
     """
     try:
-        store_a = open_store(args.store_a, args.store_backend, must_exist=True)
-        store_b = open_store(args.store_b, args.store_backend, must_exist=True)
-    except FileNotFoundError as exc:
+        store_a = open_store(args.store_a)
+        store_b = open_store(args.store_b)
+    except (FileNotFoundError, ValueError) as exc:
         _log.error("error: %s", exc)
         return 2
     records_a = {r.job.content_hash: r for r in store_a.records()}
@@ -501,10 +521,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    """``campaign compact``: rewrite a JSONL store / vacuum a SQLite store."""
+    """``campaign compact``: rewrite a store without its stale and torn lines."""
     try:
-        store = open_store(args.dir, args.store_backend, must_exist=True)
-    except FileNotFoundError as exc:
+        store = open_store(args.dir)
+    except (FileNotFoundError, ValueError) as exc:
         _log.error("error: %s", exc)
         return 2
     kept, dropped = store.compact()
@@ -705,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="collect counters/histograms per job and print the aggregate",
         )
-        _add_store_backend(parser)
 
     run = campaign_sub.add_parser(
         "run", help="expand a parameter grid and simulate every missing cell"
@@ -783,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-memory replay window for jobs this worker executes "
         "(same semantics as 'campaign run --chunk-accesses')",
     )
-    _add_store_backend(worker)
     worker.set_defaults(func=cmd_worker)
 
     status = campaign_sub.add_parser(
@@ -795,34 +813,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also aggregate and print the stored records' metric snapshots",
     )
-    _add_store_backend(status)
     status.set_defaults(func=cmd_status)
 
     export = campaign_sub.add_parser("export", help="flatten stored results to CSV")
     export.add_argument("--dir", required=True, help="campaign directory")
     export.add_argument("--csv", default="-", help="output path, or '-' for stdout")
-    _add_store_backend(export)
     export.set_defaults(func=cmd_export)
 
     diff = campaign_sub.add_parser(
         "diff", help="compare two result stores cell-by-cell (nonzero on drift)"
     )
-    diff.add_argument("store_a", help="first store (campaign dir or .sqlite file)")
-    diff.add_argument("store_b", help="second store (campaign dir or .sqlite file)")
+    diff.add_argument("store_a", help="first store (campaign directory)")
+    diff.add_argument("store_b", help="second store (campaign directory)")
     diff.add_argument(
         "--allow-missing",
         action="store_true",
         help="only count cells both stores hold (subset check, e.g. a "
         "worker's local store vs the coordinator's)",
     )
-    _add_store_backend(diff)
     diff.set_defaults(func=cmd_diff)
 
     compact = campaign_sub.add_parser(
-        "compact", help="drop stale JSONL lines / vacuum a SQLite store"
+        "compact", help="rewrite a store without its stale and torn lines"
     )
     compact.add_argument("--dir", required=True, help="campaign directory")
-    _add_store_backend(compact)
     compact.set_defaults(func=cmd_compact)
 
     trace = sub.add_parser(
@@ -886,15 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_bench_parser(sub)
 
     return parser
-
-
-def _add_store_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store-backend",
-        choices=STORE_BACKENDS,
-        default=None,
-        help="force the result-store backend (default: inferred from the path)",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -180,16 +180,11 @@ def make_collector(
 
 def _lost_record(job: Job, error: str, elapsed_s: float, **provenance) -> dict:
     """Error-record dict for a job the pool gave up on without a result."""
-    return {
-        "job_hash": job.content_hash,
-        "job": job.to_dict(),
-        "status": "error",
-        "result": None,
-        "error": error,
-        "elapsed_s": float(elapsed_s),
-        "provenance": {"hostname": socket.gethostname(), "pid": os.getpid(),
-                       **provenance},
-    }
+    return JobRecord(
+        job, "error", error=error, elapsed_s=float(elapsed_s),
+        provenance={"hostname": socket.gethostname(), "pid": os.getpid(),
+                    **provenance},
+    ).to_dict()
 
 
 def timeout_record(job: Job, timeout_s: float) -> dict:

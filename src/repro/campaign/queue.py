@@ -33,6 +33,7 @@ from threading import RLock
 from typing import Callable
 
 from repro.campaign.spec import Job
+from repro.campaign.store import JobRecord
 from repro.obs import metrics
 from repro.obs.log import get_logger
 
@@ -407,16 +408,12 @@ class LeaseQueue:
 
 def _expiry_record(job: Job, lease: Lease, max_attempts: int) -> dict:
     """Synthesized error record for a job whose leases kept expiring."""
-    return {
-        "job_hash": job.content_hash,
-        "job": job.to_dict(),
-        "status": "error",
-        "result": None,
-        "error": (
+    return JobRecord(
+        job, "error",
+        error=(
             f"lease expired on attempt {lease.attempt}/{max_attempts} "
             f"(last worker: {lease.worker_id}); job abandoned after "
             f"repeated worker death or hang"
         ),
-        "elapsed_s": 0.0,
-        "provenance": {"coordinator": True, "last_worker": lease.worker_id},
-    }
+        provenance={"coordinator": True, "last_worker": lease.worker_id},
+    ).to_dict()

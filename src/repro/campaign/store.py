@@ -1,34 +1,25 @@
-"""Persistent, content-addressed stores of campaign job results.
+"""The persistent, content-addressed store of campaign job results.
 
-:class:`ResultStore` is the interface every backend implements — a map from
-job content hash to :class:`JobRecord` plus campaign-spec persistence — and
-also a dispatching constructor: ``ResultStore(path)`` opens the right
-backend for the path (``backend=`` forces one explicitly).
+:class:`ResultStore` maps job content hash to :class:`JobRecord` through an
+append-only ``results.jsonl`` under the campaign directory, one JSON record
+per line.  Append-only writes make crashes benign (a torn final line is
+skipped on load and healed by the next append) and keep the full history
+greppable; the in-memory index is a plain dict, last write wins, in
+first-insertion order.  Re-runs grow the file unboundedly, so
+:meth:`ResultStore.compact` rewrites it keeping only the record each hash
+currently resolves to.  Every write path has one writer: the local pool's
+parent process collects every record, and the distributed coordinator
+drains completions into its own store.
 
-Two backends exist:
-
-* :class:`JSONLResultStore` — an append-only ``results.jsonl`` under the
-  campaign directory, one JSON record per line.  Append-only writes make
-  crashes benign (a torn final line is skipped on load) and keep the full
-  history greppable; the in-memory index is a plain dict, last write wins.
-  Re-runs grow the file unboundedly, so :meth:`JSONLResultStore.compact`
-  rewrites it keeping only the record each hash currently resolves to.
-* :class:`SQLiteResultStore` — a ``results.sqlite`` database in WAL mode
-  with one row per job hash.  WAL plus a generous busy timeout makes it
-  safe for many concurrent writer *processes* (large response-surface
-  campaigns fanning out over hosts), which append-only JSONL semantics
-  cannot guarantee.
-
-The campaign spec itself is persisted next to the results (``campaign.json``
-for JSONL, a ``meta`` table for SQLite) so ``campaign status`` can diff the
-grid against the results on disk.
+The campaign spec itself is persisted next to the results
+(``campaign.json``) so ``campaign status`` can diff the grid against the
+results on disk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,12 +29,6 @@ from repro.gpu.simulator import SimulationResult
 from repro.obs.log import get_logger
 
 _log = get_logger("campaign.store")
-
-#: path suffixes that select the SQLite backend without an explicit ``backend=``
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-#: valid ``backend=`` / ``--store-backend`` names
-STORE_BACKENDS = ("jsonl", "sqlite")
 
 
 @dataclass
@@ -116,153 +101,34 @@ class JobRecord:
         )
 
 
-def _backend_class(path: str | Path, backend: str | None) -> type["ResultStore"]:
-    """Resolve the store class for a path and optional explicit backend."""
-    if backend is not None:
-        try:
-            return {"jsonl": JSONLResultStore, "sqlite": SQLiteResultStore}[backend]
-        except KeyError:
-            raise ValueError(
-                f"unknown store backend {backend!r}; available: "
-                f"{', '.join(STORE_BACKENDS)}"
-            ) from None
-    path = Path(path)
-    if path.suffix.lower() in SQLITE_SUFFIXES:
-        return SQLiteResultStore
-    # A directory previously opened with backend="sqlite" keeps resolving to
-    # the SQLite backend, so status/export/diff need no extra flag.
-    if (path / SQLiteResultStore.RESULTS_FILE).exists():
-        return SQLiteResultStore
-    return JSONLResultStore
-
-
 class ResultStore:
-    """Map from job content hash to :class:`JobRecord` (backend interface).
+    """Map from job content hash to :class:`JobRecord`, one JSONL line each.
 
-    Instantiating ``ResultStore(path)`` directly dispatches to the backend
-    the path implies: a ``.sqlite``/``.db`` suffix (or a directory already
-    holding ``results.sqlite``) opens :class:`SQLiteResultStore`, everything
-    else the JSONL store.  ``backend="jsonl"|"sqlite"`` forces a backend.
+    Opening a directory creates it when missing; a path that cannot be a
+    directory (a regular file, or one below a file) raises ``ValueError``.
     """
-
-    SPEC_FILE = "campaign.json"
-
-    #: campaign directory (spec + results live under it)
-    directory: Path
-    #: the backing results file (JSONL or SQLite database)
-    results_path: Path
-
-    def __new__(cls, directory: str | Path, backend: str | None = None):
-        if cls is ResultStore:
-            cls = _backend_class(directory, backend)
-        return object.__new__(cls)
-
-    # ------------------------------------------------------------------ #
-    # mapping interface (backends implement get/records/put/__len__)
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __contains__(self, job_hash: str) -> bool:
-        return self.get(job_hash) is not None
-
-    def get(self, job_hash: str) -> JobRecord | None:
-        """The stored record for a job hash, or None."""
-        raise NotImplementedError
-
-    def records(self) -> list[JobRecord]:
-        """All stored records, in first-insertion order."""
-        raise NotImplementedError
-
-    def put(self, record: JobRecord) -> None:
-        """Persist a record (last write per job hash wins)."""
-        raise NotImplementedError
-
-    def compact(self) -> tuple[int, int]:
-        """Reclaim storage; returns ``(records kept, entries dropped)``."""
-        raise NotImplementedError
-
-    #: backend label (``"jsonl"`` or ``"sqlite"``), set per subclass
-    BACKEND = ""
-
-    @property
-    def backend_name(self) -> str:
-        """The backend label (``"jsonl"`` or ``"sqlite"``)."""
-        return self.BACKEND
-
-    def lookup(self, job: Job) -> JobRecord | None:
-        """Find a successful record that can serve ``job`` without simulating.
-
-        This is the store's cache policy, shared by the executor and the
-        ``campaign status`` CLI.  Besides the exact content hash, a
-        timing-only job (``compute_error=False``) is served from its
-        error-computing twin: that record holds a strict superset of the
-        requested metrics (its ``error_percent`` is the real application
-        error instead of the 0.0 a timing-only run reports).  Failed
-        records are never served — they get retried.
-        """
-        record = self.get(job.content_hash)
-        if record is not None and record.ok:
-            return record
-        if not job.compute_error:
-            twin = replace(job, compute_error=True)
-            record = self.get(twin.content_hash)
-            if record is not None and record.ok:
-                return record
-        return None
-
-    # ------------------------------------------------------------------ #
-    # campaign spec persistence
-
-    def save_spec(self, spec: CampaignSpec) -> None:
-        """Write the campaign spec next to the results."""
-        path = self.directory / self.SPEC_FILE
-        path.write_text(json.dumps(spec.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-    def load_spec(self) -> CampaignSpec | None:
-        """Read back the campaign spec, if one was saved."""
-        path = self.directory / self.SPEC_FILE
-        if not path.exists():
-            return None
-        return CampaignSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-
-def open_store(
-    path: str | Path, backend: str | None = None, must_exist: bool = False
-) -> ResultStore:
-    """Open (creating if needed) the result store at ``path``.
-
-    Equivalent to ``ResultStore(path, backend)``.  ``must_exist=True``
-    refuses to open a path holding no results file — the right mode for
-    read-only commands (``campaign diff``/``compact``), where silently
-    creating an empty store would turn a typo'd path into a vacuous result.
-    """
-    if must_exist:
-        # Probe the results file of the backend that will actually open —
-        # not "any backend's" file, or a mismatched --store-backend flag
-        # would pass the probe and then open a fresh empty store anyway.
-        cls = _backend_class(path, backend)
-        target = Path(path)
-        if cls is SQLiteResultStore and target.suffix.lower() in SQLITE_SUFFIXES:
-            results = target
-        else:
-            results = target / cls.RESULTS_FILE
-        if not results.exists():
-            raise FileNotFoundError(
-                f"no {cls.BACKEND} result store at {path} ({results} is missing)"
-            )
-    return ResultStore(path, backend)
-
-
-class JSONLResultStore(ResultStore):
-    """Append-only JSONL-backed store (one JSON record per line)."""
 
     RESULTS_FILE = "results.jsonl"
-    BACKEND = "jsonl"
+    SPEC_FILE = "campaign.json"
 
-    def __init__(self, directory: str | Path, backend: str | None = None) -> None:
+    def __init__(self, directory: str | Path) -> None:
+        #: campaign directory (spec + results live under it)
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if (self.directory / "results.sqlite").exists():
+            # A store written by the retired SQLite backend: opening it here
+            # would silently start an empty JSONL store next to it.
+            raise ValueError(
+                f"{self.directory} holds a results.sqlite store, which is no "
+                "longer supported"
+            )
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise ValueError(f"{self.directory} is not a directory") from None
+        except OSError as exc:  # e.g. a regular file above it, no permission
+            raise ValueError(
+                f"cannot create {self.directory}: {exc.strerror}"
+            ) from None
         self.results_path = self.directory / self.RESULTS_FILE
         self._index: dict[str, JobRecord] = {}
         #: lines that failed to parse on load (torn writes, foreign junk);
@@ -307,12 +173,15 @@ class JSONLResultStore(ResultStore):
         return job_hash in self._index
 
     def get(self, job_hash: str) -> JobRecord | None:
+        """The stored record for a job hash, or None."""
         return self._index.get(job_hash)
 
     def records(self) -> list[JobRecord]:
+        """All stored records, in first-insertion order."""
         return list(self._index.values())
 
     def put(self, record: JobRecord) -> None:
+        """Append a record (last write per job hash wins)."""
         payload = json.dumps(record.to_dict())
         with self.results_path.open("a", encoding="utf-8") as handle:
             if self._needs_newline:
@@ -355,107 +224,52 @@ class JSONLResultStore(ResultStore):
         self._needs_newline = False
         return len(self._index), max(0, stale)
 
+    def lookup(self, job: Job) -> JobRecord | None:
+        """Find a successful record that can serve ``job`` without simulating.
 
-class SQLiteResultStore(ResultStore):
-    """SQLite-backed store in WAL mode, safe for concurrent writer processes.
-
-    Every record is one row keyed by job hash; ``put`` upserts inside its own
-    transaction, so N processes appending simultaneously serialize on the WAL
-    without losing records (the generous busy timeout absorbs lock contention
-    instead of raising).  Reads always query the database, never a cached
-    index — a record another process just wrote is immediately visible.
-    """
-
-    RESULTS_FILE = "results.sqlite"
-    BACKEND = "sqlite"
-
-    #: how long a writer waits on a locked database before giving up (s)
-    BUSY_TIMEOUT_S = 60.0
-
-    def __init__(self, directory: str | Path, backend: str | None = None) -> None:
-        path = Path(directory)
-        if path.suffix.lower() in SQLITE_SUFFIXES:
-            self.directory = path.parent
-            self.results_path = path
-        else:
-            self.directory = path
-            self.results_path = path / self.RESULTS_FILE
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.results_path, timeout=self.BUSY_TIMEOUT_S)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                " job_hash TEXT PRIMARY KEY,"
-                " record TEXT NOT NULL)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                " key TEXT PRIMARY KEY,"
-                " value TEXT NOT NULL)"
-            )
-
-    @property
-    def backend_name(self) -> str:
-        return "sqlite"
-
-    def close(self) -> None:
-        """Close the underlying connection (also closed on GC)."""
-        self._conn.close()
-
-    def __len__(self) -> int:
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
-        return int(count)
-
-    def get(self, job_hash: str) -> JobRecord | None:
-        row = self._conn.execute(
-            "SELECT record FROM results WHERE job_hash = ?", (job_hash,)
-        ).fetchone()
-        if row is None:
-            return None
-        return JobRecord.from_dict(json.loads(row[0]))
-
-    def records(self) -> list[JobRecord]:
-        # ON CONFLICT DO UPDATE keeps the original rowid, so rowid order is
-        # first-insertion order — the same order the JSONL index preserves.
-        rows = self._conn.execute("SELECT record FROM results ORDER BY rowid").fetchall()
-        return [JobRecord.from_dict(json.loads(row[0])) for row in rows]
-
-    def put(self, record: JobRecord) -> None:
-        payload = json.dumps(record.to_dict())
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO results (job_hash, record) VALUES (?, ?)"
-                " ON CONFLICT(job_hash) DO UPDATE SET record = excluded.record",
-                (record.job.content_hash, payload),
-            )
-
-    def compact(self) -> tuple[int, int]:
-        """Checkpoint the WAL and vacuum; row count is already minimal."""
-        self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        self._conn.execute("VACUUM")
-        return len(self), 0
+        This is the store's cache policy, shared by the executor and the
+        ``campaign status`` CLI.  Besides the exact content hash, a
+        timing-only job (``compute_error=False``) is served from its
+        error-computing twin: that record holds a strict superset of the
+        requested metrics (its ``error_percent`` is the real application
+        error instead of the 0.0 a timing-only run reports).  Failed
+        records are never served — they get retried.
+        """
+        record = self.get(job.content_hash)
+        if record is not None and record.ok:
+            return record
+        if not job.compute_error:
+            twin = replace(job, compute_error=True)
+            record = self.get(twin.content_hash)
+            if record is not None and record.ok:
+                return record
+        return None
 
     # ------------------------------------------------------------------ #
-    # campaign spec persistence (kept inside the database so a single
-    # ``results.sqlite`` file is a self-describing campaign)
-
-    _SPEC_KEY = "campaign_spec"
+    # campaign spec persistence
 
     def save_spec(self, spec: CampaignSpec) -> None:
-        payload = json.dumps(spec.to_dict())
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?)"
-                " ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (self._SPEC_KEY, payload),
-            )
+        """Write the campaign spec next to the results."""
+        path = self.directory / self.SPEC_FILE
+        path.write_text(json.dumps(spec.to_dict(), indent=2) + "\n", encoding="utf-8")
 
     def load_spec(self) -> CampaignSpec | None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (self._SPEC_KEY,)
-        ).fetchone()
-        if row is None:
+        """Read back the campaign spec, if one was saved."""
+        path = self.directory / self.SPEC_FILE
+        if not path.exists():
             return None
-        return CampaignSpec.from_dict(json.loads(row[0]))
+        return CampaignSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def open_store(path: str | Path) -> ResultStore:
+    """Open the existing result store at ``path``.
+
+    Refuses a path holding no results file — the right mode for commands
+    that only read or rewrite a store (``campaign diff``/``compact``), where
+    silently creating an empty store would turn a typo'd path into a
+    vacuous result.
+    """
+    results = Path(path) / ResultStore.RESULTS_FILE
+    if not results.exists():
+        raise FileNotFoundError(f"no result store at {path} ({results} is missing)")
+    return ResultStore(path)

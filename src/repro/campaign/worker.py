@@ -30,6 +30,7 @@ from repro.campaign.spec import (
     Job,
     overrides_to_config,
 )
+from repro.campaign.store import JobRecord
 from repro.obs import metrics, tracing
 from repro.compression.e2mc import E2MCCompressor
 from repro.compression.registry import get_compressor
@@ -270,25 +271,17 @@ def execute_job(job_dict: dict) -> dict:
         with tracing.span(f"job:{job.label()}", cat="job",
                           workload=job.workload, scheme=job.scheme):
             result = simulate_job(job)
-        status, result_dict, error = "ok", result.to_dict(), None
+        status, error = "ok", None
     except Exception:
-        status, result_dict, error = "error", None, traceback.format_exc()
+        status, result, error = "error", None, traceback.format_exc()
     elapsed = time.perf_counter() - start
     if tracking_memory:
         metrics.stop_tracemalloc()
-    payload = {
-        "job_hash": job.content_hash,
-        "job": job.to_dict(),
-        "status": status,
-        "result": result_dict,
-        "error": error,
-        "elapsed_s": elapsed,
-        "provenance": provenance,
-    }
+    record = JobRecord(job, status, result, error, elapsed, provenance=provenance)
     if metrics_on:
         metrics.observe("job.elapsed_s", elapsed)
-        payload["metrics"] = metrics.snapshot()
+        record.metrics = metrics.snapshot()
         metrics.clear()
     if tracing.enabled():
-        payload["spans"] = tracing.drain(span_mark)
-    return payload
+        record.spans = tracing.drain(span_mark)
+    return record.to_dict()

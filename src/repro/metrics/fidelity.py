@@ -67,7 +67,8 @@ def _unit_peak(arr: np.ndarray) -> np.ndarray:
 def _centered(
     exact_vals: np.ndarray, approx_vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Deviations, the smaller sum of squares and the Pearson denominator.
+    """Deviations, the smallest of the sums of squares and their product,
+    and the Pearson denominator.
 
     The denominator is non-finite when the squares overflow.
     """
@@ -76,24 +77,28 @@ def _centered(
         approx_dev = approx_vals - approx_vals.mean()
         exact_ss = float(np.dot(exact_dev, exact_dev))
         approx_ss = float(np.dot(approx_dev, approx_dev))
-        denom = float(np.sqrt(exact_ss * approx_ss))
-    return exact_dev, approx_dev, min(exact_ss, approx_ss), denom
+        product = exact_ss * approx_ss
+        denom = float(np.sqrt(product))
+    return exact_dev, approx_dev, min(exact_ss, approx_ss, product), denom
 
 
 def _pearson(exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
     """Pearson correlation of two validated flat float64 arrays."""
-    exact_dev, approx_dev, smaller_ss, denom = _centered(exact_arr, approx_arr)
-    if not (np.isfinite(denom) and smaller_ss >= _TINY):
-        # The squares overflowed or underflowed (or a field is constant).
+    if np.ptp(exact_arr) == 0.0 or np.ptp(approx_arr) == 0.0:
+        # A constant field takes the convention before centring: its float
+        # mean can miss its value by an ulp and leave a constant deviation
+        # that would "correlate" with the other side.
+        return 1.0 if np.array_equal(exact_arr, approx_arr) else 0.0
+    exact_dev, approx_dev, smallest, denom = _centered(exact_arr, approx_arr)
+    if not (np.isfinite(denom) and smallest >= _TINY):
+        # The squares or their product overflowed or underflowed.
         # Correlation is invariant under positive scaling of either array,
-        # so recompute at unit peak; data whose sums of squares are finite
-        # normal floats never gets here and stays bit-identical to the
-        # direct formula.
+        # so recompute at unit peak, where non-constant data has normal,
+        # finite sums; data that never gets here stays bit-identical to
+        # the direct formula.
         exact_dev, approx_dev, _, denom = _centered(
             _unit_peak(exact_arr), _unit_peak(approx_arr)
         )
-    if denom == 0.0:
-        return 1.0 if np.array_equal(exact_arr, approx_arr) else 0.0
     corr = float(np.dot(exact_dev, approx_dev)) / denom
     return float(np.clip(corr, -1.0, 1.0))
 

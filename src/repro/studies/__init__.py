@@ -3,11 +3,11 @@
 A :class:`Study` couples a campaign grid (:meth:`~Study.spec` /
 :meth:`~Study.jobs`), a reduction over the grid's records
 (:meth:`~Study.aggregate`) and a flat export (:meth:`~Study.export`); the
-campaign engine supplies parallel execution, persistent caching (JSONL or
-SQLite result stores) and failure capture.  All paper figures/tables are
-registered studies, as are the sweep-shaped studies beyond the paper
-(response surface, seed variance, GPU scaling).  ``repro study
-list|run|export`` drives them from the command line.
+campaign engine supplies parallel execution, persistent caching (one JSONL
+result store per campaign directory) and failure capture.  All paper
+figures/tables are registered studies, as are the sweep-shaped studies
+beyond the paper (response surface, seed variance, GPU scaling).
+``repro study list|run|export`` drives them from the command line.
 """
 
 from repro.studies.ablation import ThresholdAblationStudy

@@ -14,7 +14,7 @@ a sweep) through three declarative hooks:
 
 :meth:`Study.run` drives the pipeline on the campaign engine, so every study
 inherits parallel execution (``workers=``), persistent caching (``store=``,
-any :class:`~repro.campaign.ResultStore` backend) and per-job failure
+a :class:`~repro.campaign.ResultStore` or its directory) and per-job failure
 capture without writing any orchestration code.  Studies are dataclasses:
 their fields are the tuning knobs (workloads, scale, seed, sweep axes) the
 ``repro study`` CLI exposes as ``--set field=value``.
@@ -128,24 +128,22 @@ class Study(ABC):
         store: ResultStore | str | Path | None = None,
         workers: int = 1,
         progress: ProgressFn | None = None,
-        store_backend: str | None = None,
     ) -> StudyResult:
         """Execute the study on the campaign engine and aggregate.
 
         Args:
-            store: result store (or a path to open one); grid cells already
-                stored are served from it instead of simulating.
+            store: result store (or the campaign directory to open one in);
+                grid cells already stored are served from it instead of
+                simulating.
             workers: worker processes for the grid (1 = in-process).
             progress: per-job campaign progress hook.
-            store_backend: forces ``"jsonl"``/``"sqlite"`` when ``store`` is
-                a path (otherwise the path suffix decides).
         """
         jobs = self.jobs()
         records: list[JobRecord] = []
         meta: dict = {"n_jobs": len(jobs)}
         if jobs:
             if isinstance(store, (str, Path)):
-                store = ResultStore(store, store_backend)
+                store = ResultStore(store)
             outcome = run_jobs(
                 self.spec(), jobs, store=store, workers=workers, progress=progress
             )

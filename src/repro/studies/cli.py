@@ -18,7 +18,7 @@ import csv
 import dataclasses
 import sys
 
-from repro.campaign.store import STORE_BACKENDS
+from repro.campaign.store import ResultStore
 from repro.obs.cli import enable_observability, finish_trace
 from repro.obs.log import get_logger
 from repro.studies.base import Study
@@ -141,24 +141,27 @@ def _build_study_or_none(args: argparse.Namespace) -> Study | None:
 
 
 def _execute_study(study: Study, args: argparse.Namespace):
+    """Run the study; a bad ``--dir`` prints ``error:`` and yields None."""
     from repro.campaign.cli import ProgressReporter  # late: avoids import cycle
 
-    enable_observability(args)
-
-    # Attach progress to anything grid-backed without expanding the grid
-    # here — Study.run expands it once, and content-hashing thousands of
-    # cells twice is real time on a large surface.  Grid-backed means the
-    # study declares a spec or overrides jobs().
+    # Only a grid-backed study opens a store and reports progress.  Grid-
+    # backed means the study declares a spec or overrides jobs(), checked
+    # without expanding the grid here — Study.run expands it once, and
+    # content-hashing thousands of cells twice is real time on a large
+    # surface.
     grid_backed = study.spec() is not None or type(study).jobs is not Study.jobs
+    store = None
+    if grid_backed and args.dir is not None:
+        try:
+            store = ResultStore(args.dir)
+        except ValueError as exc:
+            _log.error("error: %s", exc)
+            return None
+    enable_observability(args)
     progress = None
     if not args.quiet and grid_backed:
         progress = ProgressReporter(workers=args.workers)
-    return study.run(
-        store=args.dir,
-        workers=args.workers,
-        progress=progress,
-        store_backend=args.store_backend,
-    )
+    return study.run(store=store, workers=args.workers, progress=progress)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -167,6 +170,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if study is None:
         return 2
     result = _execute_study(study, args)
+    if result is None:
+        return 2
     print(study.format(result))
     if result.meta.get("n_jobs"):
         print(
@@ -185,6 +190,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if study is None:
         return 2
     result = _execute_study(study, args)
+    if result is None:
+        return 2
     rows = study.export(result)
     columns = result.columns()
     handle = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
@@ -223,12 +230,6 @@ def add_study_parser(sub: argparse._SubParsersAction) -> None:
         )
         parser.add_argument(
             "--dir", default=None, help="result store for the study's grid cells"
-        )
-        parser.add_argument(
-            "--store-backend",
-            choices=STORE_BACKENDS,
-            default=None,
-            help="force the store backend (default: inferred from the path)",
         )
         parser.add_argument("--workers", type=int, default=1, help="worker processes")
         parser.add_argument(

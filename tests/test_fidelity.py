@@ -110,6 +110,8 @@ def test_iqr_error_affine_invariant(pair, a, b):
 @settings(max_examples=100, deadline=None)
 @given(arrays(min_size=2), st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
 @example(exact=np.array([1.81256273e-28, 0.0]), shift=1.0)
+@example(exact=np.array([0.0] + [2.0**-149] * 16), shift=482.67312317560845)
+@example(exact=np.array([10320 * 2.0**-149] + [0.0] * 24), shift=164.2158635472474)
 def test_pearson_shift_invariant(exact, shift):
     shifted = exact + shift
     r = pearson_correlation(exact, shifted)
@@ -134,6 +136,25 @@ def test_constant_fields_equal():
     assert pearson_correlation(const, const.copy()) == 1.0
     assert ks_statistic(const, const.copy()) == 0.0
     assert iqr_normalized_errors(const, const.copy()) == (0.0, 0.0)
+
+
+def test_constant_field_whose_mean_misses_it():
+    # the float mean of three equal values lands an ulp off them, which
+    # leaves a constant deviation that must not "correlate" with the exact
+    # side's one-ulp variation
+    exact = [-580.0079899765511, -580.0079899765511, -580.007989976551]
+    approx = [736.0761912583978] * 3
+    assert np.mean(approx) != approx[0]
+    assert pearson_correlation(exact, approx) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e-100])
+def test_pearson_tiny_fields_whose_product_of_squares_underflows(scale):
+    # each sum of squares is a normal float, their product is subnormal
+    # (1e-80) or zero (1e-100)
+    exact = np.array([0.0, 1.0, 3.0]) * scale
+    assert pearson_correlation(exact, 2 * exact) == 1.0
+    assert pearson_correlation(exact, -exact) == -1.0
 
 
 def test_constant_fields_differ():

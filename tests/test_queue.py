@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import faults
+from repro.campaign.executor import timeout_record, worker_died_record
 from repro.campaign.queue import STAT_KEYS, LeaseQueue
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import Job
+from repro.campaign.store import JobRecord
 
 TINY = 1.0 / 1024.0
 
@@ -210,6 +212,22 @@ def test_poison_job_expiry_converges_to_error_record():
     assert "lease expired" in record["error"]
     assert record["provenance"]["last_worker"] == "w1"
     assert record["job_hash"] == make_jobs(1)[0].content_hash
+
+
+def test_synthesized_error_records_round_trip_through_job_record():
+    """Timeout, worker-death and lease-expiry records are JobRecord dicts."""
+    clock = FakeClock()
+    queue = LeaseQueue(make_jobs(1), lease_timeout_s=5, max_attempts=1,
+                       quarantine_strikes=99, clock=clock)
+    queue.lease("w0")
+    clock.advance(6)
+    queue.expire()
+    (expired,) = queue.drain_done()
+    job = make_jobs(1)[0]
+    for record in (expired, timeout_record(job, 2.5),
+                   worker_died_record(job, -9, 1.25)):
+        assert record["status"] == "error" and record["result"] is None
+        assert JobRecord.from_dict(record).to_dict() == record
 
 
 def test_duplicate_completion_is_idempotent():

@@ -1,22 +1,10 @@
-"""Tests for the ResultStore backends (dispatch, SQLite, compaction, diff)."""
+"""Tests for the JSONL result store (order, compaction, torn writes) and its CLI."""
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    Job,
-    JobRecord,
-    JSONLResultStore,
-    ResultStore,
-    SQLiteResultStore,
-    open_store,
-    simulate_job,
-)
+from repro.campaign import Job, JobRecord, ResultStore, simulate_job
 from repro.campaign.cli import main as cli_main
 
 TINY = 1.0 / 1024.0
@@ -35,123 +23,32 @@ def _error_record(seed: int = 7) -> JobRecord:
 
 
 # --------------------------------------------------------------------- #
-# backend dispatch
+# record order: last write wins, first insertion keeps its place
 
 
-def test_dispatch_by_suffix_and_backend(tmp_path):
-    assert isinstance(ResultStore(tmp_path / "a"), JSONLResultStore)
-    assert isinstance(ResultStore(tmp_path / "b.sqlite"), SQLiteResultStore)
-    assert isinstance(ResultStore(tmp_path / "c.db"), SQLiteResultStore)
-    assert isinstance(ResultStore(tmp_path / "d", backend="sqlite"), SQLiteResultStore)
-    assert isinstance(open_store(tmp_path / "e", backend="jsonl"), JSONLResultStore)
-    with pytest.raises(ValueError, match="unknown store backend"):
-        ResultStore(tmp_path / "f", backend="parquet")
+def _hashes(store: ResultStore) -> list[str]:
+    return [record.job.content_hash for record in store.records()]
 
 
-def test_sqlite_directory_redetected_without_flag(tmp_path):
-    """A dir once opened with backend='sqlite' keeps resolving to SQLite."""
-    store = ResultStore(tmp_path / "camp", backend="sqlite")
-    store.put(_error_record())
-    reopened = ResultStore(tmp_path / "camp")
-    assert isinstance(reopened, SQLiteResultStore)
-    assert len(reopened) == 1
-
-
-def test_backend_names(tmp_path):
-    assert ResultStore(tmp_path / "a").backend_name == "jsonl"
-    assert ResultStore(tmp_path / "b.sqlite").backend_name == "sqlite"
-
-
-# --------------------------------------------------------------------- #
-# SQLite backend semantics
-
-def test_sqlite_roundtrip_and_spec(tmp_path, sample_record):
-    store = ResultStore(tmp_path / "camp.sqlite")
-    assert len(store) == 0
-    store.put(sample_record)
-    assert sample_record.job.content_hash in store
-    fetched = store.get(sample_record.job.content_hash)
-    assert fetched.ok
-    assert fetched.result == sample_record.result
-    assert fetched.job == sample_record.job
-
-    spec = CampaignSpec(workloads=("NN",), schemes=("E2MC",), scales=(TINY,))
-    assert store.load_spec() is None
-    store.save_spec(spec)
-    assert ResultStore(tmp_path / "camp.sqlite").load_spec() == spec
-
-
-def test_sqlite_last_write_wins_and_insertion_order(tmp_path, sample_record):
-    store = ResultStore(tmp_path / "camp.sqlite")
+def test_jsonl_last_write_wins_and_insertion_order(tmp_path, sample_record):
+    """records(), campaign export and campaign diff rely on this order."""
+    store = ResultStore(tmp_path / "camp")
     first_error = _error_record()
     store.put(first_error)
     store.put(sample_record)
     # overwrite the first record: position is preserved, content replaced
     retried = JobRecord(job=first_error.job, status="ok", result=sample_record.result)
     store.put(retried)
+    order = [first_error.job.content_hash, sample_record.job.content_hash]
     assert len(store) == 2
-    records = store.records()
-    assert [r.job.content_hash for r in records] == [
-        first_error.job.content_hash,
-        sample_record.job.content_hash,
-    ]
-    assert records[0].ok
+    assert _hashes(store) == order
+    assert store.records()[0].ok
 
-
-def test_sqlite_lookup_serves_timing_only_from_error_twin(tmp_path):
-    job = Job(workload="NN", scheme="TSLC-OPT", scale=TINY)
-    store = ResultStore(tmp_path / "camp.sqlite")
-    store.put(JobRecord(job=job, status="ok", result=simulate_job(job)))
-    twin = Job(workload="NN", scheme="TSLC-OPT", scale=TINY, compute_error=False)
-    assert store.lookup(twin) is not None
-
-
-def test_jsonl_sqlite_equivalence(tmp_path, sample_record):
-    """The same records stored in both backends read back identically."""
-    jsonl = ResultStore(tmp_path / "jsonl")
-    sqlite = ResultStore(tmp_path / "camp.sqlite")
-    records = [sample_record, _error_record()]
-    for record in records:
-        jsonl.put(record)
-        sqlite.put(record)
-    assert len(jsonl) == len(sqlite) == 2
-    by_hash_jsonl = {r.job.content_hash: r for r in jsonl.records()}
-    by_hash_sqlite = {r.job.content_hash: r for r in sqlite.records()}
-    assert by_hash_jsonl.keys() == by_hash_sqlite.keys()
-    for job_hash, record in by_hash_jsonl.items():
-        other = by_hash_sqlite[job_hash]
-        assert record.to_dict() == other.to_dict()
-
-
-def _write_records(args) -> int:
-    """Worker: open the shared SQLite store and append N distinct records."""
-    path, writer_id, count = args
-    store = ResultStore(path)
-    for index in range(count):
-        job = Job(
-            workload="NN",
-            scheme="TSLC-OPT",
-            scale=TINY,
-            seed=writer_id * 1000 + index,
-        )
-        store.put(JobRecord(job=job, status="error", error=f"w{writer_id}:{index}"))
-    return count
-
-
-def test_sqlite_concurrent_writers_lose_no_records(tmp_path):
-    """N processes appending simultaneously: every record survives."""
-    path = str(tmp_path / "camp.sqlite")
-    ResultStore(path)  # create the schema before the writers race
-    writers, per_writer = 4, 8
-    with ProcessPoolExecutor(max_workers=writers) as pool:
-        written = list(
-            pool.map(_write_records, [(path, w, per_writer) for w in range(writers)])
-        )
-    assert sum(written) == writers * per_writer
-    store = ResultStore(path)
-    assert len(store) == writers * per_writer
-    seeds = {record.job.seed for record in store.records()}
-    assert seeds == {w * 1000 + i for w in range(writers) for i in range(per_writer)}
+    reopened = ResultStore(tmp_path / "camp")
+    assert _hashes(reopened) == order and reopened.records()[0].ok
+    assert reopened.compact() == (2, 1)
+    compacted = ResultStore(tmp_path / "camp")
+    assert _hashes(compacted) == order and compacted.records()[0].ok
 
 
 # --------------------------------------------------------------------- #
@@ -187,15 +84,6 @@ def test_jsonl_compact_is_idempotent_and_preserves_index(tmp_path, sample_record
     assert before == after
 
 
-def test_sqlite_compact_keeps_every_record(tmp_path, sample_record):
-    store = ResultStore(tmp_path / "camp.sqlite")
-    store.put(sample_record)
-    store.put(sample_record)
-    kept, dropped = store.compact()
-    assert (kept, dropped) == (1, 0)
-    assert len(ResultStore(tmp_path / "camp.sqlite")) == 1
-
-
 def test_cli_compact(tmp_path, capsys, sample_record):
     store = ResultStore(tmp_path)
     store.put(sample_record)
@@ -229,32 +117,10 @@ def test_cli_diff_and_compact_refuse_missing_stores(tmp_path, capsys, sample_rec
     assert not missing.exists()
 
 
-def test_cli_diff_refuses_backend_mismatch(tmp_path, capsys, sample_record):
-    """Forcing --store-backend sqlite on JSONL-only dirs must error, not
-    open fresh empty SQLite stores and report a vacuous 'no drift'."""
-    _populated_store(tmp_path / "a", [sample_record])
-    _populated_store(tmp_path / "b", [_error_record()])
-    code = cli_main([
-        "campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b"),
-        "--store-backend", "sqlite",
-    ])
-    assert code == 2
-    assert "no sqlite result store" in capsys.readouterr().err
-    assert not (tmp_path / "a" / "results.sqlite").exists()
-    assert not (tmp_path / "b" / "results.sqlite").exists()
-    assert cli_main([
-        "campaign", "compact", "--dir", str(tmp_path / "a"),
-        "--store-backend", "sqlite",
-    ]) == 2
-    assert not (tmp_path / "a" / "results.sqlite").exists()
-
-
 def test_cli_diff_identical_stores_exit_zero(tmp_path, capsys, sample_record):
     _populated_store(tmp_path / "a", [sample_record])
-    _populated_store(tmp_path / "b.sqlite", [sample_record])  # cross-backend diff
-    code = cli_main(
-        ["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b.sqlite")]
-    )
+    _populated_store(tmp_path / "b", [sample_record])
+    code = cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")])
     assert code == 0
     assert "1 common cells — 0 changed, 0 only in A, 0 only in B" in capsys.readouterr().out
 
@@ -277,31 +143,54 @@ def test_cli_diff_detects_missing_and_changed(tmp_path, capsys, sample_record):
     assert "changed" in out and "total_bursts" in out
 
 
-def test_cli_status_and_export_work_on_sqlite(tmp_path, capsys):
-    campaign_dir = str(tmp_path / "camp")
-    assert cli_main([
-        "campaign", "run", "--dir", campaign_dir, "--store-backend", "sqlite",
-        "--workloads", "NN", "--schemes", "E2MC",
-        "--scale", str(TINY), "--no-error", "--quiet",
-    ]) == 0
-    assert (tmp_path / "camp" / "results.sqlite").exists()
-    assert not (tmp_path / "camp" / "results.jsonl").exists()
-    capsys.readouterr()
-    # second run: served from the SQLite store without the flag (re-detected)
-    assert cli_main([
-        "campaign", "run", "--dir", campaign_dir,
-        "--workloads", "NN", "--schemes", "E2MC",
-        "--scale", str(TINY), "--no-error", "--quiet",
-    ]) == 0
-    assert "1 cached, 0 executed" in capsys.readouterr().out
-    assert cli_main(["campaign", "status", "--dir", campaign_dir]) == 0
-    assert "1 complete, 0 failed, 0 missing" in capsys.readouterr().out
-    csv_path = tmp_path / "export.csv"
-    assert cli_main(
-        ["campaign", "export", "--dir", campaign_dir, "--csv", str(csv_path)]
-    ) == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert len(lines) == 2 and lines[1].startswith("NN,E2MC,")
+# --------------------------------------------------------------------- #
+# a bad --dir is refused: exit 2, one error line naming it, nothing created
+
+#: commands that open a store from a path: the argv (``{dir}`` stands for
+#: the path) and whether a missing path is refused instead of created
+STORE_COMMANDS = {
+    "campaign-run": (
+        ["campaign", "run", "--dir", "{dir}", "--workloads", "NN",
+         "--schemes", "E2MC", "--scale", str(TINY), "--no-error", "--quiet"],
+        False,
+    ),
+    "campaign-status": (["campaign", "status", "--dir", "{dir}"], True),
+    "campaign-export": (["campaign", "export", "--dir", "{dir}", "--csv", "-"], True),
+    "campaign-diff": (["campaign", "diff", "{dir}", "{dir}"], True),
+    "campaign-compact": (["campaign", "compact", "--dir", "{dir}"], True),
+    "study-run": (
+        ["study", "run", "fig7", "--dir", "{dir}", "--set", "workloads=NN",
+         "--set", f"scale={TINY}", "--quiet"],
+        False,
+    ),
+}
+
+
+@pytest.fixture(params=STORE_COMMANDS.values(), ids=STORE_COMMANDS.keys())
+def store_command(request: pytest.FixtureRequest) -> tuple[list[str], bool]:
+    return request.param
+
+
+def test_cli_refuses_bad_dir(store_command, tmp_path, capsys):
+    argv, refuses_missing = store_command
+    regular_file = tmp_path / "camp.sqlite"  # e.g. a former SQLite store path
+    regular_file.write_bytes(b"SQLite format 3\x00")
+    old_store = tmp_path / "old"  # a directory the SQLite backend wrote
+    old_store.mkdir()
+    (old_store / "results.sqlite").write_bytes(b"SQLite format 3\x00")
+    bad_paths = [regular_file, regular_file / "sub", old_store]
+    if refuses_missing:
+        bad_paths.append(tmp_path / "no-such-dir")
+    for path in bad_paths:
+        before = sorted(tmp_path.rglob("*"))
+        code = cli_main([arg.replace("{dir}", str(path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2, path
+        assert "Traceback" not in captured.err
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0], captured.err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing was created
+        assert regular_file.read_bytes() == b"SQLite format 3\x00"
 
 
 def test_progress_reporter_reports_cache_hits_and_wall_time():

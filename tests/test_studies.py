@@ -211,11 +211,10 @@ def test_threshold_ablation_monotonic():
 
 
 # --------------------------------------------------------------------- #
-# the three new sweep studies, end-to-end on both store backends
+# the three new sweep studies, end-to-end on a result store
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_response_surface_end_to_end(tmp_path, backend):
+def test_response_surface_end_to_end(tmp_path):
     study = ResponseSurfaceStudy(
         workloads=("NN",),
         schemes=("TSLC-OPT",),
@@ -224,7 +223,7 @@ def test_response_surface_end_to_end(tmp_path, backend):
         scale=SMALL,
         compute_error=False,
     )
-    result = study.run(store=tmp_path / "store", store_backend=backend)
+    result = study.run(store=tmp_path / "store")
     # 4 surface cells + one baseline per MAG
     assert result.meta["n_jobs"] == 6
     assert len(result.rows) == 4
@@ -241,23 +240,21 @@ def test_response_surface_end_to_end(tmp_path, backend):
             surface[("TSLC-OPT", mag, 16)]["gm_bandwidth"]
             <= surface[("TSLC-OPT", mag, 8)]["gm_bandwidth"]
         )
-    # identical re-run on the same backend: pure cache
-    rerun = study.run(store=tmp_path / "store", store_backend=backend)
+    # identical re-run on the same store: pure cache
+    rerun = study.run(store=tmp_path / "store")
     assert rerun.meta["n_executed"] == 0 and rerun.meta["n_cached"] == 6
     assert rerun.rows == result.rows
-    expected_file = "results.sqlite" if backend == "sqlite" else "results.jsonl"
-    assert (tmp_path / "store" / expected_file).exists()
+    assert (tmp_path / "store" / "results.jsonl").exists()
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_seed_variance_end_to_end(tmp_path, backend):
+def test_seed_variance_end_to_end(tmp_path):
     study = SeedVarianceStudy(
         workloads=("NN",),
         schemes=("TSLC-OPT",),
         seeds=(2019, 2020),
         scale=SMALL,
     )
-    result = study.run(store=tmp_path / "store", store_backend=backend)
+    result = study.run(store=tmp_path / "store")
     assert result.meta["n_jobs"] == 4  # 2 seeds x (baseline + TSLC-OPT)
     by_key = {(r["workload"], r["metric"]): r for r in result.rows}
     for metric in ("speedup", "error_percent", "bandwidth", "energy", "edp"):
@@ -277,8 +274,7 @@ def test_seed_variance_end_to_end(tmp_path, backend):
     assert per_seed[0] == studies[2019].geomean("speedup", "TSLC-OPT")
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_gpu_scaling_end_to_end(tmp_path, backend):
+def test_gpu_scaling_end_to_end(tmp_path):
     study = GPUScalingStudy(
         workloads=("NN",),
         sm_counts=(8, 16),
@@ -287,7 +283,7 @@ def test_gpu_scaling_end_to_end(tmp_path, backend):
     )
     # the default config point is shared by both axes: 3 configs x 2 schemes
     assert len(study.jobs()) == 6
-    result = study.run(store=tmp_path / "store", store_backend=backend)
+    result = study.run(store=tmp_path / "store")
     assert result.meta["n_executed"] == 6
     by_point = {(r["axis"], r["value"]): r for r in result.rows if r["workload"] == "NN"}
     # halving the bandwidth makes the run slower and TSLC at least as useful
@@ -312,14 +308,14 @@ def test_response_surface_reports_error_stats_when_computed(tmp_path):
     assert row["max_error_percent"] >= row["mean_error_percent"]
 
 
-def test_new_studies_cache_across_backends_independently(tmp_path):
-    """JSONL and SQLite stores of the same grid hold equivalent records."""
+def test_new_studies_cache_in_two_stores_independently(tmp_path):
+    """Two stores of the same grid hold equivalent records."""
     study = ResponseSurfaceStudy(
         workloads=("NN",), schemes=("TSLC-OPT",), mags=(32,), thresholds=(16,),
         scale=SMALL, compute_error=False,
     )
-    study.run(store=tmp_path / "a", store_backend="jsonl")
-    study.run(store=tmp_path / "b", store_backend="sqlite")
+    study.run(store=tmp_path / "a")
+    study.run(store=tmp_path / "b")
     a = {r.job.content_hash: r.to_dict() for r in ResultStore(tmp_path / "a").records()}
     b = {r.job.content_hash: r.to_dict() for r in ResultStore(tmp_path / "b").records()}
     for record in (*a.values(), *b.values()):
