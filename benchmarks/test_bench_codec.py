@@ -3,12 +3,12 @@
 Measures bit-level payload materialization — Huffman compress + decompress of
 every block of each paper workload's regions — comparing the vectorized codec
 (:mod:`repro.kernels.codec` via ``compress_batch``/``decompress_batch``)
-against the per-symbol ``BitWriter``/``BitReader`` loops it replaces, plus
-the end-to-end effect of the batched ``apply_decision`` path on a TSLC-OPT
-campaign job.  Full mode (the default) sweeps all nine workloads and asserts
-the ≥5× codec / ≥1.5× job floors; ``--codec-quick`` is the CI smoke mode
-(three workloads, relaxed floors) so the codec path is exercised on every
-push.
+against the per-symbol ``BitWriter``/``BitReader`` loops it replaces, and
+the fused decoder against the lockstep one.  Full mode (the default) sweeps
+all nine workloads and asserts the ≥5× codec floor; ``--codec-quick`` is
+the CI smoke mode (three workloads, relaxed floors) so the codec path is
+exercised on every push.  A whole TSLC-OPT job, whose stores run the codec,
+is timed end to end in ``benchmarks/test_bench_kernels.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import time
 
 import numpy as np
 
-from repro.campaign.spec import Job
-from repro.campaign.worker import simulate_job
 from repro.compression.e2mc import E2MCCompressor
 from repro.compression.stats import geometric_mean
 from repro.core.config import SLCConfig, SLCVariant
@@ -41,11 +39,6 @@ QUICK_DECODE_FLOOR = 1.2
 #: a few thousand rows up, and 8192 rows keep one measurement under ~100 ms
 DECODE_ROWS = 8192
 QUICK_DECODE_ROWS = 2048
-#: end-to-end TSLC-OPT job floors (codec is one phase of a job); quick mode
-#: allows 10% regression headroom for noisy shared runners, matching the
-#: replay benchmark's smoke-mode convention
-FULL_JOB_FLOOR = 1.5
-QUICK_JOB_FLOOR = 0.9
 #: per-workload block cap: the scalar path is ~1 ms/block, so the full
 #: sweep stays a few seconds while the geometric mean stays representative
 MAX_BLOCKS = 384
@@ -193,37 +186,5 @@ def test_bench_codec_decode_speedup(slc_scale, codec_quick, bench_record):
     bench_record(f"decode_gm_speedup{'_quick' if codec_quick else ''}", gm)
     assert gm >= floor, (
         f"fused decode only {gm:.2f}x over the searchsorted oracle "
-        f"(floor {floor}x)"
-    )
-
-
-def test_bench_codec_end_to_end_job(slc_scale, codec_quick, bench_record):
-    """The batched apply_decision path must speed up a full TSLC-OPT job.
-
-    The payload codec runs in every store (host-to-device copies and write
-    misses), so with analysis and replay already vectorized it dominates
-    TSLC job time; the batched path must clear the floor end to end.
-    """
-    floor = QUICK_JOB_FLOOR if codec_quick else FULL_JOB_FLOOR
-    job = Job(
-        workload="NN",
-        scheme="TSLC-OPT",
-        scale=slc_scale,
-        seed=2019,
-        compute_error=False,
-    )
-    batch_s = _time(lambda: simulate_job(job), repeats=2)
-    scalar_s = _time(lambda: simulate_job(job, batch_codec=False), repeats=2)
-    speedup = scalar_s / batch_s
-    print(
-        f"\nend-to-end NN/TSLC-OPT job: scalar codec {scalar_s * 1e3:.1f} ms, "
-        f"batch codec {batch_s * 1e3:.1f} ms ({speedup:.2f}x, floor {floor:.1f}x)"
-    )
-    # Absolute seconds are machine-dependent: trajectory context, not a gate.
-    bench_record(
-        "job_nn_tslc_opt_s", batch_s, unit="s", higher_is_better=False, gate=False,
-    )
-    assert speedup >= floor, (
-        f"batched codec job only {speedup:.2f}x over the scalar payload path "
         f"(floor {floor}x)"
     )

@@ -12,13 +12,11 @@ scale, relaxed floor) so the vectorized path is exercised on every push.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.campaign.spec import Job
 from repro.campaign.worker import build_backend, simulate_job
 from repro.compression.stats import geometric_mean
-from repro.obs.metrics import measure_peak_mib
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import BlockStore, MemoryController, book_host_copies
@@ -37,10 +35,6 @@ FULL_SPEEDUP_FLOOR = 5.0
 QUICK_SPEEDUP_FLOOR = 2.0
 #: end-to-end acceptance target on a memory-heavy job (full mode)
 FULL_END_TO_END_FLOOR = 2.0
-#: chunk budgets (compiled RLE entries) for the bounded-memory replay bench —
-#: small enough that the full-mode trace spans many chunks
-FULL_CHUNK_ACCESSES = 128
-QUICK_CHUNK_ACCESSES = 32
 
 
 class _ReplayContext:
@@ -156,58 +150,6 @@ def test_bench_replay_phase_speedup(benchmark, replay_quick, bench_record):
     )
 
     assert gm >= floor, f"vectorized replay only {gm:.1f}x over scalar (floor {floor}x)"
-
-
-def test_bench_replay_chunked_peak_memory(replay_quick, bench_record):
-    """Chunked replay must bound the replay working set without changing
-    a single counter.
-
-    Peak is tracemalloc over the replay call only (machine state is built
-    before measurement starts), so it captures exactly what chunking
-    bounds: the compiled trace arrays and the per-window scratch.
-    """
-    scale = QUICK_SCALE if replay_quick else FULL_SCALE
-    chunk = QUICK_CHUNK_ACCESSES if replay_quick else FULL_CHUNK_ACCESSES
-    context = _ReplayContext("TP", scale)
-
-    def run(chunk_accesses):
-        l2, controllers = context.fresh_state()
-        _, peak = measure_peak_mib(
-            replay_trace,
-            context.trace,
-            all_regions=context.all_regions,
-            rows=context.rows,
-            base_addresses=context.base_addresses,
-            l2=l2,
-            controllers=controllers,
-            interleave_blocks=context.interleave,
-            chunk_accesses=chunk_accesses,
-        )
-        counters = {
-            "l2": dataclasses.asdict(l2.stats),
-            "controllers": [dataclasses.asdict(c.stats) for c in controllers],
-        }
-        return peak, counters
-
-    whole_peak, whole_counters = run(None)
-    chunked_peak, chunked_counters = run(chunk)
-    assert chunked_counters == whole_counters, (
-        "chunked replay changed counters — chunking must be invisible"
-    )
-    print(
-        f"\nchunked replay peak (TP, {len(context.trace)} compiled-entry trace, "
-        f"chunk {chunk}): unchunked {whole_peak:.2f} MiB, "
-        f"chunked {chunked_peak:.2f} MiB"
-    )
-    bench_record(
-        f"replay_peak_mib{'_quick' if replay_quick else ''}",
-        chunked_peak, unit="MiB", higher_is_better=False, gate=False,
-    )
-    if not replay_quick:
-        # The full-mode trace spans many chunks, so the bounded working set
-        # must come in visibly below the whole-trace compile.
-        assert len(context.trace) > 4 * chunk
-        assert chunked_peak < whole_peak
 
 
 def test_bench_replay_end_to_end_job(replay_quick, bench_record):

@@ -221,25 +221,9 @@ def _summarize(outcome: CampaignResult, spec: CampaignSpec, store: ResultStore,
     return 1 if (outcome.n_failed or outcome.n_missing) else 0
 
 
-def _apply_chunk_accesses(args: argparse.Namespace) -> None:
-    """Export ``--chunk-accesses`` as ``REPRO_CHUNK_ACCESSES``.
-
-    The environment is how the budget reaches pool workers (fork and spawn)
-    and leased remote workers without touching job hashes — chunking never
-    changes results, so it must stay out of result identity.
-    """
-    value = getattr(args, "chunk_accesses", None)
-    if value is None:
-        return
-    if value <= 0:
-        raise ValueError("--chunk-accesses must be positive")
-    os.environ["REPRO_CHUNK_ACCESSES"] = str(value)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """``campaign run``: expand, simulate, persist, summarize."""
     try:
-        _apply_chunk_accesses(args)
         spec = _spec_from_args(args)
         store = ResultStore(args.dir)
     except (KeyError, ValueError) as exc:
@@ -262,9 +246,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``campaign serve``: coordinate the grid over remote lease workers."""
     try:
-        # Applies to the coordinator's in-process fallback pool; remote
-        # workers set their own budget via 'campaign worker --chunk-accesses'.
-        _apply_chunk_accesses(args)
         spec = _spec_from_args(args)
         store = ResultStore(args.dir)
     except (KeyError, ValueError) as exc:
@@ -307,7 +288,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     """``campaign worker``: join a coordinator and execute leased jobs."""
     try:
-        _apply_chunk_accesses(args)
         store = ResultStore(args.dir) if args.dir else None
     except ValueError as exc:
         _log.error("error: %s", exc)
@@ -703,15 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
             "error record instead of stalling the campaign (default: none)",
         )
         parser.add_argument(
-            "--chunk-accesses",
-            type=int,
-            default=None,
-            metavar="N",
-            help="replay the compiled trace in bounded windows of at most N "
-            "entries, threading cache/controller state across windows — "
-            "bit-identical results under bounded memory (default: one pass)",
-        )
-        parser.add_argument(
             "--quiet", action="store_true", help="suppress per-job progress"
         )
         parser.add_argument(
@@ -793,14 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--max-idle", type=float, default=None, metavar="SECONDS",
         help="exit after this long without work (default: stay until done)",
-    )
-    worker.add_argument(
-        "--chunk-accesses",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bounded-memory replay window for jobs this worker executes "
-        "(same semantics as 'campaign run --chunk-accesses')",
     )
     worker.set_defaults(func=cmd_worker)
 

@@ -47,7 +47,6 @@ def build_backend(
     config: GPUConfig,
     lossy_threshold_bytes: int = 16,
     mag_bytes: int | None = None,
-    batch_codec: bool = True,
 ) -> CompressionBackend:
     """Build the memory-controller backend for a scheme label.
 
@@ -55,9 +54,7 @@ def build_backend(
     GPU latency config); the other lossless labels (``"BDI"``, ``"FPC"``,
     ``"CPACK"``, ``"BPC"``) come from the compression registry with the
     registry's per-scheme latencies; the TSLC labels yield an SLC backend of
-    the matching variant (60/20 cycles).  ``batch_codec=False`` routes SLC
-    batched stores through the scalar per-block payload path (the codec
-    microbenchmark's reference).
+    the matching variant (60/20 cycles).
     """
     mag = mag_bytes if mag_bytes is not None else config.mag_bytes
     latency = config.latency
@@ -93,33 +90,7 @@ def build_backend(
         SLCCompressor(slc_config),
         compress_cycles=latency.tslc_compress_cycles,
         decompress_cycles=latency.tslc_decompress_cycles,
-        batch_codec=batch_codec,
     )
-
-
-def default_chunk_accesses() -> int | None:
-    """The replay chunk budget from ``REPRO_CHUNK_ACCESSES`` (unset → None).
-
-    Campaign pool workers and distributed workers inherit the environment,
-    so a single variable bounds replay memory for a whole fleet without
-    plumbing through job hashes (chunking never changes results, so it must
-    not participate in result identity).  A malformed or non-positive value
-    raises rather than silently running unbounded.
-    """
-    raw = os.environ.get("REPRO_CHUNK_ACCESSES", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_CHUNK_ACCESSES must be a positive integer, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_CHUNK_ACCESSES must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 class InputCache:
@@ -178,15 +149,14 @@ def simulate_job(
     job: Job,
     batch_store: bool = True,
     replay_mode: str = "vectorized",
-    batch_codec: bool = True,
-    chunk_accesses: int | None = None,
     payload_digest: bool = False,
 ) -> SimulationResult:
     """Run one job to completion and return its simulation result.
 
     The workload input comes from :data:`INPUT_CACHE`: a job on the input
     the previous job used skips preparing it.  Results are identical
-    either way.
+    either way.  No option is needed to bound memory at scale 1.0: the
+    backends slice large stores themselves (:mod:`repro.gpu.backends`).
 
     Args:
         job: the campaign job description.
@@ -198,27 +168,15 @@ def simulate_job(
             ``"vectorized"`` (default, :mod:`repro.replay`) or ``"scalar"``
             (the per-access reference loop).  Results are identical either
             way; the replay microbenchmark flips this to measure both.
-        batch_codec: materialize stored payload bytes with the vectorized
-            payload codec (:mod:`repro.kernels.codec`) instead of per-block
-            ``apply_decision`` calls.  Results are identical either way; the
-            codec microbenchmark flips this off to measure the scalar path.
-        chunk_accesses: bounded-memory replay chunk budget (compiled RLE
-            entries per window; see :class:`GPUSimulator`).  ``None`` falls
-            back to the ``REPRO_CHUNK_ACCESSES`` environment variable, which
-            is how ``--chunk-accesses`` reaches pool and distributed
-            workers.  Results are identical either way.
         payload_digest: record ``extra_metrics["payload_sha256"]`` over the
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
     """
     config = overrides_to_config(job.config_overrides)
-    if chunk_accesses is None:
-        chunk_accesses = default_chunk_accesses()
     simulator = GPUSimulator(
         config=config,
         batch_store=batch_store,
         replay_mode=replay_mode,
-        chunk_accesses=chunk_accesses,
         payload_digest=payload_digest,
     )
     kwargs: dict = {"seed": job.seed}
@@ -234,7 +192,6 @@ def simulate_job(
         config,
         lossy_threshold_bytes=job.lossy_threshold_bytes,
         mag_bytes=job.mag_bytes,
-        batch_codec=batch_codec,
     )
     return simulator.run_prepared(prepared, backend, compute_error=job.compute_error)
 

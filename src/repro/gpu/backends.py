@@ -31,6 +31,14 @@ from repro.core.slc import SLCCompressor
 from repro.obs import metrics
 from repro.utils.blocks import as_block_rows
 
+#: rows per lossless size-kernel call (:meth:`LosslessBackend.size_bits`);
+#: bounds the kernels' temporary arrays
+LOSSLESS_SLICE_ROWS = 1024
+#: rows per SLC decision and codec pass (:meth:`SLCBackend.store_batch`);
+#: bounds their temporaries, which run at about 1 KB per row.  Each pass
+#: has about 0.5 ms of fixed cost, so much smaller slices slow stores down.
+SLC_SLICE_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class StoredBlock:
@@ -258,10 +266,20 @@ class LosslessBackend(CompressionBackend):
         return self.from_sizes(self.size_bits(rows), rows)
 
     def size_bits(self, rows: np.ndarray) -> np.ndarray:
-        """Stored bits of each row of an ``(n, block_size_bytes)`` matrix."""
+        """Stored bits of each row of an ``(n, block_size_bytes)`` matrix.
+
+        The compressor analyzes :data:`LOSSLESS_SLICE_ROWS` rows per call,
+        so its temporaries stay bounded however many rows there are.
+        """
         if metrics.enabled() and not self.compressor.batched_analysis:
             metrics.inc("backend.scalar_store_rows", rows.shape[0])
-        return np.asarray(self.compressor.analyze_batch(rows), dtype=np.int64)
+        sizes = np.empty(rows.shape[0], dtype=np.int64)
+        step = LOSSLESS_SLICE_ROWS
+        for start in range(0, rows.shape[0], step):
+            sizes[start:start + step] = self.compressor.analyze_batch(
+                rows[start:start + step]
+            )
+        return sizes
 
     def from_sizes(self, sizes: np.ndarray, rows: np.ndarray) -> StoredBatch:
         """Store ``rows`` as they are, given their :meth:`size_bits`.
@@ -295,15 +313,14 @@ class LosslessBackend(CompressionBackend):
 class SLCBackend(CompressionBackend):
     """Selective lossy compression (the paper's contribution).
 
+    Batched stores (:meth:`store_batch`) run the vectorized Fig. 4 decision
+    and payload codec in slices of :data:`SLC_SLICE_ROWS` rows; per-block
+    :meth:`store` is their oracle.
+
     Args:
         slc: the configured (and later trained) :class:`SLCCompressor`.
         compress_cycles: compression latency in controller cycles.
         decompress_cycles: decompression latency in controller cycles.
-        batch_codec: materialize the degraded bytes of batched stores with
-            the vectorized payload codec (:mod:`repro.kernels.codec`) instead
-            of per-block :meth:`SLCCompressor.apply_decision` calls.  Results
-            are identical either way; the codec microbenchmark flips this off
-            to measure the scalar payload path.
     """
 
     def __init__(
@@ -311,14 +328,12 @@ class SLCBackend(CompressionBackend):
         slc: SLCCompressor,
         compress_cycles: int = 60,
         decompress_cycles: int = 20,
-        batch_codec: bool = True,
     ) -> None:
         super().__init__(slc.config.block_size_bytes, slc.config.mag_bytes)
         self.slc = slc
         self.name = f"slc-{slc.config.variant.value}"
         self._compress_cycles = compress_cycles
         self._decompress_cycles = decompress_cycles
-        self.batch_codec = batch_codec
         self.lossy_blocks = 0
         self.total_blocks = 0
         self.total_overshoot_bits = 0
@@ -333,26 +348,42 @@ class SLCBackend(CompressionBackend):
     def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched stores: vectorized Fig. 4 decision + batched payload codec.
 
-        The decision arrays come from :meth:`SLCCompressor.analyze_batch_arrays`
-        and the degraded rows of the lossy blocks from one vectorized
-        truncation/prediction pass (:meth:`SLCCompressor.apply_decision_rows`),
-        so no per-block Python codec work remains.  Per-block results and the
+        Each slice of :data:`SLC_SLICE_ROWS` rows takes one
+        :meth:`SLCCompressor.analyze_batch_arrays` decision and one
+        vectorized truncation/prediction pass over its lossy rows
+        (:meth:`SLCCompressor.apply_decision_rows`), so no per-block Python
+        codec work remains and the temporaries stay those of one slice.
+        The result's data is ``rows`` itself when no row is lossy, else one
+        copy with only the lossy rows rewritten.  Per-block results and the
         backend's own counters are identical to calling :meth:`store` per
-        block, in order (the scalar path stays available as the oracle via
-        ``batch_codec=False``).  Geometries the kernels do not cover take
-        the per-block loop, counted as ``backend.scalar_store_rows``.
+        block, in order.  Geometries the kernels do not cover take the
+        per-block loop, counted as ``backend.scalar_store_rows``.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
-        view = self.slc.symbol_view(rows)
-        if view is None:
+        if not self.slc.batch_geometry_supported():
             return self._store_rows(rows, approximable)
-        if not self.batch_codec:
-            decisions = self.slc.analyze_batch(view, approximable=approximable)
-            return StoredBatch.from_blocks(
-                [self._record(block, decision) for block, decision in zip(view, decisions)],
-                self.block_size_bytes,
-            )
+        n, step = rows.shape[0], SLC_SLICE_ROWS
+        if n <= step:
+            return self._store_slice(rows, approximable)
+        bursts = np.empty(n, dtype=np.int64)
+        stored_bits = np.empty(n, dtype=np.int64)
+        lossy = np.empty(n, dtype=np.bool_)
+        data = rows
+        for start in range(0, n, step):
+            part = self._store_slice(rows[start:start + step], approximable)
+            bursts[start:start + step] = part.bursts
+            stored_bits[start:start + step] = part.stored_bits
+            lossy[start:start + step] = part.lossy
+            if part.lossy.any():
+                if data is rows:
+                    data = rows.copy()
+                data[start:start + step] = part.data
+        return StoredBatch(bursts=bursts, stored_bits=stored_bits, lossy=lossy, data=data)
+
+    def _store_slice(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
+        """:meth:`store_batch` of one slice, in one decision and codec pass."""
         codec_start = time.perf_counter() if metrics.enabled() else 0.0
+        view = self.slc.symbol_view(rows)
         decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
         data = self.slc.apply_decision_rows(view, decisions)
         lossy = decisions.lossy_mask

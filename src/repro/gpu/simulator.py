@@ -238,21 +238,16 @@ class GPUSimulator:
             batched analysis kernels (:mod:`repro.kernels`), one
             ``store_batch`` call and one block-store write per region instead
             of one ``store_block`` call per block.  Results are identical;
-            disable only to benchmark the scalar path.
+            disable only to benchmark the scalar path.  The backends slice
+            large regions themselves (:data:`~repro.gpu.backends.
+            SLC_SLICE_ROWS`, :data:`~repro.gpu.backends.LOSSLESS_SLICE_ROWS`),
+            so a store's temporaries stay bounded at any scale.
         replay_mode: how the kernel-execution phase replays the block trace.
             ``"vectorized"`` (the default) runs the array engine
             (:mod:`repro.replay`): compiled trace, reuse-distance L2,
             batched miss-path accounting.  ``"scalar"`` runs the original
             per-access loop.  Results are bit-identical; the scalar mode
             exists as the reference oracle and for benchmarking.
-        chunk_accesses: with the vectorized engine, replay the compiled
-            trace in bounded windows of at most this many compiled (RLE)
-            entries, threading L2/MDC/DRAM/storage state across chunk
-            boundaries — same counters and payloads bit-exactly, peak
-            memory O(chunk) instead of O(trace), which is what lets
-            scale=1 runs fit a configured budget.  ``None`` (the default)
-            replays the whole compiled trace in one pass; the scalar
-            replay mode is inherently streaming and ignores it.
         payload_digest: record a SHA-256 digest of the final stored state —
             every stored block's address, burst count, stored bits, lossy
             flag and (possibly degraded) data bytes, in address order — as
@@ -275,7 +270,6 @@ class GPUSimulator:
         train_samples: int = 1024,
         batch_store: bool = True,
         replay_mode: str = "vectorized",
-        chunk_accesses: int | None = None,
         payload_digest: bool = False,
     ) -> None:
         self.config = config or GPUConfig()
@@ -289,13 +283,10 @@ class GPUSimulator:
             raise ValueError(
                 f"replay_mode must be one of {self.REPLAY_MODES}, got {replay_mode!r}"
             )
-        if chunk_accesses is not None and chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
         self.overlap_penalty = overlap_penalty
         self.train_samples = train_samples
         self.batch_store = batch_store
         self.replay_mode = replay_mode
-        self.chunk_accesses = chunk_accesses
         self.payload_digest = payload_digest
 
     # ------------------------------------------------------------------ #
@@ -444,11 +435,8 @@ class GPUSimulator:
         )
         if self.replay_mode == "vectorized":
             replay = engine.replay_trace
-            replay_kwargs["chunk_accesses"] = self.chunk_accesses
             replay_kwargs["cache"] = cache
         else:
-            # The scalar loop streams one access at a time already — a chunk
-            # budget is meaningless there, so it is silently ignored.
             replay = replay_trace_scalar
         with span("sim.replay", cat="sim", workload=workload.name,
                   mode=self.replay_mode, accesses=len(trace)):

@@ -368,81 +368,3 @@ class MemoryTrace:
             block_index=arrays.block_index,
             regions=arrays.regions,
         )
-
-    def compile_chunks(
-        self, base_addresses: dict[str, int], max_accesses: int
-    ) -> Iterator[CompiledTrace]:
-        """Compile the trace as a stream of bounded-size chunks.
-
-        Yields :class:`CompiledTrace` pieces of at most ``max_accesses``
-        compiled entries each (an RLE entry — one row of the compiled
-        columns, whatever its repeat ``count`` — is the unit, since peak
-        memory scales with entries, not expanded accesses; an entry is never
-        split, so repeat runs stay intact).  Concatenating the chunks
-        reproduces :meth:`compile` exactly: all chunks share the full trace's
-        ``regions`` tuple and region indexing, only the rows are windowed.
-
-        Segments are flattened one at a time, so the full compiled-column
-        set for the whole trace is never materialized — peak memory is
-        O(largest segment + chunk size), which is what lets scale=1 replays
-        run under a configurable budget.  An empty trace yields no chunks.
-        """
-        if max_accesses <= 0:
-            raise ValueError("max_accesses must be positive")
-        regions = tuple(self.regions())
-        region_ids = {name: i for i, name in enumerate(regions)}
-        bases = np.fromiter(
-            (base_addresses[name] for name in regions), np.int64, len(regions)
-        )
-
-        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        pending_rows = 0
-
-        def emit() -> CompiledTrace:
-            nonlocal pending, pending_rows
-            region_index = np.concatenate([p[0] for p in pending])
-            block_index = np.concatenate([p[1] for p in pending])
-            is_write = np.concatenate([p[2] for p in pending])
-            counts = np.concatenate([p[3] for p in pending])
-            pending = []
-            pending_rows = 0
-            return CompiledTrace(
-                addresses=bases[region_index] + block_index,
-                is_write=is_write,
-                counts=counts,
-                region_index=region_index,
-                block_index=block_index,
-                regions=regions,
-            )
-
-        def columns(
-            seg: MemoryAccess | _StreamSegment,
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            if isinstance(seg, MemoryAccess):
-                return (
-                    np.array([region_ids[seg.region]], dtype=np.int64),
-                    np.array([seg.block_index], dtype=np.int64),
-                    np.array([seg.is_write], dtype=np.bool_),
-                    np.array([seg.count], dtype=np.int64),
-                )
-            n = len(seg.block_indices)
-            return (
-                np.full(n, region_ids[seg.region], dtype=np.int64),
-                seg.block_indices,
-                np.full(n, seg.is_write, dtype=np.bool_),
-                np.ones(n, dtype=np.int64),
-            )
-
-        for seg in self._segments:
-            cols = columns(seg)
-            offset, n = 0, cols[0].shape[0]
-            while offset < n:
-                room = max_accesses - pending_rows
-                take = min(room, n - offset)
-                pending.append(tuple(c[offset : offset + take] for c in cols))
-                pending_rows += take
-                offset += take
-                if pending_rows == max_accesses:
-                    yield emit()
-        if pending_rows:
-            yield emit()

@@ -205,8 +205,8 @@ def measure_peak_mib(fn, *args, **kwargs):
 
     The peak is the tracemalloc high-water mark of Python allocations made
     *during the call* — unlike :func:`peak_rss_mib` it resets per
-    measurement, which is what the replay benchmarks need to show that
-    chunked replay bounds its working set.  If tracemalloc is already
+    measurement, which is what a test needs to show that a call bounds its
+    working set.  If tracemalloc is already
     tracing (e.g. ``REPRO_OBS_TRACEMALLOC``), the outer trace is left
     running and its peak is reset rather than stopped.
     """

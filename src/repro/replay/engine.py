@@ -15,11 +15,12 @@ replay is two steps (:mod:`repro.replay.plan`):
    burst gathers and sums, MDC values, DRAM busy cycles and the final
    stores.
 
-A run's first unchunked replay takes its plan from the prepared input's
+A run's replay takes its plan from the prepared input's
 :class:`~repro.replay.plan.ReplayCache`, so every scheme and MAG simulated
-on the input shares one plan per geometry.  The mutated objects (L2,
-controllers, their MDCs and channels, the block store and the backend's own
-counters) end up in the same state the scalar loop leaves them in.
+on the input shares one plan per geometry; a call without the cache plans
+from the objects' current state.  The mutated objects (L2, controllers,
+their MDCs and channels, the block store and the backend's own counters)
+end up in the same state the scalar loop leaves them in.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory_controller import MemoryController, shared_store
-from repro.gpu.trace import CompiledTrace, MemoryTrace
+from repro.gpu.trace import MemoryTrace
 from repro.obs import metrics
 from repro.obs.tracing import span
 from repro.replay.plan import ReplayCache, ReplayPlan, build_plan, evaluate
@@ -44,7 +45,6 @@ def replay_trace(
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
     interleave_blocks: int,
-    chunk_accesses: int | None = None,
     cache: ReplayCache | None = None,
 ) -> None:
     """Replay the kernel's block trace at array speed.
@@ -53,21 +53,18 @@ def replay_trace(
     :func:`~repro.replay.reference.replay_trace_scalar`.
 
     Args:
-        chunk_accesses: replay the compiled trace in bounded windows of at
-            most this many compiled (RLE) entries.  Each window is planned
-            from the objects' state after the previous one, so all counters
-            and stored payloads are bit-identical to the unchunked replay
-            while peak memory stays O(chunk) instead of O(trace).
         cache: the prepared input's :class:`~repro.replay.plan.ReplayCache`
             (it must hold ``trace`` and ``rows``).  Write misses are stored
-            through its per-row sizes, and an unchunked replay on fresh
-            objects takes its plan from it (building and keeping it on
-            first use).  Without a cache, and for every chunk, a plan is
-            built from the objects' current state and kept nowhere.
+            through its per-row sizes, and a replay on fresh objects takes
+            its plan from it (building and keeping it on first use).
+            Without a cache, a plan is built from the objects' current
+            state and kept nowhere.
     """
     shared_store(controllers)
 
-    def plan_of(compiled: CompiledTrace) -> ReplayPlan:
+    def compile_and_plan() -> ReplayPlan:
+        with span("replay.compile", cat="replay"):
+            compiled = trace.compile(base_addresses)
         with span("replay.plan", cat="replay", entries=len(compiled)):
             if metrics.enabled():
                 metrics.inc("replay.plan.build")
@@ -80,26 +77,10 @@ def replay_trace(
                 interleave_blocks=interleave_blocks,
             )
 
-    def compile_and_plan() -> ReplayPlan:
-        with span("replay.compile", cat="replay"):
-            compiled = trace.compile(base_addresses)
-        return plan_of(compiled)
-
-    state = dict(rows=rows, l2=l2, controllers=controllers, cache=cache)
-    if chunk_accesses is not None:
-        if chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
-        n_chunks = 0
-        for compiled in trace.compile_chunks(base_addresses, chunk_accesses):
-            n_chunks += 1
-            with span("replay.chunk", cat="replay", entries=len(compiled)):
-                evaluate(plan_of(compiled), **state)
-        if metrics.enabled():
-            metrics.inc("replay.chunks", n_chunks)
-    elif cache is None:
-        evaluate(compile_and_plan(), **state)
+    if cache is None:
+        plan = compile_and_plan()
     else:
         plan = cache.plan(trace, rows, l2, controllers, interleave_blocks, compile_and_plan)
-        evaluate(plan, **state)
+    evaluate(plan, rows=rows, l2=l2, controllers=controllers, cache=cache)
     if metrics.enabled():
         metrics.observe("replay.peak_rss_mib", metrics.peak_rss_mib())

@@ -376,19 +376,17 @@ class ReplayCache:
     with the input.
 
     * :attr:`plans` maps a geometry (:func:`_geometry`) to the plan of a
-      run's first, unchunked replay, from fresh L2, MDC and DRAM state.
+      run's first replay, from fresh L2, MDC and DRAM state.
     * :attr:`sizes` maps a backend's :attr:`~repro.gpu.backends.
       CompressionBackend.size_key` to the stored bits of every row, computed
-      once in slices of :attr:`SIZE_SLICE_ROWS` rows.  Another MAG then only
-      re-rounds the bursts.
+      once (:meth:`~repro.gpu.backends.LosslessBackend.size_bits`, which
+      bounds its own temporaries).  Another MAG then only re-rounds the
+      bursts.
 
     Every array it holds is read-only.  Threads sharing an input may race
     to build the same plan or sizes; both results are equal, and either is
     kept.
     """
-
-    #: rows per size-kernel call; bounds the kernels' temporary arrays
-    SIZE_SLICE_ROWS = 1024
 
     def __init__(self, trace: MemoryTrace, rows: np.ndarray) -> None:
         self.trace = trace
@@ -409,11 +407,7 @@ class ReplayCache:
             return backend.store_batch(self.rows[addresses], approximable=approximable)
         sizes = self.sizes.get(key)
         if sizes is None:
-            step = self.SIZE_SLICE_ROWS
-            sizes = np.concatenate([np.empty(0, dtype=np.int64)] + [
-                backend.size_bits(self.rows[start:start + step])
-                for start in range(0, self.rows.shape[0], step)
-            ])
+            sizes = backend.size_bits(self.rows)
             _read_only(sizes)
             self.sizes[key] = sizes
         return backend.from_sizes(sizes[addresses], self.rows[addresses])

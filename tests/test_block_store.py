@@ -8,8 +8,11 @@ run keeps what it stores in one address-indexed
 The per-block paths — ``backend.store``, ``MemoryController.store_block`` /
 ``read_block``, ``replay_mode="scalar"``, ``batch_store=False`` — remain
 the n = 1 oracles, and every scheme (plus the uncompressed baseline) must
-match them exactly: per stored batch, per final block store (at every chunk
-size), and per degraded input.
+match them exactly: per stored batch, per final block store, and per
+degraded input.  The backends bound a store's temporaries by slicing its
+rows (``SLC_SLICE_ROWS``, ``LOSSLESS_SLICE_ROWS``); results must not see
+the slice boundaries, and the peak memory of a store over eight slices
+must stay within twice that of one slice.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.campaign.spec import KNOWN_SCHEMES, Job
+from repro.campaign.spec import KNOWN_SCHEMES, LOSSLESS_SCHEMES, Job
 from repro.campaign.worker import build_backend, simulate_job
 from repro.compression import get_compressor
 from repro.compression.base import BlockCompressor, CompressedBlock
 from repro.compression.e2mc import E2MCCompressor
 from repro.core.config import SLCConfig
 from repro.core.slc import SLCCompressor
+from repro.gpu import backends
 from repro.gpu.backends import (
     LosslessBackend,
     NoCompressionBackend,
@@ -40,6 +44,7 @@ from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
 from repro.obs import metrics
+from repro.obs.metrics import measure_peak_mib
 from repro.replay import replay_trace, replay_trace_scalar
 from repro.utils.blocks import array_to_blocks, as_block_rows, blocks_to_array
 from repro.workloads.base import Region
@@ -133,6 +138,66 @@ def test_slc_copies_only_when_a_row_is_lossy():
 
 
 # --------------------------------------------------------------------- #
+# the backends slice large stores: same results, bounded memory
+
+
+@pytest.fixture
+def small_slices(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Slices of a few rows, so a short batch crosses many slice boundaries."""
+    monkeypatch.setattr(backends, "SLC_SLICE_ROWS", 7)
+    monkeypatch.setattr(backends, "LOSSLESS_SLICE_ROWS", 5)
+
+
+@pytest.mark.parametrize("approximable", [False, True], ids=["exact", "approximable"])
+def test_sliced_store_batch_matches_scalar(small_slices, backend_name, approximable):
+    samples = make_float_blocks() + make_mixed_blocks()
+    rows = as_block_rows(samples)
+    batched, scalar = _trained_pair(backend_name, samples)
+    batch = batched.store_batch(rows, approximable=approximable)
+    assert batch == _scalar_batch(scalar, rows, approximable)
+    # the rows come back uncopied unless a row is lossy
+    assert (batch.data is rows) == (not batch.lossy.any())
+    if isinstance(batched, SLCBackend):
+        assert batch.lossy.any() == approximable
+        counters = ("total_blocks", "lossy_blocks", "total_overshoot_bits")
+        assert [getattr(batched, c) for c in counters] == [
+            getattr(scalar, c) for c in counters
+        ]
+
+
+def _tiled_rows(n: int) -> np.ndarray:
+    base = as_block_rows(make_float_blocks() + make_mixed_blocks())
+    return np.ascontiguousarray(np.resize(base, (n, base.shape[1])))
+
+
+def _peak_growth(call, slice_rows: int) -> float:
+    """Peak memory of ``call`` over eight slices' rows, over one slice's."""
+    rows = _tiled_rows(8 * slice_rows)
+    call(rows[:16])  # lazily built tables are not a store's temporaries
+    _, one = measure_peak_mib(call, rows[:slice_rows])
+    _, eight = measure_peak_mib(call, rows)
+    return eight / one
+
+
+def test_slc_store_batch_memory_is_bounded_by_one_slice():
+    backend = _backend("TSLC-OPT")
+    backend.train(make_float_blocks() + make_mixed_blocks())
+    # exact rows: a batch with lossy rows returns a copy of them all
+    growth = _peak_growth(
+        lambda rows: backend.store_batch(rows, approximable=False),
+        backends.SLC_SLICE_ROWS,
+    )
+    assert growth < 2
+
+
+@pytest.mark.parametrize("scheme", ["E2MC", *LOSSLESS_SCHEMES])
+def test_lossless_size_bits_memory_is_bounded_by_one_slice(scheme):
+    backend = _backend(scheme)
+    backend.train(make_float_blocks() + make_mixed_blocks())
+    assert _peak_growth(backend.size_bits, backends.LOSSLESS_SLICE_ROWS) < 2
+
+
+# --------------------------------------------------------------------- #
 # the block store after h2d + replay == the scalar pipeline's
 
 
@@ -169,12 +234,10 @@ def test_block_store_matches_scalar_pipeline(backend_name, workload):
         prepared, backend_name, batch_store=False, replay_mode="scalar"
     )
     assert oracle_store.stored_blocks > 0
-    compiled_entries = len(prepared.trace.compile(prepared.base_addresses))
-    for chunk in (1, 64, compiled_entries + 1, None):
-        store, result = _final_store(prepared, backend_name, chunk_accesses=chunk)
-        for got, want in zip(_store_fields(store), _store_fields(oracle_store)):
-            np.testing.assert_array_equal(got, want)
-        assert result == oracle_result
+    store, result = _final_store(prepared, backend_name)
+    for got, want in zip(_store_fields(store), _store_fields(oracle_store)):
+        np.testing.assert_array_equal(got, want)
+    assert result == oracle_result
 
 
 @pytest.mark.parametrize("workload", ["NN", "SRAD1"])

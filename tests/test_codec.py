@@ -144,7 +144,7 @@ def test_apply_decision_batch_length_mismatch():
         slc.apply_decision_batch([bytes(BLOCK)], [])
 
 
-def test_batch_codec_empty_region():
+def test_payload_codec_empty_region():
     slc = trained_slc(SLCVariant.OPT, 32)
     assert slc.compress_batch([]) == []
     assert slc.decompress_batch([]) == []
@@ -204,17 +204,14 @@ def test_store_batch_matches_scalar_store_counters():
     config = SLCConfig(variant=SLCVariant.OPT)
     scalar_backend = SLCBackend(SLCCompressor(config))
     batch_backend = SLCBackend(SLCCompressor(config))
-    oracle_backend = SLCBackend(SLCCompressor(config), batch_codec=False)
-    for backend in (scalar_backend, batch_backend, oracle_backend):
+    for backend in (scalar_backend, batch_backend):
         backend.train(blocks)
     scalar = StoredBatch.from_blocks([scalar_backend.store(b) for b in blocks], BLOCK)
     rows = as_block_rows(blocks, BLOCK)
     assert batch_backend.store_batch(rows) == scalar
-    assert oracle_backend.store_batch(rows) == scalar
-    for backend in (batch_backend, oracle_backend):
-        assert backend.total_blocks == scalar_backend.total_blocks
-        assert backend.lossy_blocks == scalar_backend.lossy_blocks
-        assert backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
+    assert batch_backend.total_blocks == scalar_backend.total_blocks
+    assert batch_backend.lossy_blocks == scalar_backend.lossy_blocks
+    assert batch_backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
     assert scalar_backend.lossy_blocks > 0
 
 

@@ -96,7 +96,6 @@ def run_cell(workload: str, scheme: str, mag: int, scalar: bool) -> dict:
         cell_job(workload, scheme, mag),
         batch_store=not scalar,
         replay_mode="scalar" if scalar else "vectorized",
-        batch_codec=not scalar,
         payload_digest=True,
     ).to_dict()
 

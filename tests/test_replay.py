@@ -344,21 +344,26 @@ def _store_state(store: BlockStore):
     }
 
 
-def _run_both(trace: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int):
+def _run_both(*traces: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int):
+    """Replay ``traces`` back to back on one state through each engine.
+
+    Asserts both engines end in the same state, and returns it.
+    """
     results = []
     for engine in (replay_trace_scalar, replay_trace):
         regions, rows, bases, l2, controllers = _make_state(
             seed, backend_kind, mdc_entries
         )
-        engine(
-            trace,
-            all_regions=regions,
-            rows=rows,
-            base_addresses=bases,
-            l2=l2,
-            controllers=controllers,
-            interleave_blocks=2,
-        )
+        for trace in traces:
+            engine(
+                trace,
+                all_regions=regions,
+                rows=rows,
+                base_addresses=bases,
+                l2=l2,
+                controllers=controllers,
+                interleave_blocks=2,
+            )
         state = (
             _cache_state(l2),
             [_controller_state(c) for c in controllers],
@@ -373,6 +378,7 @@ def _run_both(trace: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int
         results.append(state)
     scalar_state, vector_state = results
     assert vector_state == scalar_state
+    return scalar_state
 
 
 trace_entries = st.lists(
@@ -386,9 +392,7 @@ trace_entries = st.lists(
 )
 
 
-@given(entries=trace_entries, backend_kind=st.sampled_from(["none", "slc"]))
-@settings(max_examples=40, deadline=None)
-def test_engine_property_random_traces(entries, backend_kind):
+def _trace_of(entries) -> MemoryTrace:
     trace = MemoryTrace()
     for region, block, write, count in entries:
         trace.append(
@@ -399,8 +403,23 @@ def test_engine_property_random_traces(entries, backend_kind):
                 count=count,
             )
         )
+    return trace
+
+
+@given(
+    entries=trace_entries,
+    backend_kind=st.sampled_from(["none", "slc"]),
+    split=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_property_random_traces(entries, backend_kind, split):
     # mdc_entries=4 forces the exact slow path + LRU evictions in the MDC
-    _run_both(trace, backend_kind, seed=11, mdc_entries=4)
+    options = dict(backend_kind=backend_kind, seed=11, mdc_entries=4)
+    whole = _run_both(_trace_of(entries), **options)
+    # the second half is planned from the L2, MDC, DRAM and block-store
+    # state the first half left behind
+    halves = _run_both(_trace_of(entries[:split]), _trace_of(entries[split:]), **options)
+    assert halves == whole
 
 
 def test_engine_streamed_trace_matches_scalar():
@@ -408,11 +427,11 @@ def test_engine_streamed_trace_matches_scalar():
     trace.add_stream("inp", 3, AccessType.READ, passes=2)
     trace.add_stream("out", 2, AccessType.WRITE)
     trace.add_stream("inp", 3, AccessType.READ, stride=2)
-    _run_both(trace, "slc", seed=3, mdc_entries=8192)
+    _run_both(trace, backend_kind="slc", seed=3, mdc_entries=8192)
 
 
 def test_engine_empty_trace_is_a_no_op():
-    _run_both(MemoryTrace(), "none", seed=5, mdc_entries=8)
+    _run_both(MemoryTrace(), backend_kind="none", seed=5, mdc_entries=8)
 
 
 # --------------------------------------------------------------------- #

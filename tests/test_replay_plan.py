@@ -8,8 +8,9 @@ pin that a job on a warm plan equals a cold job and the scalar oracle
 (``replay_mode="scalar"``, ``batch_store=False``) in every result field and
 in the final L2, MDC, DRAM and block-store state, for every scheme, the
 uncompressed baseline and every MAG; that other geometries get their own
-plans; that the exact MDC path, chunked replay and the per-row size memo
-agree too; and that plans are read-only and counted.
+plans; that the exact MDC path and the per-row size memo agree too; and
+that plans are read-only and counted.  Replays that start from state an
+earlier replay left behind are property-tested in ``tests/test_replay.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.campaign import worker
 from repro.campaign.executor import run_jobs
 from repro.campaign.spec import KNOWN_SCHEMES, LOSSLESS_SCHEMES, CampaignSpec
 from repro.campaign.worker import build_backend
+from repro.gpu import backends
 from repro.gpu.backends import NoCompressionBackend
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
@@ -209,7 +211,7 @@ def test_reads_of_kernel_stores_match_the_scalar_loop(scheme, mag):
 
 
 # --------------------------------------------------------------------- #
-# the exact MDC path and chunked replay
+# the exact MDC path
 
 
 def _fresh_machine(prepared, backend, mdc_entries: int = 8192, l2_kb: int = CONFIG.l2_cache_kb):
@@ -257,32 +259,19 @@ def test_small_mdc_takes_the_exact_path_and_matches(metrics_on, scheme):
     assert counters["replay.plan.build"] == 2 and counters["replay.plan.reuse"] == 1
 
 
-@pytest.mark.parametrize("scheme", ["E2MC", "TSLC-OPT"])
-def test_chunked_replay_matches_the_plan(scheme):
-    config = CONFIG.scaled(**SMALL_L2)
-    prepared = _prepare("TP", config)
-    whole, whole_state = _run(prepared, scheme, 32, config)
-    compiled_entries = len(prepared.trace.compile(prepared.base_addresses))
-    for chunk in (1, 64, compiled_entries + 1):
-        chunked, chunked_state = _run(prepared, scheme, 32, config, chunk_accesses=chunk)
-        assert chunked == whole
-        assert chunked_state == whole_state
-    assert len(prepared.replay_cache.plans) == 1  # chunks keep no plan
-
-
 # --------------------------------------------------------------------- #
 # the per-row size memo
 
 
 @pytest.mark.parametrize("scheme", ["E2MC", *LOSSLESS_SCHEMES])
 def test_size_memo_matches_store_batch(scheme, mag, monkeypatch):
-    monkeypatch.setattr(ReplayCache, "SIZE_SLICE_ROWS", 100)  # several slices
+    monkeypatch.setattr(backends, "LOSSLESS_SLICE_ROWS", 100)  # several slices
     prepared = _prepare("SRAD1")
     backend = _backend(scheme, mag)
     backend.train(prepared.train_samples)
     cache = prepared.replay_cache
     rows = prepared.rows
-    assert rows.shape[0] > 3 * ReplayCache.SIZE_SLICE_ROWS
+    assert rows.shape[0] > 3 * backends.LOSSLESS_SLICE_ROWS
     rng = np.random.default_rng(5)
     picks = rng.integers(0, rows.shape[0], size=300)  # with repeats
     for addresses in (np.arange(rows.shape[0]), slice(7, 250), picks):
@@ -379,6 +368,9 @@ def test_plans_are_counted_per_job_and_dropped_with_the_input(metrics_on):
     for workload in ("FWT", "TP"):
         per_job = [counts[job] for job in jobs if job.workload == workload]
         assert sorted(per_job) == [(0, 1), (0, 1), (0, 1), (1, 0)]
+    # every replay records the process's peak RSS
+    for _, record in outcome.iter_records():
+        assert record.metrics["values"]["replay.peak_rss_mib"]["max"] > 0
 
     # the plan lives and dies with the cached input
     job = jobs[0]
