@@ -431,77 +431,31 @@ class SLCCompressor:
     # ------------------------------------------------------------------ #
     # batched payload codec
 
-    @staticmethod
-    def _decision_arrays(decisions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lossy, approx_start, approx_count) arrays from either form."""
-        from repro.kernels.decision import BatchDecisions
-
-        if isinstance(decisions, BatchDecisions):
-            return decisions.lossy_mask, decisions.approx_start, decisions.approx_count
-        n = len(decisions)
-        lossy = np.fromiter((d.is_lossy for d in decisions), np.bool_, n)
-        start = np.fromiter((d.approx_start for d in decisions), np.int64, n)
-        count = np.fromiter((d.approx_count for d in decisions), np.int64, n)
-        return lossy, start, count
-
-    def apply_decision_batch(self, blocks, decisions) -> list[bytes]:
-        """Batched :meth:`apply_decision`: degraded bytes for a whole region.
-
-        Args:
-            blocks: the raw blocks (an ``(n, block_size_bytes)`` uint8 row
-                matrix, a list of ``block_size_bytes`` chunks or a
-                :class:`~repro.kernels.symbols.BatchSymbolView`).
-            decisions: matching per-block decisions — a list of
-                :class:`SLCDecision` or the
-                :class:`~repro.kernels.decision.BatchDecisions` arrays from
-                :meth:`analyze_batch_arrays`.
-
-        Returns:
-            One ``bytes`` object per block, identical to calling
-            :meth:`apply_decision` per block: lossless/uncompressed blocks
-            unchanged, lossy blocks with their truncated symbols zero-filled
-            (TSLC-SIMP) or predicted (TSLC-PRED/OPT).
-        """
-        view = self.symbol_view(blocks)
-        if view is None:
-            from repro.kernels.decision import BatchDecisions
-
-            if isinstance(decisions, BatchDecisions):
-                decisions = decisions.to_decisions()
-            blocks = iter_blocks(blocks)
-            if len(decisions) != len(blocks):
-                raise CompressionError(
-                    f"got {len(decisions)} decisions for {len(blocks)} blocks"
-                )
-            return [
-                self.apply_decision(block, decision)
-                for block, decision in zip(blocks, decisions)
-            ]
-        return [row.tobytes() for row in self.apply_decision_rows(view, decisions)]
-
     def apply_decision_rows(self, view, decisions) -> np.ndarray:
         """The rows of a symbol view as they read back after ``decisions``.
 
-        Only valid where :meth:`batch_geometry_supported` holds.  Returns
-        ``view.rows`` itself when no block is lossy; otherwise a copy in
-        which only the lossy rows are rewritten, by one vectorized
-        truncation/prediction pass.
+        The batched :meth:`apply_decision`: ``decisions`` are the
+        :class:`~repro.kernels.decision.BatchDecisions` arrays of
+        :meth:`analyze_batch_arrays`, one per row.  Only valid where
+        :meth:`batch_geometry_supported` holds.  Returns ``view.rows``
+        itself when no block is lossy; otherwise a copy in which only the
+        lossy rows are rewritten, by one vectorized truncation/prediction
+        pass.
         """
         from repro.kernels.codec import reconstruct_rows
 
-        lossy, start, count = self._decision_arrays(decisions)
-        if len(lossy) != view.n_blocks:
+        if len(decisions) != view.n_blocks:
             raise CompressionError(
-                f"got {len(lossy)} decisions for {view.n_blocks} blocks"
+                f"got {len(decisions)} decisions for {view.n_blocks} blocks"
             )
-        rows = np.nonzero(lossy)[0]
+        rows = np.nonzero(decisions.lossy_mask)[0]
         if not rows.size:
             return view.rows
         data = view.rows.copy()
         data.view(view.symbols.dtype)[rows] = reconstruct_rows(
             view.symbols[rows],
-            start[rows],
-            count[rows],
+            decisions.approx_start[rows],
+            decisions.approx_count[rows],
             use_prediction=self.config.uses_prediction,
             element_symbols=self.config.element_symbols,
         )

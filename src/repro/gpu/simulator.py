@@ -11,7 +11,9 @@ execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 exact outputs, the row matrix of blocks, layout, training samples, trace)
 so several backends can be simulated on one :class:`PreparedInput`, which
 also caches their shared replay plans and lossless per-row sizes
-(:class:`~repro.replay.plan.ReplayCache`).  Each run then keeps what it
+(:class:`~repro.replay.plan.ReplayCache`) and the exact-side fidelity
+statistics of its approximable regions
+(:class:`~repro.metrics.fidelity.ExactSide`).  Each run then keeps what it
 stores in one address-indexed
 :class:`~repro.gpu.memory_controller.BlockStore` shared by its controllers.
 """
@@ -30,7 +32,7 @@ from repro.gpu.energy import EnergyBreakdown, EnergyModel
 from repro.gpu.memory_controller import BlockStore, MemoryController, controller_index
 from repro.gpu.sm import SMCluster
 from repro.gpu.trace import MemoryTrace
-from repro.metrics.fidelity import fidelity_summary
+from repro.metrics.fidelity import ExactSide, fidelity_summary
 from repro.obs import metrics
 from repro.obs.tracing import span
 from repro.replay import engine
@@ -183,7 +185,8 @@ class PreparedInput:
     holds because a workload's ``run``, ``error``, ``trace`` and
     ``compute_ops`` are pure functions of their arguments.  A shared input
     must not be modified; :meth:`make_read_only` enforces that for its
-    arrays.  Its :attr:`replay_cache` fills as runs use it.
+    arrays.  Its :attr:`replay_cache` and :attr:`exact_sides` fill as runs
+    use it.
     """
 
     workload: Workload
@@ -202,9 +205,17 @@ class PreparedInput:
     train_sample_target: int
     #: replay plans per simulator geometry and per-row sizes per compressor
     replay_cache: ReplayCache = field(init=False, repr=False)
+    #: the fidelity statistics of each approximable input region, built by
+    #: the first error phase that damages it
+    exact_sides: dict[str, ExactSide] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.replay_cache = ReplayCache(self.trace, self.rows)
+        self.exact_sides = {
+            name: ExactSide(region.array)
+            for name, region in self.input_regions.items()
+            if region.approximable
+        }
 
     def region_slice(self, name: str) -> slice:
         """The block addresses (rows) of region ``name``."""
@@ -457,7 +468,7 @@ class GPUSimulator:
                     )
                 approx_outputs = workload.run(degraded)
                 error_percent = workload.error(prepared.exact_outputs, approx_outputs)
-                fidelity = self._region_fidelity(input_regions, degraded)
+                fidelity = self._region_fidelity(degraded, prepared.exact_sides)
 
         return self._assemble_result(
             workload, backend, prepared.all_regions, controllers, store, l2,
@@ -494,8 +505,8 @@ class GPUSimulator:
 
     @staticmethod
     def _region_fidelity(
-        input_regions: dict[str, Region],
         degraded: dict[str, np.ndarray],
+        exact_sides: dict[str, ExactSide],
     ) -> dict[str, float]:
         """Statistical fidelity panel over the degraded approximable inputs.
 
@@ -504,16 +515,16 @@ class GPUSimulator:
         the data-level complement of the output-level application error,
         computed for every workload including ingested traces whose kernel
         is not re-runnable.  Non-approximable regions are exempt from the
-        lossy path by construction and excluded.
+        lossy path by construction and excluded: ``exact_sides``
+        (:attr:`PreparedInput.exact_sides`) holds the approximable ones.
         """
-        exact = {
-            name: region.array
-            for name, region in input_regions.items()
-            if region.approximable
-        }
-        if not exact:
+        if not exact_sides:
             return {}
-        return fidelity_summary(exact, {name: degraded[name] for name in exact})
+        return fidelity_summary(
+            {name: side.exact for name, side in exact_sides.items()},
+            {name: degraded[name] for name in exact_sides},
+            exact_sides,
+        )
 
     def _assemble_result(
         self,

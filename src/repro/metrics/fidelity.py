@@ -26,7 +26,10 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.obs import metrics
+
 __all__ = [
+    "ExactSide",
     "pearson_correlation",
     "ks_statistic",
     "iqr_normalized_errors",
@@ -116,25 +119,44 @@ def pearson_correlation(exact, approx) -> float:
     return _pearson(*_validated(exact, approx))
 
 
-def _ks(exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
-    """KS statistic of two validated flat float64 arrays."""
-    exact_sorted = np.sort(exact_arr)
-    approx_sorted = np.sort(approx_arr)
-    probe = np.concatenate([exact_sorted, approx_sorted])
-    cdf_exact = np.searchsorted(exact_sorted, probe, side="right") / exact_sorted.size
-    cdf_approx = np.searchsorted(approx_sorted, probe, side="right") / approx_sorted.size
-    return float(np.max(np.abs(cdf_exact - cdf_approx)))
+def _step_cdf(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted sample's empirical CDF as steps: its distinct values and,
+    after a leading 0, how many values are at most each one."""
+    differs = ordered[1:] != ordered[:-1]
+    if differs.all():
+        return ordered, np.arange(ordered.size + 1)
+    last = np.flatnonzero(differs)  # the last index of every run but one
+    counts = np.empty(last.size + 2, dtype=np.int64)
+    counts[0] = 0
+    counts[1:-1] = last
+    counts[-1] = ordered.size - 1
+    del last
+    values = ordered[counts[1:]]
+    counts[1:] += 1
+    return values, counts
 
 
-def ks_statistic(exact, approx) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic over the value distributions.
+#: probe values whose CDF gap is computed at a time, bounding temporaries
+_GAP_SLICE = 65_536
 
-    The maximum absolute distance between the empirical CDFs of the two
-    (flattened) samples, bounded to [0, 1]; 0.0 iff the sorted multisets of
-    values coincide.  Computed with two sorts and ``searchsorted`` — no
-    per-element Python loop.
-    """
-    return _ks(*_validated(exact, approx))
+
+def _largest_gap(
+    values: np.ndarray,
+    counts: np.ndarray,
+    other_values: np.ndarray,
+    other_counts: np.ndarray,
+    n: int,
+) -> float:
+    """The largest distance between two step CDFs of ``n``-element samples
+    (:func:`_step_cdf`) at the distinct ``values`` of the first."""
+    largest = 0.0
+    for start in range(0, values.size, _GAP_SLICE):
+        stop = start + _GAP_SLICE
+        below = np.searchsorted(other_values, values[start:stop], side="right")
+        gap = counts[start + 1:stop + 1] / n
+        gap -= other_counts[below] / n
+        largest = max(largest, float(np.max(np.abs(gap, out=gap))))
+    return largest
 
 
 def _iqr_scale(exact_arr: np.ndarray) -> float:
@@ -142,7 +164,8 @@ def _iqr_scale(exact_arr: np.ndarray) -> float:
 
     A constant (or nearly constant) field has zero interquartile range; the
     fallbacks keep the metric finite: full value range first, then the
-    magnitude of the constant itself, then 1.0 for an all-zero field.
+    magnitude of the constant itself, then 1.0 for an all-zero field.  The
+    scale depends on the values alone, not on their order.
     """
     q25, q75 = np.percentile(exact_arr, [25.0, 75.0])
     scale = float(q75 - q25)
@@ -154,9 +177,77 @@ def _iqr_scale(exact_arr: np.ndarray) -> float:
     return max(abs(float(exact_arr.flat[0])), 1.0)
 
 
-def _iqr_errors(exact_arr: np.ndarray, approx_arr: np.ndarray) -> tuple[float, float]:
+class ExactSide:
+    """One exact array's side of every comparison against it.
+
+    The exact values' step CDF (:func:`_step_cdf`) and :func:`_iqr_scale`
+    depend on ``exact`` alone, so they are built once, from one sort, on
+    the first comparison against a damaged copy (an undamaged pair needs
+    neither) and reused by every later one.  A
+    :class:`~repro.gpu.simulator.PreparedInput` holds one per approximable
+    region, so each exact region is sorted once per input rather than once
+    per error-phase job.  The side keeps ``exact`` as given, not a
+    converted copy.  Its statistics are read-only; threads racing to build
+    them compute equal ones, and either is kept.  Each build counts
+    ``fidelity.exact_side.build`` under :func:`repro.obs.metrics.enabled`.
+    """
+
+    def __init__(self, exact) -> None:
+        #: the exact array the statistics describe
+        self.exact = exact
+        self._stats: tuple[np.ndarray, np.ndarray, float] | None = None
+
+    def stats(self, exact_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(distinct values, counts at or below each after a leading 0,
+        IQR scale) of :attr:`exact`, validated as ``exact_arr``."""
+        stats = self._stats
+        if stats is None:
+            ordered = np.sort(exact_arr)
+            values, counts = _step_cdf(ordered)
+            values.flags.writeable = False
+            counts.flags.writeable = False
+            stats = (values, counts, _iqr_scale(ordered))
+            self._stats = stats
+            if metrics.enabled():
+                metrics.inc("fidelity.exact_side.build")
+        return stats
+
+    def ks(self, exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
+        """KS statistic of ``exact_arr`` (:attr:`exact`, validated) and a
+        validated flat float64 ``approx_arr`` of the same size.
+
+        The largest gap between two step CDFs lies at a value of one of
+        the samples, so each CDF is compared with the other at its own
+        distinct values only, found by ``searchsorted``: one sort of
+        ``approx_arr`` and no per-element probe.
+        """
+        exact_values, exact_counts, _ = self.stats(exact_arr)
+        approx_values, approx_counts = _step_cdf(np.sort(approx_arr))
+        n = approx_arr.size
+        return max(
+            _largest_gap(exact_values, exact_counts, approx_values, approx_counts, n),
+            _largest_gap(approx_values, approx_counts, exact_values, exact_counts, n),
+        )
+
+
+def ks_statistic(exact, approx) -> float:
+    """Two-sample Kolmogorov–Smirnov statistic over the value distributions.
+
+    The maximum absolute distance between the empirical CDFs of the two
+    (flattened) samples, bounded to [0, 1]; 0.0 iff the sorted multisets of
+    values coincide.  Computed with one sort per sample and
+    ``searchsorted`` of each sample's distinct values into the other's
+    (:meth:`ExactSide.ks`) — no per-element Python loop.
+    """
+    return ExactSide(exact).ks(*_validated(exact, approx))
+
+
+def _iqr_errors(
+    exact_arr: np.ndarray, approx_arr: np.ndarray, scale: float
+) -> tuple[float, float]:
     """IQR-normalized (mean, max) error of two validated flat arrays."""
-    normalized = np.abs(exact_arr - approx_arr) / _iqr_scale(exact_arr)
+    normalized = np.abs(exact_arr - approx_arr)
+    normalized /= scale
     max_err = float(normalized.max())
     # the mean of equal values can round one ulp above them
     return min(float(normalized.mean()), max_err), max_err
@@ -171,7 +262,22 @@ def iqr_normalized_errors(exact, approx) -> tuple[float, float]:
     across variables with different units — the property enstools relies
     on to compare compression quality across weather fields.
     """
-    return _iqr_errors(*_validated(exact, approx))
+    exact_arr, approx_arr = _validated(exact, approx)
+    return _iqr_errors(exact_arr, approx_arr, _iqr_scale(exact_arr))
+
+
+def _panel(side: ExactSide, approx) -> dict[str, float]:
+    """:func:`fidelity_panel` of ``side.exact`` and ``approx``."""
+    exact_arr, approx_arr = _validated(side.exact, approx)
+    if np.array_equal(exact_arr, approx_arr):
+        return {"pearson": 1.0, "ks": 0.0, "iqr_mean": 0.0, "iqr_max": 0.0}
+    iqr_mean, iqr_max = _iqr_errors(exact_arr, approx_arr, side.stats(exact_arr)[2])
+    return {
+        "pearson": _pearson(exact_arr, approx_arr),
+        "ks": side.ks(exact_arr, approx_arr),
+        "iqr_mean": iqr_mean,
+        "iqr_max": iqr_max,
+    }
 
 
 def fidelity_panel(exact, approx) -> dict[str, float]:
@@ -182,21 +288,13 @@ def fidelity_panel(exact, approx) -> dict[str, float]:
     returns the perfect panel, which is exactly what the full computation
     yields for finite data.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
-    if np.array_equal(exact_arr, approx_arr):
-        return {"pearson": 1.0, "ks": 0.0, "iqr_mean": 0.0, "iqr_max": 0.0}
-    iqr_mean, iqr_max = _iqr_errors(exact_arr, approx_arr)
-    return {
-        "pearson": _pearson(exact_arr, approx_arr),
-        "ks": _ks(exact_arr, approx_arr),
-        "iqr_mean": iqr_mean,
-        "iqr_max": iqr_max,
-    }
+    return _panel(ExactSide(exact), approx)
 
 
 def fidelity_summary(
     exact_arrays: Mapping[str, np.ndarray],
     approx_arrays: Mapping[str, np.ndarray],
+    exact_sides: Mapping[str, ExactSide] | None = None,
 ) -> dict[str, float]:
     """Worst-case fidelity panel over several named array pairs.
 
@@ -205,6 +303,15 @@ def fidelity_summary(
     *maximum* KS / IQR errors across regions, i.e. the least faithful
     region dominates.  Keys are prefixed ``fidelity_`` to match the
     ``SimulationResult.extra_metrics`` entries.
+
+    ``exact_sides`` optionally maps names to the held :class:`ExactSide` of
+    their exact array, whose statistics are then built once and reused
+    across calls; a name without one gets a fresh side.  Results are the
+    same either way.
+
+    Raises:
+        ValueError: if the names differ, there are none, or a held side
+            belongs to another array than ``exact_arrays`` names.
     """
     if set(exact_arrays) != set(approx_arrays):
         raise ValueError(
@@ -213,10 +320,15 @@ def fidelity_summary(
         )
     if not exact_arrays:
         raise ValueError("fidelity summary needs at least one array pair")
-    panels = [
-        fidelity_panel(exact_arrays[name], approx_arrays[name])
-        for name in exact_arrays
-    ]
+    held = exact_sides or {}
+    panels = []
+    for name, exact in exact_arrays.items():
+        side = held.get(name)
+        if side is None:
+            side = ExactSide(exact)
+        elif side.exact is not exact:
+            raise ValueError(f"the held exact side of {name!r} belongs to another array")
+        panels.append(_panel(side, approx_arrays[name]))
     return {
         "fidelity_pearson": min(panel["pearson"] for panel in panels),
         "fidelity_ks": max(panel["ks"] for panel in panels),

@@ -16,13 +16,16 @@ from repro.workloads.datagen import clustered_values, quantize_varying
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via the error-function identity."""
+    """Standard normal CDF via the error-function identity.
+
+    scipy's vectorized ``erf`` is the one erf path (scipy is a declared
+    dependency); it is imported here, on first use, because importing
+    scipy at module level would slow every run's start-up.
+    """
     from math import sqrt
 
-    try:
-        from scipy.special import erf
-    except ImportError:  # pragma: no cover - scipy is an install requirement
-        erf = np.vectorize(__import__("math").erf)
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(x / sqrt(2.0)))
 
 

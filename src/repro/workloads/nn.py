@@ -19,7 +19,12 @@ from repro.workloads.datagen import quantize_varying, spatial_points
 def nearest_neighbors(
     records: np.ndarray, query: tuple[float, float], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and indices of the ``k`` records closest to ``query``."""
+    """Distances and indices of the ``k`` records closest to ``query``.
+
+    Ties keep record order, as a stable sort of every distance would: the
+    records no farther than the k-th smallest distance are the only
+    candidates, and only they are sorted.
+    """
     records = np.asarray(records, dtype=np.float64)
     if records.ndim != 2 or records.shape[1] != 2:
         raise ValueError("records must have shape (n, 2)")
@@ -27,7 +32,10 @@ def nearest_neighbors(
         raise ValueError("k must lie between 1 and the number of records")
     deltas = records - np.asarray(query, dtype=np.float64)
     distances = np.sqrt(np.sum(deltas**2, axis=1))
-    order = np.argsort(distances, kind="stable")[:k]
+    kth = np.partition(distances, k - 1)[k - 1]
+    # NaN sorts last: not farther than a NaN k-th distance means every record
+    candidates = np.flatnonzero(~(distances > kth))
+    order = candidates[np.argsort(distances[candidates], kind="stable")[:k]]
     return distances[order].astype(np.float32), order.astype(np.int64)
 
 

@@ -204,9 +204,9 @@ def test_lossless_size_bits_memory_is_bounded_by_one_slice(scheme):
 class _CapturingSimulator(GPUSimulator):
     """Keeps the last run's block store and degraded inputs for inspection."""
 
-    def _region_fidelity(self, input_regions, degraded):
+    def _region_fidelity(self, degraded, exact_sides):
         self.degraded = degraded
-        return GPUSimulator._region_fidelity(input_regions, degraded)
+        return GPUSimulator._region_fidelity(degraded, exact_sides)
 
     def _assemble_result(self, workload, backend, all_regions, controllers, store,
                          *args, **kwargs):

@@ -7,7 +7,7 @@ all three TSLC variants and MAG ∈ {16, 32, 64}:
 
 * ``decompress(compress(b))`` equals the scalar ``roundtrip`` oracle,
 * ``compress_batch == [compress]`` (payload bytes, metadata and all),
-* ``apply_decision_batch == [apply_decision]`` for analyzer-produced *and*
+* ``apply_decision_rows == [apply_decision]`` for analyzer-produced *and*
   synthetic decisions,
 * bulk Huffman encode → decode is the identity and matches the scalar
   ``BitWriter``/``BitReader`` bitstreams exactly.
@@ -27,6 +27,7 @@ from repro.core.config import SLCConfig, SLCMode, SLCVariant
 from repro.core.slc import SLCBlock, SLCCompressor, SLCDecision
 from repro.gpu.backends import SLCBackend, StoredBatch
 from repro.kernels.codec import HuffmanCodecLUT, reconstruct_rows
+from repro.kernels.decision import MODE_LOSSY, BatchDecisions
 from repro.kernels.symbols import BatchSymbolView
 from repro.obs import metrics
 from repro.utils.bitstream import BitReader, BitWriter
@@ -96,18 +97,25 @@ def test_roundtrip_batch_matches_scalar_oracle(blocks, data):
     assert [slc.decompress(c) for c in compressed] == slc.decompress_batch(compressed)
 
 
+def _applied_rows(slc: SLCCompressor, blocks, decisions) -> list[bytes]:
+    """``apply_decision_rows`` over ``blocks``, one ``bytes`` per row."""
+    view = slc.symbol_view(blocks)
+    return [row.tobytes() for row in slc.apply_decision_rows(view, decisions)]
+
+
+def _applied_blocks(slc: SLCCompressor, blocks) -> list[bytes]:
+    """The scalar oracle: per-block ``apply_decision`` of per-block ``analyze``."""
+    return [slc.apply_decision(b, slc.analyze(b)) for b in blocks]
+
+
 @settings(max_examples=30, deadline=None)
 @given(blocks=blocks_strategy, data=st.data())
-def test_apply_decision_batch_matches_scalar(blocks, data):
+def test_apply_decision_rows_matches_scalar(blocks, data):
     variant = data.draw(st.sampled_from(ALL_VARIANTS))
     mag = data.draw(st.sampled_from(ALL_MAGS))
     slc = trained_slc(variant, mag)
-    decisions = [slc.analyze(b) for b in blocks]
-    scalar = [slc.apply_decision(b, d) for b, d in zip(blocks, decisions)]
-    assert slc.apply_decision_batch(blocks, decisions) == scalar
-    # the arrays form feeds the same truncation/prediction kernel
     arrays = slc.analyze_batch_arrays(blocks)
-    assert slc.apply_decision_batch(blocks, arrays) == scalar
+    assert _applied_rows(slc, blocks, arrays) == _applied_blocks(slc, blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +125,7 @@ def test_apply_decision_batch_matches_scalar(blocks, data):
     count=st.integers(min_value=1, max_value=SPB),
     data=st.data(),
 )
-def test_apply_decision_batch_synthetic_ranges(block, start, count, data):
+def test_apply_decision_rows_synthetic_ranges(block, start, count, data):
     """Synthetic lossy decisions cover every (start, count) geometry,
     including ranges the analyzer would never produce (whole-block
     truncation, ranges past the max-approx cap)."""
@@ -134,21 +142,41 @@ def test_apply_decision_batch_synthetic_ranges(block, start, count, data):
         approx_start=start,
         approx_count=count,
     )
-    scalar = slc.apply_decision(block, decision)
-    assert slc.apply_decision_batch([block], [decision]) == [scalar]
+    arrays = _synthetic_decisions([(start, count)])
+    assert _applied_rows(slc, [block], arrays) == [slc.apply_decision(block, decision)]
 
 
-def test_apply_decision_batch_length_mismatch():
+def _synthetic_decisions(ranges) -> BatchDecisions:
+    """Lossy :class:`BatchDecisions` truncating each ``(start, count)``."""
+    n = len(ranges)
+    zeros = np.zeros(n, dtype=np.int64)
+    return BatchDecisions(
+        mode=np.full(n, MODE_LOSSY, dtype=np.int64),
+        comp_size_bits=zeros,
+        stored_size_bits=zeros,
+        bit_budget_bits=zeros,
+        extra_bits=zeros,
+        bursts=np.ones(n, dtype=np.int64),
+        approx_start=np.asarray([r[0] for r in ranges], dtype=np.int64),
+        approx_count=np.asarray([r[1] for r in ranges], dtype=np.int64),
+        bits_removed=zeros,
+        used_extra_node=np.zeros(n, dtype=np.bool_),
+    )
+
+
+def test_apply_decision_rows_length_mismatch():
     slc = trained_slc(SLCVariant.OPT, 32)
     with pytest.raises(CompressionError):
-        slc.apply_decision_batch([bytes(BLOCK)], [])
+        slc.apply_decision_rows(slc.symbol_view([bytes(BLOCK)]), _synthetic_decisions([]))
 
 
 def test_payload_codec_empty_region():
     slc = trained_slc(SLCVariant.OPT, 32)
     assert slc.compress_batch([]) == []
     assert slc.decompress_batch([]) == []
-    assert slc.apply_decision_batch([], []) == []
+    empty = slc.analyze_batch_arrays([])
+    assert len(empty) == 0
+    assert _applied_rows(slc, [], empty) == []
 
 
 def test_decompress_batch_whole_block_truncated():
@@ -190,10 +218,8 @@ def test_full_grid_on_fixed_corpus(variant, mag):
     compressed = slc.compress_batch(blocks)
     assert compressed == [slc.compress(b) for b in blocks]
     assert slc.decompress_batch(compressed) == [slc.roundtrip(b) for b in blocks]
-    decisions = slc.analyze_batch(blocks)
-    assert slc.apply_decision_batch(blocks, decisions) == [
-        slc.apply_decision(b, d) for b, d in zip(blocks, decisions)
-    ]
+    arrays = slc.analyze_batch_arrays(blocks)
+    assert _applied_rows(slc, blocks, arrays) == _applied_blocks(slc, blocks)
     # the sweep is only meaningful if it exercises the lossy path
     assert any(c.mode is SLCMode.LOSSY for c in compressed)
 
@@ -610,17 +636,4 @@ def test_wide_symbol_geometry_falls_back_to_scalar():
     compressed = slc.compress_batch(blocks)
     assert compressed == [slc.compress(b) for b in blocks]
     assert slc.decompress_batch(compressed) == [slc.roundtrip(b) for b in blocks]
-    decisions = slc.analyze_batch(blocks)
-    assert slc.apply_decision_batch(blocks, decisions) == [
-        slc.apply_decision(b, d) for b, d in zip(blocks, decisions)
-    ]
-
-
-def test_apply_decision_batch_length_mismatch_on_fallback_geometry():
-    """The scalar-geometry fallback must reject mismatched inputs just as
-    loudly as the batched path instead of silently zip-truncating."""
-    slc = SLCCompressor(SLCConfig(symbol_bytes=4, element_bytes=4))
-    slc.train(make_float_blocks()[:8])
-    assert slc.symbol_view([bytes(BLOCK)]) is None
-    with pytest.raises(CompressionError):
-        slc.apply_decision_batch([bytes(BLOCK)], [])
+    assert slc.analyze_batch(blocks) == [slc.analyze(b) for b in blocks]

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.metrics import fidelity
 from repro.metrics.fidelity import (
+    ExactSide,
     fidelity_panel,
     fidelity_summary,
     iqr_normalized_errors,
     ks_statistic,
     pearson_correlation,
 )
+from repro.obs.metrics import measure_peak_mib
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -365,3 +368,133 @@ def test_equal_non_finite_pair_still_raises(bad):
     poisoned[1] = bad
     with pytest.raises(ValueError, match="finite"):
         fidelity_panel(poisoned, poisoned.copy())
+
+
+# --------------------------------------------------------------------- #
+# reference oracles: the one-sort KS and the held exact side
+
+
+def _ks_oracle(exact, approx) -> float:
+    """The KS formula the one-sort version replaced: both CDFs probed at
+    every value of both samples, four ``searchsorted`` passes of 2n."""
+    exact_sorted = np.sort(np.asarray(exact, dtype=np.float64).reshape(-1))
+    approx_sorted = np.sort(np.asarray(approx, dtype=np.float64).reshape(-1))
+    probe = np.concatenate([exact_sorted, approx_sorted])
+    cdf_exact = np.searchsorted(exact_sorted, probe, side="right") / exact_sorted.size
+    cdf_approx = np.searchsorted(approx_sorted, probe, side="right") / approx_sorted.size
+    return float(np.max(np.abs(cdf_exact - cdf_approx)))
+
+
+@pytest.fixture(scope="module", params=[np.float32, np.float64], ids=["float32", "float64"])
+def dtype(request: pytest.FixtureRequest) -> type:
+    """Both element types the simulator's regions hold."""
+    return request.param
+
+
+#: a few values drawn often, so samples tie within and across each other;
+#: -0.0 and 0.0 compare equal
+tied_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.5, 2.0**-20, 3e4]), finite_floats
+)
+
+
+def tied_pairs(dtype, max_size=64):
+    """Two same-sized samples of ``dtype``, size 1 included, with ties."""
+    return st.integers(min_value=1, max_value=max_size).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(dtype=dtype, shape=n, elements=tied_floats),
+            hnp.arrays(dtype=dtype, shape=n, elements=tied_floats),
+        )
+    )
+
+
+@pytest.fixture(scope="module", params=[3, fidelity._GAP_SLICE], ids=["slice3", "default"])
+def gap_slice(request: pytest.FixtureRequest) -> int:
+    """Probe values per CDF-gap pass: tiny, and the default."""
+    return request.param
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ks_equals_the_four_searchsorted_oracle(dtype, gap_slice, data):
+    exact, approx = data.draw(tied_pairs(dtype))
+    expected = _ks_oracle(exact, approx)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fidelity, "_GAP_SLICE", gap_slice)
+        assert ks_statistic(exact, approx) == expected
+        assert ks_statistic(approx, exact) == _ks_oracle(approx, exact)
+        assert fidelity_panel(exact, approx)["ks"] == expected
+
+
+def test_ks_signed_zeros_tie(dtype):
+    exact = np.array([-0.0, 0.0, 1.0], dtype)
+    assert ks_statistic(exact, np.array([0.0, 0.0, 1.0], dtype)) == 0.0
+    approx = np.array([0.0, 1.0, 1.0], dtype)
+    assert ks_statistic(exact, approx) == _ks_oracle(exact, approx) == 1 / 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_panel_against_a_held_side_equals_a_fresh_panel(dtype, data):
+    exact, first = data.draw(tied_pairs(dtype))
+    second = data.draw(hnp.arrays(dtype=dtype, shape=exact.shape, elements=tied_floats))
+    side = ExactSide(exact)
+    for approx in (exact.copy(), first, second, first):
+        fresh = fidelity_panel(exact, approx)
+        held = fidelity_summary({"r": exact}, {"r": approx}, {"r": side})
+        assert held == {f"fidelity_{key}": value for key, value in fresh.items()}
+        assert fresh["ks"] == _ks_oracle(exact, approx)
+
+
+def test_exact_side_is_sorted_once_on_the_first_damaged_pair(monkeypatch):
+    sorted_sizes = []
+    real_sort = np.sort
+
+    def counting_sort(array, *args, **kwargs):
+        sorted_sizes.append(array.size)
+        return real_sort(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    exact = np.linspace(-3.0, 7.0, 1000)
+    side = ExactSide(exact)
+    fidelity_summary({"r": exact}, {"r": exact.copy()}, {"r": side})
+    assert sorted_sizes == []  # an undamaged pair builds nothing
+    for noise in (1e-3, 2e-3):
+        fidelity_summary({"r": exact}, {"r": exact + noise}, {"r": side})
+    # the exact side once, then each damaged copy
+    assert sorted_sizes == [1000, 1000, 1000]
+
+
+def test_summary_rejects_a_held_side_of_another_array():
+    exact = np.arange(8.0)
+    side = ExactSide(exact.copy())
+    with pytest.raises(ValueError, match="another array"):
+        fidelity_summary({"r": exact}, {"r": exact + 1.0}, {"r": side})
+    # a region without a held side gets a fresh one
+    assert fidelity_summary({"r": exact}, {"r": exact + 1.0}, {})["fidelity_ks"] == 0.125
+
+
+def _megapair() -> tuple[np.ndarray, np.ndarray, float]:
+    """A noisy 1M-element float32 pair and one float64 copy's size in MiB."""
+    rng = np.random.default_rng(2019)
+    n = 1 << 20
+    exact = rng.normal(size=n).astype(np.float32)
+    approx = exact + rng.normal(scale=0.01, size=n).astype(np.float32)
+    return exact, approx, n * 8 / (1024.0 * 1024.0)
+
+
+def test_panel_temporaries_are_a_few_float64_copies():
+    """Validation converts both sides to float64 (two copies); the panel
+    adds at most a sorted approx side and its step CDF on a held exact side,
+    and the exact side's sort on a fresh one.  The four-searchsorted KS
+    peaked at 14 copies (113 MiB on this pair)."""
+    exact, approx, copy_mib = _megapair()
+    side = ExactSide(exact)
+    _, fresh_mib = measure_peak_mib(
+        fidelity_summary, {"r": exact}, {"r": approx}, {"r": side}
+    )
+    _, held_mib = measure_peak_mib(
+        fidelity_summary, {"r": exact}, {"r": approx}, {"r": side}
+    )
+    assert held_mib < 6 * copy_mib
+    assert fresh_mib < 8 * copy_mib

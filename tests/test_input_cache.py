@@ -33,6 +33,7 @@ from repro.obs import metrics
 from repro.workloads.fwt import FastWalshTransformWorkload
 from repro.workloads.nn import NearestNeighborWorkload
 from repro.workloads.registry import (
+    available_workloads,
     get_workload,
     register_workload,
     unregister_workload,
@@ -93,6 +94,43 @@ def test_warm_result_equals_cold(scheme, workload, compute_error, metrics_on):
 
     assert warm.to_dict() == cold.to_dict()
     assert warm.extra_metrics["payload_sha256"] == cold.extra_metrics["payload_sha256"]
+
+
+@pytest.fixture(params=available_workloads())
+def registered_workload(request: pytest.FixtureRequest) -> str:
+    """Every registered workload."""
+    return request.param
+
+
+def test_warm_error_phase_equals_cold_on_every_workload(registered_workload):
+    """A lossy job reuses the exact sides an earlier job on its input built."""
+    job = _job(registered_workload, "TSLC-OPT", compute_error=True)
+    cold = worker.simulate_job(job, payload_digest=True)
+    worker.INPUT_CACHE.clear()
+    worker.simulate_job(_job(registered_workload, "TSLC-SIMP", compute_error=True))
+    warm = worker.simulate_job(job, payload_digest=True)
+    assert warm.to_dict() == cold.to_dict()
+
+
+def test_exact_sides_are_built_once_and_dropped_with_the_input(metrics_on):
+    job = _job("NN", "TSLC-SIMP", compute_error=True)
+    worker.simulate_job(job)
+    prepared = worker.INPUT_CACHE.get(
+        (NearestNeighborWorkload, *job.input_key), _never_built
+    )
+    approximable = [name for name, region in prepared.input_regions.items()
+                    if region.approximable]
+    assert sorted(prepared.exact_sides) == sorted(approximable)
+    # only the damaged records are sorted; the all-zero scratch comes back equal
+    assert metrics.snapshot()["counters"]["fidelity.exact_side.build"] == 1
+    metrics.clear()
+    worker.simulate_job(_job("NN", "TSLC-OPT", compute_error=True))
+    assert "fidelity.exact_side.build" not in metrics.snapshot()["counters"]
+
+    alive = [weakref.ref(side) for side in prepared.exact_sides.values()]
+    del prepared
+    worker.INPUT_CACHE.clear()
+    assert [ref() for ref in alive] == [None, None]
 
 
 def _cache_counts(counters: dict | None = None) -> tuple[int, int]:

@@ -1,9 +1,11 @@
 """Correctness tests for the benchmark kernels themselves."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.workloads.blackscholes import black_scholes
+from repro.workloads.blackscholes import _norm_cdf, black_scholes
 from repro.workloads.dct import blockwise_dct, blockwise_idct, dct_basis
 from repro.workloads.fwt import dyadic_convolution, fast_walsh_transform
 from repro.workloads.jmeint import triangles_intersect
@@ -107,6 +109,15 @@ def test_black_scholes_prices_non_negative():
     )
     assert np.all(call >= -1e-5)
     assert np.all(put >= -1e-5)
+
+
+def test_black_scholes_has_one_erf_path(monkeypatch):
+    """scipy's erf is the only one: without scipy the CDF fails loudly
+    rather than switching to ``math.erf``, which differs by an ulp."""
+    assert _norm_cdf(np.zeros(2)).tolist() == [0.5, 0.5]
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    with pytest.raises(ImportError):
+        _norm_cdf(np.zeros(2))
 
 
 # --------------------------------------------------------------------- #
