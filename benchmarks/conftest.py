@@ -44,13 +44,6 @@ def pytest_addoption(parser):
         "traces, relaxed speedup floor (used by CI)",
     )
     parser.addoption(
-        "--codec-quick",
-        action="store_true",
-        default=False,
-        help="payload-codec microbenchmark smoke mode: fewer workloads, "
-        "relaxed speedup floors (used by CI)",
-    )
-    parser.addoption(
         "--tournament-quick",
         action="store_true",
         default=False,
@@ -97,12 +90,6 @@ def kernels_quick(request) -> bool:
 def replay_quick(request) -> bool:
     """Whether the replay microbenchmark runs in CI smoke mode."""
     return bool(request.config.getoption("--replay-quick"))
-
-
-@pytest.fixture(scope="session")
-def codec_quick(request) -> bool:
-    """Whether the payload-codec microbenchmark runs in CI smoke mode."""
-    return bool(request.config.getoption("--codec-quick"))
 
 
 @pytest.fixture(scope="session")

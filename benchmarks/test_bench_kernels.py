@@ -91,7 +91,7 @@ def test_bench_kernels_end_to_end_job(slc_scale, kernels_quick, bench_record):
     """Batched store phase must not slow down a full campaign job.
 
     The batched side runs the job's default path: vectorized analysis and
-    payload codec in every store, and the vectorized replay.
+    reconstruction in every store, and the vectorized replay.
     """
     job = Job(
         workload="NN",

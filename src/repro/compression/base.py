@@ -157,23 +157,6 @@ class BlockCompressor(ABC):
             return (type(self), self.block_size_bytes)
         return None
 
-    def analyze_batch(self, blocks) -> np.ndarray:
-        """Batched size analysis — the entry point backends dispatch through.
-
-        Alias of :meth:`compressed_size_bits_batch` (compressors override
-        only that method); separated so the backend-facing protocol name is
-        stable even if size analysis ever grows beyond plain sizes.
-        """
-        return self.compressed_size_bits_batch(blocks)
-
-    def compress_batch(self, blocks) -> list[CompressedBlock]:
-        """Batched :meth:`compress`; the default loops (E2MC vectorizes)."""
-        return [self.compress(block) for block in iter_blocks(blocks)]
-
-    def decompress_batch(self, compressed: list[CompressedBlock]) -> list[bytes]:
-        """Batched :meth:`decompress`; the default loops (E2MC vectorizes)."""
-        return [self.decompress(block) for block in compressed]
-
     def train(self, blocks: list[bytes]) -> None:  # noqa: B027 - optional hook
         """Optional hook: adapt the compressor's model to sample data.
 

@@ -35,7 +35,6 @@ from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.blocks import block_to_symbols, symbols_to_block
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels -> e2mc)
-    from repro.kernels.codec import HuffmanCodecLUT
     from repro.kernels.lut import CodeLengthLUT
     from repro.kernels.symbols import BatchSymbolView
 
@@ -117,10 +116,9 @@ class SymbolModel:
     def _per_code_cache(self, attr: str, builder):
         """A derived table rebuilt lazily whenever the model is retrained.
 
-        All derived tables (dense length LUT, dense codec tables, the scalar
-        decoding dict) share one invalidation rule — rebuild when the code
-        object is replaced or the trained flag flips — so it lives in one
-        place instead of three hand-rolled copies.
+        Both derived tables (the dense length LUT and the scalar decoding
+        dict) share one invalidation rule — rebuild when the code object is
+        replaced or the trained flag flips — so it lives in one place.
         """
         key = getattr(self, f"_{attr}_key", None)
         if key is None or key[0] is not self.code or key[1] != self.trained:
@@ -139,18 +137,6 @@ class SymbolModel:
         from repro.kernels.lut import CodeLengthLUT
 
         return self._per_code_cache("lut", lambda: CodeLengthLUT.from_model(self))
-
-    def codec_table(self) -> "HuffmanCodecLUT":
-        """The code as dense codeword/decode tables (cached per code).
-
-        The batch-codec counterpart of :meth:`encode_symbol` /
-        :meth:`decode_symbol`: per-symbol codewords (escape-extended for
-        untabled symbols) plus the canonical left-justified decode arrays.
-        Rebuilt lazily whenever the model is retrained.
-        """
-        from repro.kernels.codec import HuffmanCodecLUT
-
-        return self._per_code_cache("codec", lambda: HuffmanCodecLUT.from_model(self))
 
     def code_length(self, symbol: int) -> int:
         """Coded length of ``symbol`` in bits (escape + raw bits if untabled)."""
@@ -319,23 +305,9 @@ class E2MCCompressor(BlockCompressor):
         """Sum of the per-symbol code lengths, without the header."""
         return sum(self.symbol_code_lengths(block))
 
-    def symbol_code_lengths_batch(
-        self, blocks: "BatchSymbolView | list[bytes]"
-    ) -> np.ndarray:
-        """Per-symbol code lengths of many blocks as an ``(n, symbols)`` matrix.
-
-        One LUT gather replaces the per-symbol dict lookups of
-        :meth:`symbol_code_lengths`; only defined for symbol widths the dense
-        LUT supports (up to 2 bytes).
-        """
-        from repro.kernels.symbols import as_symbol_view
-
-        view = as_symbol_view(blocks, self.block_size_bytes, self.symbol_bytes)
-        return self.model.code_length_table().lengths(view.symbols)
-
     @property
     def batched_analysis(self) -> bool:
-        """The dense code-length and codec tables cover symbols of up to 2 bytes."""
+        """The dense code-length table covers symbols of up to 2 bytes."""
         from repro.kernels.lut import MAX_LUT_SYMBOL_BYTES
 
         return self.symbol_bytes <= MAX_LUT_SYMBOL_BYTES
@@ -406,83 +378,3 @@ class E2MCCompressor(BlockCompressor):
             self.model.decode_symbol(reader) for _ in range(self.symbols_per_block)
         ]
         return symbols_to_block(symbols, self.symbol_bytes)
-
-    # ------------------------------------------------------------------ #
-    # batched payload codec
-
-    def compress_batch(
-        self, blocks: "BatchSymbolView | list[bytes]"
-    ) -> list[CompressedBlock]:
-        """Compress many blocks at once through the batched payload codec.
-
-        Identical results to per-block :meth:`compress` (which remains the
-        n = 1 oracle): the same payload bytes, bit counts and metadata, with
-        incompressible blocks stored raw.  Falls back to the scalar loop for
-        symbol widths the dense codec tables cannot cover.
-        """
-        from repro.kernels.symbols import as_symbol_view
-
-        if not self.batched_analysis:
-            return super().compress_batch(blocks)
-        view = as_symbol_view(blocks, self.block_size_bytes, self.symbol_bytes)
-        if not self.model.trained:
-            return [
-                store_uncompressed(self, view.block_bytes(i))
-                for i in range(view.n_blocks)
-            ]
-        results: list[CompressedBlock | None] = [None] * view.n_blocks
-        payload_bits = self.model.code_length_table().payload_bits(view.symbols)
-        compressible = payload_bits + self.header_bits < self.block_size_bits
-        encode_rows = np.nonzero(compressible)[0]
-        if encode_rows.size:
-            codec = self.model.codec_table()
-            packed, row_bits = codec.encode_rows(
-                view.symbols[encode_rows].reshape(-1),
-                np.full(encode_rows.size, self.symbols_per_block, dtype=np.int64),
-            )
-            for row, (data, bits) in zip(
-                encode_rows.tolist(), codec.payloads_from_rows(packed, row_bits)
-            ):
-                results[row] = CompressedBlock(
-                    algorithm=self.name,
-                    original_size_bits=self.block_size_bits,
-                    compressed_size_bits=bits + self.header_bits,
-                    payload=(data, bits),
-                    metadata={"header_bits": self.header_bits, "payload_bits": bits},
-                )
-        for row in np.nonzero(~compressible)[0].tolist():
-            results[row] = store_uncompressed(self, view.block_bytes(row))
-        return results
-
-    def decompress_batch(self, compressed: list[CompressedBlock]) -> list[bytes]:
-        """Decompress many blocks at once through the batched payload codec.
-
-        Identical results to per-block :meth:`decompress`; raw (uncompressed)
-        payloads pass through, Huffman payloads decode in lockstep.
-        """
-        if not self.batched_analysis:
-            return [self.decompress(block) for block in compressed]
-        from repro.kernels.symbols import SYMBOL_DTYPES
-
-        results: list[bytes | None] = [None] * len(compressed)
-        coded_rows: list[int] = []
-        payloads: list[bytes] = []
-        bit_lengths: list[int] = []
-        for row, block in enumerate(compressed):
-            if isinstance(block.payload, (bytes, bytearray)):
-                results[row] = bytes(block.payload)
-            else:
-                data, payload_bits = block.payload
-                coded_rows.append(row)
-                payloads.append(data)
-                bit_lengths.append(payload_bits)
-        if coded_rows:
-            symbols = self.model.codec_table().decode_rows(
-                payloads,
-                np.asarray(bit_lengths, dtype=np.int64),
-                np.full(len(coded_rows), self.symbols_per_block, dtype=np.int64),
-            )
-            raw = symbols.astype(SYMBOL_DTYPES[self.symbol_bytes])
-            for index, row in enumerate(coded_rows):
-                results[row] = raw[index].tobytes()
-        return results

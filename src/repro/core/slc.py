@@ -338,7 +338,7 @@ class SLCCompressor:
         return self.analyze_batch_arrays(view, approximable=approximable).to_decisions()
 
     def batch_geometry_supported(self) -> bool:
-        """Whether the batch kernels/codec cover this configuration.
+        """Whether the batch kernels cover this configuration.
 
         The dense LUTs need symbols of at most 2 bytes and the batched adder
         tree a power-of-two symbol count; other geometries use the scalar
@@ -367,7 +367,7 @@ class SLCCompressor:
 
         Same decision data as :meth:`analyze_batch` but returned as a
         :class:`~repro.kernels.decision.BatchDecisions` array-of-structs,
-        which the batched payload codec and backends consume without
+        which :meth:`apply_decision_rows` and the backends consume without
         materializing per-block :class:`SLCDecision` objects.  Only valid
         for geometries where :meth:`batch_geometry_supported` holds.
         """
@@ -429,7 +429,7 @@ class SLCCompressor:
         return symbols_to_block(reconstructed, self.config.symbol_bytes)
 
     # ------------------------------------------------------------------ #
-    # batched payload codec
+    # batched reconstruction
 
     def apply_decision_rows(self, view, decisions) -> np.ndarray:
         """The rows of a symbol view as they read back after ``decisions``.
@@ -460,154 +460,6 @@ class SLCCompressor:
             element_symbols=self.config.element_symbols,
         )
         return data
-
-    def compress_batch(self, blocks, approximable: bool = True) -> list[SLCBlock]:
-        """Batched :meth:`compress`: encoded payloads for a whole region.
-
-        Runs the vectorized Fig. 4 decision, then Huffman-encodes every
-        compressed block's (kept) symbols in one bulk bit-packing pass.
-        Results — payload bytes, bit counts, metadata, MAG accounting — are
-        identical to per-block :meth:`compress`, which remains the n = 1
-        oracle (and the fallback for unsupported geometries).
-        """
-        view = self.symbol_view(blocks)
-        if view is None:
-            return [
-                self.compress(block, approximable=approximable)
-                for block in iter_blocks(blocks)
-            ]
-        decisions = self.analyze_batch_arrays(view, approximable=approximable)
-        from repro.kernels.decision import MODE_LOSSY, MODE_UNCOMPRESSED
-
-        lossless_header = header_size_bits(
-            False, self.config.block_size_bytes, self.config.num_pdw
-        )
-        lossy_header = header_size_bits(
-            True, self.config.block_size_bytes, self.config.num_pdw
-        )
-        results: list[SLCBlock | None] = [None] * view.n_blocks
-        coded = np.nonzero(decisions.mode != MODE_UNCOMPRESSED)[0]
-        for row in np.nonzero(decisions.mode == MODE_UNCOMPRESSED)[0].tolist():
-            results[row] = self._store_uncompressed(view.block_bytes(row))
-        if coded.size:
-            # Every coded block keeps its symbols outside the (possibly
-            # empty) truncated range; encode all kept runs in one pass.
-            columns = np.arange(self.config.symbols_per_block, dtype=np.int64)
-            start = decisions.approx_start[coded, None]
-            count = decisions.approx_count[coded, None]
-            keep = ~((columns >= start) & (columns < start + count))
-            codec = self.baseline.model.codec_table()
-            packed, row_bits = codec.encode_rows(
-                view.symbols[coded][keep], keep.sum(axis=1)
-            )
-            payloads = codec.payloads_from_rows(packed, row_bits)
-            for index, row in enumerate(coded.tolist()):
-                data, encoded_bits = payloads[index]
-                if decisions.mode[row] == MODE_LOSSY:
-                    approx_count = int(decisions.approx_count[row])
-                    results[row] = SLCBlock(
-                        algorithm=self.name,
-                        original_size_bits=self.config.block_size_bits,
-                        compressed_size_bits=encoded_bits + lossy_header,
-                        payload=(
-                            data,
-                            encoded_bits,
-                            int(decisions.approx_start[row]),
-                            approx_count,
-                        ),
-                        lossless=False,
-                        metadata={
-                            "header_bits": lossy_header,
-                            "used_extra_node": bool(decisions.used_extra_node[row]),
-                            "tree_level": approx_count.bit_length() - 1,
-                        },
-                        mode=SLCMode.LOSSY,
-                        variant=self.config.variant,
-                        bit_budget_bits=int(decisions.bit_budget_bits[row]),
-                        extra_bits=int(decisions.extra_bits[row]),
-                        approx_start=int(decisions.approx_start[row]),
-                        approx_count=approx_count,
-                        bits_removed=int(decisions.bits_removed[row]),
-                        bursts=int(decisions.bursts[row]),
-                        mag_bytes=self.config.mag_bytes,
-                    )
-                else:
-                    results[row] = SLCBlock(
-                        algorithm=self.name,
-                        original_size_bits=self.config.block_size_bits,
-                        compressed_size_bits=encoded_bits + lossless_header,
-                        payload=(data, encoded_bits, 0, 0),
-                        lossless=True,
-                        metadata={"header_bits": lossless_header},
-                        mode=SLCMode.LOSSLESS,
-                        variant=self.config.variant,
-                        bit_budget_bits=int(decisions.bit_budget_bits[row]),
-                        extra_bits=int(decisions.extra_bits[row]),
-                        bursts=int(decisions.bursts[row]),
-                        mag_bytes=self.config.mag_bytes,
-                    )
-        return results
-
-    def decompress_batch(self, compressed: list[SLCBlock]) -> list[bytes]:
-        """Batched :meth:`decompress`: reconstruct many blocks at once.
-
-        Huffman payloads decode in lockstep; truncated symbol ranges are
-        rebuilt with the vectorized predictor.  Identical results to
-        per-block :meth:`decompress`.
-        """
-        if not self.batch_geometry_supported():
-            return [self.decompress(block) for block in compressed]
-        from repro.kernels.codec import reconstruct_rows
-        from repro.kernels.symbols import SYMBOL_DTYPES
-
-        spb = self.config.symbols_per_block
-        results: list[bytes | None] = [None] * len(compressed)
-        coded_rows: list[int] = []
-        payloads: list[bytes] = []
-        bit_lengths: list[int] = []
-        starts: list[int] = []
-        counts: list[int] = []
-        for row, block in enumerate(compressed):
-            if block.mode is SLCMode.UNCOMPRESSED:
-                results[row] = bytes(block.payload)
-                continue
-            data, payload_bits, approx_start, approx_count = block.payload
-            coded_rows.append(row)
-            payloads.append(data)
-            bit_lengths.append(payload_bits)
-            starts.append(approx_start)
-            counts.append(approx_count)
-        if coded_rows:
-            start = np.asarray(starts, dtype=np.int64)
-            count = np.asarray(counts, dtype=np.int64)
-            kept = self.baseline.model.codec_table().decode_rows(
-                payloads, np.asarray(bit_lengths, dtype=np.int64), spb - count
-            )
-            if kept.shape[1] == 0:
-                # Every coded row truncated its whole block (nothing kept);
-                # widen so the gather below stays legal — the values are
-                # garbage and fully overwritten by the reconstruction.
-                kept = np.zeros((len(coded_rows), 1), dtype=np.int64)
-            # Spread each kept run back to its block positions: symbols
-            # before the truncated range stay put, symbols after it shift
-            # right by the truncated count.  The range itself reads garbage
-            # here and is immediately overwritten by the reconstruction.
-            columns = np.arange(spb, dtype=np.int64)
-            source = np.where(columns < start[:, None], columns, columns - count[:, None])
-            symbols = np.take_along_axis(
-                kept, np.clip(source, 0, kept.shape[1] - 1), axis=1
-            )
-            symbols = reconstruct_rows(
-                symbols,
-                start,
-                count,
-                use_prediction=self.config.uses_prediction,
-                element_symbols=self.config.element_symbols,
-            )
-            raw = symbols.astype(SYMBOL_DTYPES[self.config.symbol_bytes])
-            for index, row in enumerate(coded_rows):
-                results[row] = raw[index].tobytes()
-        return results
 
     # ------------------------------------------------------------------ #
     # decompression

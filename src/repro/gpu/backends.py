@@ -34,9 +34,10 @@ from repro.utils.blocks import as_block_rows
 #: rows per lossless size-kernel call (:meth:`LosslessBackend.size_bits`);
 #: bounds the kernels' temporary arrays
 LOSSLESS_SLICE_ROWS = 1024
-#: rows per SLC decision and codec pass (:meth:`SLCBackend.store_batch`);
-#: bounds their temporaries, which run at about 1 KB per row.  Each pass
-#: has about 0.5 ms of fixed cost, so much smaller slices slow stores down.
+#: rows per SLC decision and reconstruction pass
+#: (:meth:`SLCBackend.store_batch`); bounds their temporaries, which run at
+#: about 1 KB per row.  Each pass has about 0.5 ms of fixed cost, so much
+#: smaller slices slow stores down.
 SLC_SLICE_ROWS = 8192
 
 
@@ -238,7 +239,7 @@ class LosslessBackend(CompressionBackend):
         bursts = min(self.max_bursts, bursts_for_size(stored_bytes, self.mag_bytes))
         if metrics.enabled():
             metrics.inc("backend.blocks_compressed")
-            metrics.inc("codec.stored_bits", size_bits)
+            metrics.inc("backend.stored_bits", size_bits)
         return StoredBlock(
             bursts=bursts,
             stored_bits=size_bits,
@@ -255,11 +256,11 @@ class LosslessBackend(CompressionBackend):
         """Batched stores through the compressor's batched size analysis.
 
         Every :class:`~repro.compression.base.BlockCompressor` provides
-        ``analyze_batch`` — vectorized kernels for the registry schemes
-        (E2MC's LUT gather, :mod:`repro.kernels.lossless` for BDI, FPC,
-        C-Pack and BPC), the bit-exact scalar loop for anything else (counted
-        as ``backend.scalar_store_rows``) — and the MAG burst rounding of
-        :meth:`store` is array arithmetic, so the result matches
+        ``compressed_size_bits_batch`` — vectorized kernels for the registry
+        schemes (E2MC's LUT gather, :mod:`repro.kernels.lossless` for BDI,
+        FPC, C-Pack and BPC), the bit-exact scalar loop for anything else
+        (counted as ``backend.scalar_store_rows``) — and the MAG burst
+        rounding of :meth:`store` is array arithmetic, so the result matches
         :meth:`store` exactly.  The rows are stored as they are.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
@@ -276,7 +277,7 @@ class LosslessBackend(CompressionBackend):
         sizes = np.empty(rows.shape[0], dtype=np.int64)
         step = LOSSLESS_SLICE_ROWS
         for start in range(0, rows.shape[0], step):
-            sizes[start:start + step] = self.compressor.analyze_batch(
+            sizes[start:start + step] = self.compressor.compressed_size_bits_batch(
                 rows[start:start + step]
             )
         return sizes
@@ -293,7 +294,7 @@ class LosslessBackend(CompressionBackend):
         )
         if metrics.enabled():
             metrics.inc("backend.blocks_compressed", n)
-            metrics.inc("codec.stored_bits", int(sizes.sum()))
+            metrics.inc("backend.stored_bits", int(sizes.sum()))
         return StoredBatch(
             bursts=bursts,
             stored_bits=sizes,
@@ -314,8 +315,10 @@ class SLCBackend(CompressionBackend):
     """Selective lossy compression (the paper's contribution).
 
     Batched stores (:meth:`store_batch`) run the vectorized Fig. 4 decision
-    and payload codec in slices of :data:`SLC_SLICE_ROWS` rows; per-block
-    :meth:`store` is their oracle.
+    and the TSLC reconstruction of the lossy rows in slices of
+    :data:`SLC_SLICE_ROWS` rows; per-block :meth:`store` is their oracle.
+    No store encodes a Huffman bitstream: the stored bits are the decision's
+    sizes, and a read returns the reconstructed bytes.
 
     Args:
         slc: the configured (and later trained) :class:`SLCCompressor`.
@@ -346,13 +349,13 @@ class SLCBackend(CompressionBackend):
         return self._record(block, decision)
 
     def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
-        """Batched stores: vectorized Fig. 4 decision + batched payload codec.
+        """Batched stores: vectorized Fig. 4 decision + batched reconstruction.
 
         Each slice of :data:`SLC_SLICE_ROWS` rows takes one
         :meth:`SLCCompressor.analyze_batch_arrays` decision and one
         vectorized truncation/prediction pass over its lossy rows
         (:meth:`SLCCompressor.apply_decision_rows`), so no per-block Python
-        codec work remains and the temporaries stay those of one slice.
+        work remains and the temporaries stay those of one slice.
         The result's data is ``rows`` itself when no row is lossy, else one
         copy with only the lossy rows rewritten.  Per-block results and the
         backend's own counters are identical to calling :meth:`store` per
@@ -381,8 +384,8 @@ class SLCBackend(CompressionBackend):
         return StoredBatch(bursts=bursts, stored_bits=stored_bits, lossy=lossy, data=data)
 
     def _store_slice(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
-        """:meth:`store_batch` of one slice, in one decision and codec pass."""
-        codec_start = time.perf_counter() if metrics.enabled() else 0.0
+        """:meth:`store_batch` of one slice: one decision, one reconstruction."""
+        store_start = time.perf_counter() if metrics.enabled() else 0.0
         view = self.slc.symbol_view(rows)
         decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
         data = self.slc.apply_decision_rows(view, decisions)
@@ -392,10 +395,10 @@ class SLCBackend(CompressionBackend):
         overshoot = decisions.bits_removed[lossy] - decisions.extra_bits[lossy]
         self.total_overshoot_bits += int(np.maximum(0, overshoot).sum())
         if metrics.enabled():
-            # codec bits/s is derivable from the two counters (mean over
+            # store bits/s is derivable from the two counters (mean over
             # merged snapshots stays exact: total bits / total seconds)
-            metrics.inc("codec.encode_s", time.perf_counter() - codec_start)
-            metrics.inc("codec.stored_bits", int(decisions.stored_size_bits.sum()))
+            metrics.inc("backend.slc_store_s", time.perf_counter() - store_start)
+            metrics.inc("backend.stored_bits", int(decisions.stored_size_bits.sum()))
             metrics.inc("backend.blocks_compressed", len(decisions))
             metrics.inc("backend.lossy_blocks", int(lossy.sum()))
         return StoredBatch(

@@ -168,8 +168,8 @@ class BlockStore:
         """SHA-256 over every stored block's state, in address order.
 
         Hashes address, burst count, stored bits, lossy flag and the stored
-        (possibly degraded) data bytes, so two runs agree iff their payload
-        codecs produced identical storage.
+        (possibly degraded) data bytes, so two runs agree iff their store
+        paths produced identical storage.
         """
         addresses = np.nonzero(self.bursts)[0]
         digest = hashlib.sha256()

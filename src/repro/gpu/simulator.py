@@ -263,7 +263,7 @@ class GPUSimulator:
             every stored block's address, burst count, stored bits, lossy
             flag and (possibly degraded) data bytes, in address order — as
             ``extra_metrics["payload_sha256"]``.  The golden-result suite
-            uses it to pin the scalar and batched payload codecs to the
+            uses it to pin the per-block and batched store paths to the
             same bytes; off by default because campaign results are meant
             to be content-comparable across runs that store different
             amounts of data (e.g. different trace subsets).

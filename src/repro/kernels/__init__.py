@@ -17,24 +17,21 @@ size-analysis pipeline as array programs over all blocks of a region at once:
   staggered windows);
 * :mod:`~repro.kernels.decision` — the Fig. 4 mode decision (bit budget,
   threshold, burst accounting) as elementwise array arithmetic;
-* :mod:`~repro.kernels.codec` — the payload codec: bulk Huffman
-  encode/decode through dense codeword tables + ``np.packbits`` assembly,
-  and the TSLC truncation/prediction pass that materializes degraded block
-  bytes for a whole region at once.
+* :mod:`~repro.kernels.codec` — the TSLC truncation/prediction pass that
+  materializes the bytes a read of every lossy block of a region returns.
 
-The scalar path remains the n = 1 reference: `analyze_batch` results are
-bit-exact against per-block `analyze` (enforced by
-``tests/test_batch_kernels.py``) and the batch codec against per-block
-`compress`/`decompress`/`apply_decision` (``tests/test_codec.py`` and the
-golden-result suite).
+No kernel encodes or decodes a Huffman bitstream: a store needs only sizes
+and the degraded bytes.  The scalar path remains the n = 1 reference:
+`analyze_batch` results are bit-exact against per-block `analyze` (enforced
+by ``tests/test_batch_kernels.py``), and the batched sizes and reads against
+the scalar `compress`/`decompress` bitstream (``tests/test_codec.py`` and
+the golden-result suite).
 
 Each kernel has one fast path — single-threaded NumPy — pinned to one
-scalar oracle.  The payload decoder also keeps the lockstep decoder: the
-fused decoder hands it escape-heavy rows and codes too long for the fused
-tables, and the tests use it as the fused decoder's oracle.
+scalar oracle.
 """
 
-from repro.kernels.codec import FusedDecodeTable, HuffmanCodecLUT, reconstruct_rows
+from repro.kernels.codec import reconstruct_rows
 from repro.kernels.decision import BatchDecisions, analyze_code_lengths
 from repro.kernels.lut import CodeLengthLUT
 from repro.kernels.symbols import BatchSymbolView, as_symbol_view
@@ -46,8 +43,6 @@ __all__ = [
     "BatchSymbolView",
     "BatchTreePlan",
     "CodeLengthLUT",
-    "FusedDecodeTable",
-    "HuffmanCodecLUT",
     "analyze_code_lengths",
     "as_symbol_view",
     "reconstruct_rows",

@@ -11,10 +11,10 @@ path pays (almost) nothing when nobody is watching:
   merged) as Chrome trace-event JSON viewable in ``chrome://tracing`` or
   Perfetto.
 * :mod:`repro.obs.metrics` — a process-local registry of counters and
-  value statistics (blocks compressed, codec throughput, L2/MDC hit
-  rates, per-phase wall time …).  Worker snapshots ride back on each
-  :class:`~repro.campaign.store.JobRecord` and ``repro campaign status
-  --metrics`` aggregates them across a whole store.
+  value statistics (blocks compressed, bits stored, SLC store time,
+  L2/MDC hit rates, per-phase wall time …).  Worker snapshots ride back
+  on each :class:`~repro.campaign.store.JobRecord` and ``repro campaign
+  status --metrics`` aggregates them across a whole store.
 * :mod:`repro.obs.trajectory` — committed ``BENCH_*.json`` performance
   snapshots plus the comparison logic behind ``repro bench check``, the
   CI regression gate that keeps "fast as the hardware allows" measured

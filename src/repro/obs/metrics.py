@@ -3,11 +3,11 @@
 Two primitive kinds cover everything the simulator needs:
 
 * **counters** (:func:`inc`) — monotonically accumulated totals: blocks
-  compressed, codec bits stored, MDC fast-path vs. fallback invocations,
+  compressed, bits stored, MDC fast-path vs. fallback invocations,
   campaign cache hits.
 * **values** (:func:`observe`) — summary statistics (count/sum/min/max,
   so mean is derivable) over observed samples: L2 hit rate per job,
-  per-phase wall time, codec throughput.
+  per-phase wall time.
 
 The registry is module-global and process-local.  Workers snapshot it per
 job (:func:`snapshot` + :func:`clear`), the snapshot rides back on the

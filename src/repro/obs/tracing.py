@@ -1,6 +1,6 @@
 """Lightweight span tracer (zero-dependency, contextvar-based).
 
-A *span* is one timed phase — ``sim.replay``, ``codec.store_batch``,
+A *span* is one timed phase — ``sim.replay``, ``sim.h2d_store``,
 ``campaign.run`` — recorded as a plain dict compatible with the Chrome
 trace-event format, so a whole campaign's timeline (parent process and
 every pool worker) can be inspected in ``chrome://tracing`` or Perfetto.

@@ -95,7 +95,7 @@ def record(
     """Merge one measured metric into the recorded-metrics file at ``path``.
 
     The file accumulates across pytest invocations (CI runs the kernels,
-    replay and codec smokes as separate steps), so it is read-modify-write
+    replay and tournament smokes as separate steps), so it is read-modify-write
     rather than truncate-on-first-use.  ``tolerance`` is kept with the
     metric, so a snapshot taken from the file gates it with that band.
     """

@@ -54,7 +54,7 @@ def compression_stats_for_blocks(
     compressor = get_compressor(compressor_name, block_size_bytes=block_size_bytes)
     compressor.train(sample_evenly(blocks, train_samples))
     stats = CompressionStats(block_size_bytes=block_size_bytes, mag_bytes=mag_bytes)
-    stats.add_blocks(compressor.analyze_batch(blocks))
+    stats.add_blocks(compressor.compressed_size_bits_batch(blocks))
     return stats
 
 

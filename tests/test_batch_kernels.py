@@ -164,7 +164,9 @@ def test_e2mc_batch_lengths_and_sizes_match_scalar():
     blocks = _mixed_blocks(seed=7)
     compressor = E2MCCompressor()
     compressor.train(blocks[:128])
-    lengths = compressor.symbol_code_lengths_batch(blocks)
+    lengths = compressor.model.code_length_table().lengths(
+        BatchSymbolView.from_blocks(blocks).symbols
+    )
     sizes = compressor.compressed_size_bits_batch(blocks)
     for i, block in enumerate(blocks):
         assert lengths[i].tolist() == compressor.symbol_code_lengths(block)

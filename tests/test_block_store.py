@@ -341,6 +341,9 @@ def test_registry_schemes_take_no_scalar_store_rows(metrics_on, scheme):
     counters = metrics.snapshot()["counters"]
     assert counters["backend.blocks_compressed"] > 0
     assert counters.get("backend.scalar_store_rows", 0) == 0
+    assert counters["backend.stored_bits"] > 0
+    assert ("backend.slc_store_s" in counters) == scheme.startswith("TSLC")
+    assert not [name for name in counters if name.startswith("codec.")]
 
 
 class _HalfCompressor(BlockCompressor):

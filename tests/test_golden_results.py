@@ -1,16 +1,15 @@
-"""Golden-result regression suite for the payload codec and simulator.
+"""Golden-result regression suite for the store paths and simulator.
 
 Pins every :class:`SimulationResult` counter *and* a SHA-256 digest of the
-stored payload bytes (address, bursts, stored bits, lossy flag, degraded
-data) for the 9-workload × {E2MC, TSLC-SIMP, TSLC-PRED, TSLC-OPT} ×
-MAG {16, 32, 64} grid — plus a lossless-scheme slice and the extended
-families (WEATHER, DNNACT) × {E2MC, TSLC-OPT} — at a reduced input scale,
-against values produced by
-the fully scalar reference pipeline (per-block store, per-access trace
-replay, per-symbol payload codec).  Both the scalar and the fully batched
-path (vectorized kernels + replay engine + payload codec) must reproduce
-the checked-in fixture bit-exactly, so any drift in either pipeline — or
-any divergence between them — fails loudly.
+stored state (address, bursts, stored bits, lossy flag, degraded data) for
+the 9-workload × {E2MC, TSLC-SIMP, TSLC-PRED, TSLC-OPT} × MAG {16, 32, 64}
+grid — plus a lossless-scheme slice and the extended families (WEATHER,
+DNNACT) × {E2MC, TSLC-OPT} — at a reduced input scale, against values
+produced by the fully scalar reference pipeline (per-block stores,
+per-access trace replay).  Both the scalar and the fully batched path
+(vectorized size and decision kernels, batched reconstruction, replay
+engine) must reproduce the checked-in fixture bit-exactly, so any drift in
+either pipeline — or any divergence between them — fails loudly.
 
 Regenerate the fixture (only when simulation semantics intentionally
 change) with::

@@ -120,7 +120,7 @@ def test_unaligned_block_size_falls_back_to_scalar():
     """Word-based kernels refuse odd geometries; the default loop covers them."""
     compressor = get_compressor("fpc", block_size_bytes=12)
     blocks = [bytes(12), b"\x01\x02\x03" * 4]
-    assert compressor.analyze_batch(blocks).tolist() == _scalar_sizes(
+    assert compressor.compressed_size_bits_batch(blocks).tolist() == _scalar_sizes(
         compressor, blocks
     )
 
@@ -129,7 +129,7 @@ def test_bpc_large_block_falls_back_to_scalar():
     compressor = get_compressor("bpc", block_size_bytes=512)
     rng = np.random.default_rng(0)
     blocks = [bytes(512), rng.bytes(512)]
-    assert compressor.analyze_batch(blocks).tolist() == _scalar_sizes(
+    assert compressor.compressed_size_bits_batch(blocks).tolist() == _scalar_sizes(
         compressor, blocks
     )
 
