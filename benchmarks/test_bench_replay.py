@@ -19,9 +19,10 @@ from repro.campaign.worker import build_backend, simulate_job
 from repro.compression.stats import geometric_mean
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.memory_controller import BlockStore, MemoryController, book_host_copies
+from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.replay import replay_trace, replay_trace_scalar
+from repro.replay.plan import ReplayCache
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 QUICK_WORKLOADS = ("NN", "FWT", "DCT")
@@ -44,10 +45,12 @@ class _ReplayContext:
     generation, kernel execution and trace construction, then backend
     training) run once; :meth:`fresh_state` rebuilds the mutable state
     (L2 + controllers sharing a block store with the host-to-device copy
-    stored and booked) so each timed replay starts from an identical
-    machine state with setup excluded from the measurement.  The vectorized
-    engine builds its plan inside the timed call (no replay cache), as a
-    job's first replay on an input does.
+    stored, unbooked, as a job's batched copy leaves it) so each timed
+    replay starts from an identical fresh machine with setup excluded from
+    the measurement.  The scalar loop books the host copies itself; the
+    vectorized engine gets a fresh :class:`~repro.replay.plan.ReplayCache`
+    whose per-row sizes the host copy filled, so it builds its plan inside
+    the timed call, as a job's first replay on an input does.
     """
 
     def __init__(self, name: str, scale: float, scheme: str = "E2MC") -> None:
@@ -63,7 +66,9 @@ class _ReplayContext:
         self.trace = prepared.trace
         self.interleave = simulator.CHANNEL_INTERLEAVE_BLOCKS
 
-    def fresh_state(self) -> tuple[SetAssociativeCache, list[MemoryController]]:
+    def fresh_state(
+        self,
+    ) -> tuple[SetAssociativeCache, list[MemoryController], ReplayCache]:
         config = self.config
         store = BlockStore(config.block_size_bytes, n_blocks=len(self.rows))
         controllers = [
@@ -76,23 +81,22 @@ class _ReplayContext:
             )
             for i in range(config.num_memory_controllers)
         ]
+        cache = ReplayCache(self.trace, self.rows)
         for name, region in self.prepared.input_regions.items():
             sl = self.prepared.region_slice(name)
-            store.write(
-                sl, self.backend.store_batch(self.rows[sl], approximable=region.approximable)
-            )
-        book_host_copies(controllers, self.interleave)
+            store.write(sl, cache.store(self.backend, sl, region.approximable))
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,
             ways=config.l2_ways,
         )
-        return l2, controllers
+        return l2, controllers, cache
 
     def time_replay(self, engine, repeats: int = 3) -> float:
         best = float("inf")
         for _ in range(repeats):
-            l2, controllers = self.fresh_state()
+            l2, controllers, cache = self.fresh_state()
+            options = {"cache": cache} if engine is replay_trace else {}
             start = time.perf_counter()
             engine(
                 self.trace,
@@ -102,6 +106,7 @@ class _ReplayContext:
                 l2=l2,
                 controllers=controllers,
                 interleave_blocks=self.interleave,
+                **options,
             )
             best = min(best, time.perf_counter() - start)
         return best

@@ -147,7 +147,6 @@ INPUT_CACHE = InputCache()
 
 def simulate_job(
     job: Job,
-    batch_store: bool = True,
     replay_mode: str = "vectorized",
     payload_digest: bool = False,
 ) -> SimulationResult:
@@ -160,14 +159,12 @@ def simulate_job(
 
     Args:
         job: the campaign job description.
-        batch_store: route the simulator's host-to-device store phase through
-            the vectorized analysis kernels (:mod:`repro.kernels`).  Results
-            are identical either way; the kernels microbenchmark flips this
-            off to measure the scalar path.
-        replay_mode: trace-replay engine for the kernel-execution phase —
-            ``"vectorized"`` (default, :mod:`repro.replay`) or ``"scalar"``
-            (the per-access reference loop).  Results are identical either
-            way; the replay microbenchmark flips this to measure both.
+        replay_mode: the simulator's pipeline (see :class:`GPUSimulator`)
+            — ``"vectorized"`` (default: batched host stores and the
+            :mod:`repro.replay` engine) or ``"scalar"`` (the n = 1 oracle:
+            per-block host stores and the per-access loop).  Results are
+            identical either way; the kernels and replay microbenchmarks
+            flip this to measure both.
         payload_digest: record ``extra_metrics["payload_sha256"]`` over the
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
@@ -175,7 +172,6 @@ def simulate_job(
     config = overrides_to_config(job.config_overrides)
     simulator = GPUSimulator(
         config=config,
-        batch_store=batch_store,
         replay_mode=replay_mode,
         payload_digest=payload_digest,
     )

@@ -27,7 +27,7 @@ from repro.compression.stats import bursts_for_size
 from repro.core.config import SLCConfig, SLCMode, SLCVariant
 from repro.core.header import header_size_bits
 from repro.core.prediction import predict_truncated_symbols
-from repro.core.tree import AdderTree, SubBlockSelection
+from repro.core.tree import AdderTree
 from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.blocks import block_to_symbols, iter_blocks, symbols_to_block
 
@@ -184,54 +184,20 @@ class SLCCompressor:
     def compress(self, block: bytes, approximable: bool = True) -> SLCBlock:
         """Compress one block.
 
+        Takes :meth:`analyze`'s decision and encodes the symbols it keeps,
+        so the stored size (and a lossless block's bursts) come from the
+        encoder.
+
         Args:
             block: the raw block bytes.
             approximable: whether the block belongs to a programmer-annotated
                 safe-to-approximate memory region.  Blocks outside such
                 regions always use the lossless path.
         """
-        if len(block) != self.config.block_size_bytes:
-            raise CompressionError(
-                f"expected a {self.config.block_size_bytes}-byte block, got {len(block)} bytes"
-            )
-        symbols = block_to_symbols(block, self.config.symbol_bytes)
-        lengths = [self.baseline.model.code_length(s) for s in symbols]
-        lossless_header = header_size_bits(
-            False, self.config.block_size_bytes, self.config.num_pdw
-        )
-        lossy_header = header_size_bits(
-            True, self.config.block_size_bytes, self.config.num_pdw
-        )
-        payload_bits = sum(lengths)
-        comp_size_bits = payload_bits + lossless_header
-
-        # Incompressible block: stored raw, full budget, no header.
-        if not self.trained or comp_size_bits >= self.config.block_size_bits:
+        decision = self.analyze(block, approximable=approximable)
+        if decision.mode is SLCMode.UNCOMPRESSED:
             return self._store_uncompressed(block)
-
-        budget_bits = self.bit_budget(comp_size_bits)
-        extra_bits = max(0, comp_size_bits - budget_bits)
-
-        if extra_bits == 0 or not approximable:
-            return self._store_lossless(block, symbols, payload_bits, budget_bits, extra_bits)
-        if extra_bits > self.config.lossy_threshold_bits:
-            return self._store_lossless(block, symbols, payload_bits, budget_bits, extra_bits)
-
-        # Lossy path: the truncated sub-block must also absorb the larger
-        # lossy header so that the stored size actually fits the budget.
-        required_bits = extra_bits + (lossy_header - lossless_header)
-        tree = AdderTree(
-            lengths,
-            extra_nodes=self.config.opt_extra_nodes if self.config.uses_optimized_tree else None,
-        )
-        selection = tree.select_subblock(
-            required_bits, max_symbols=self.config.max_approx_symbols
-        )
-        if selection is None:
-            return self._store_lossless(block, symbols, payload_bits, budget_bits, extra_bits)
-        return self._store_lossy(
-            block, symbols, payload_bits, budget_bits, extra_bits, selection, lossy_header
-        )
+        return self._store_encoded(block, decision)
 
     # ------------------------------------------------------------------ #
     # fast, size-only analysis for trace-driven simulation
@@ -515,67 +481,33 @@ class SLCCompressor:
             mag_bytes=self.config.mag_bytes,
         )
 
-    def _store_lossless(
-        self,
-        block: bytes,
-        symbols: list[int],
-        payload_bits: int,
-        budget_bits: int,
-        extra_bits: int,
-    ) -> SLCBlock:
-        data, encoded_bits = self._encode_symbols(symbols)
+    def _store_encoded(self, block: bytes, decision: SLCDecision) -> SLCBlock:
+        """Encode the symbols ``decision`` keeps, behind its mode's header."""
+        lossy = decision.is_lossy
+        start, count = decision.approx_start, decision.approx_count
+        symbols = block_to_symbols(block, self.config.symbol_bytes)
+        data, encoded_bits = self._encode_symbols(symbols[:start] + symbols[start + count:])
         header_bits = header_size_bits(
-            False, self.config.block_size_bytes, self.config.num_pdw
+            lossy, self.config.block_size_bytes, self.config.num_pdw
         )
         stored_bits = encoded_bits + header_bits
-        return SLCBlock(
-            algorithm=self.name,
-            original_size_bits=self.config.block_size_bits,
-            compressed_size_bits=stored_bits,
-            payload=(data, encoded_bits, 0, 0),
-            lossless=True,
-            metadata={"header_bits": header_bits},
-            mode=SLCMode.LOSSLESS,
-            variant=self.config.variant,
-            bit_budget_bits=budget_bits,
-            extra_bits=extra_bits,
-            bursts=self._bursts(stored_bits),
-            mag_bytes=self.config.mag_bytes,
-        )
-
-    def _store_lossy(
-        self,
-        block: bytes,
-        symbols: list[int],
-        payload_bits: int,
-        budget_bits: int,
-        extra_bits: int,
-        selection: SubBlockSelection,
-        lossy_header_bits: int,
-    ) -> SLCBlock:
-        start = selection.start_symbol
-        count = selection.symbol_count
-        kept_symbols = symbols[:start] + symbols[start + count:]
-        data, encoded_bits = self._encode_symbols(kept_symbols)
-        stored_bits = encoded_bits + lossy_header_bits
+        metadata = {"header_bits": header_bits}
+        if lossy:
+            metadata["used_extra_node"] = decision.used_extra_node
         return SLCBlock(
             algorithm=self.name,
             original_size_bits=self.config.block_size_bits,
             compressed_size_bits=stored_bits,
             payload=(data, encoded_bits, start, count),
-            lossless=False,
-            metadata={
-                "header_bits": lossy_header_bits,
-                "used_extra_node": selection.used_extra_node,
-                "tree_level": selection.level,
-            },
-            mode=SLCMode.LOSSY,
+            lossless=not lossy,
+            metadata=metadata,
+            mode=decision.mode,
             variant=self.config.variant,
-            bit_budget_bits=budget_bits,
-            extra_bits=extra_bits,
+            bit_budget_bits=decision.bit_budget_bits,
+            extra_bits=decision.extra_bits,
             approx_start=start,
             approx_count=count,
-            bits_removed=selection.bits_removed,
-            bursts=max(1, budget_bits // self.config.mag_bits),
+            bits_removed=decision.bits_removed,
+            bursts=decision.bursts if lossy else self._bursts(stored_bits),
             mag_bytes=self.config.mag_bytes,
         )

@@ -26,7 +26,6 @@ import numpy as np
 from repro.compression.base import BlockCompressor, as_block_bytes
 from repro.compression.registry import scheme_latency
 from repro.compression.stats import bursts_for_size
-from repro.core.config import SLCMode
 from repro.core.slc import SLCCompressor
 from repro.obs import metrics
 from repro.utils.blocks import as_block_rows
@@ -337,16 +336,22 @@ class SLCBackend(CompressionBackend):
         self.name = f"slc-{slc.config.variant.value}"
         self._compress_cycles = compress_cycles
         self._decompress_cycles = decompress_cycles
-        self.lossy_blocks = 0
-        self.total_blocks = 0
-        self.total_overshoot_bits = 0
 
     def train(self, blocks: list[bytes]) -> None:
         self.slc.train(blocks)
 
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         decision = self.slc.analyze(block, approximable=approximable)
-        return self._record(block, decision)
+        if metrics.enabled():
+            metrics.inc("backend.blocks_compressed")
+            if decision.is_lossy:
+                metrics.inc("backend.lossy_blocks")
+        return StoredBlock(
+            bursts=decision.bursts,
+            stored_bits=decision.stored_size_bits,
+            data=self.slc.apply_decision(block, decision),
+            lossy=decision.is_lossy,
+        )
 
     def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched stores: vectorized Fig. 4 decision + batched reconstruction.
@@ -357,10 +362,10 @@ class SLCBackend(CompressionBackend):
         (:meth:`SLCCompressor.apply_decision_rows`), so no per-block Python
         work remains and the temporaries stay those of one slice.
         The result's data is ``rows`` itself when no row is lossy, else one
-        copy with only the lossy rows rewritten.  Per-block results and the
-        backend's own counters are identical to calling :meth:`store` per
-        block, in order.  Geometries the kernels do not cover take the
-        per-block loop, counted as ``backend.scalar_store_rows``.
+        copy with only the lossy rows rewritten.  Per-block results are
+        identical to calling :meth:`store` per block.  Geometries the
+        kernels do not cover take the per-block loop, counted as
+        ``backend.scalar_store_rows``.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
         if not self.slc.batch_geometry_supported():
@@ -390,10 +395,6 @@ class SLCBackend(CompressionBackend):
         decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
         data = self.slc.apply_decision_rows(view, decisions)
         lossy = decisions.lossy_mask
-        self.total_blocks += len(decisions)
-        self.lossy_blocks += int(lossy.sum())
-        overshoot = decisions.bits_removed[lossy] - decisions.extra_bits[lossy]
-        self.total_overshoot_bits += int(np.maximum(0, overshoot).sum())
         if metrics.enabled():
             # store bits/s is derivable from the two counters (mean over
             # merged snapshots stays exact: total bits / total seconds)
@@ -407,30 +408,6 @@ class SLCBackend(CompressionBackend):
             lossy=lossy,
             data=data,
         )
-
-    def _record(self, block: bytes, decision) -> StoredBlock:
-        data = self.slc.apply_decision(block, decision)
-        self.total_blocks += 1
-        if metrics.enabled():
-            metrics.inc("backend.blocks_compressed")
-            if decision.is_lossy:
-                metrics.inc("backend.lossy_blocks")
-        if decision.mode is SLCMode.LOSSY:
-            self.lossy_blocks += 1
-            self.total_overshoot_bits += decision.overshoot_bits
-        return StoredBlock(
-            bursts=decision.bursts,
-            stored_bits=decision.stored_size_bits,
-            data=data,
-            lossy=decision.is_lossy,
-        )
-
-    @property
-    def lossy_fraction(self) -> float:
-        """Fraction of stored blocks that took the lossy path."""
-        if not self.total_blocks:
-            return 0.0
-        return self.lossy_blocks / self.total_blocks
 
     @property
     def compress_latency_cycles(self) -> int:

@@ -106,11 +106,6 @@ class DRAMChannel:
         """Total bytes moved over the data bus (bursts × the channel's MAG)."""
         return self.stats.bursts * self.mag_bytes
 
-    def reset_rows(self) -> None:
-        """Precharge all banks (e.g. between kernels)."""
-        for bank in self._open_rows:
-            self._open_rows[bank] = None
-
     @property
     def busy_cycles(self) -> int:
         """Total busy cycles accumulated so far."""

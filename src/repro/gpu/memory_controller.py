@@ -10,11 +10,13 @@ What is stored lives in a :class:`BlockStore`: one address-indexed set of
 arrays per run, shared by all of the run's controllers (an address belongs
 to exactly one controller, so sharing changes nothing any controller sees).
 
-A batched host-to-device copy only writes the store.  The controllers book
-those blocks (MDC fill, compression and lossy counts) at the start of the
-run's first replay, the one that finds every MDC untouched
-(:func:`unbooked_host_copies`); :meth:`MemoryController.store_block` books
-a block as it stores it.
+A batched host-to-device copy only writes the store.  The run's replay
+books those blocks (MDC fill, compression and lossy counts) before the
+kernel's misses, while every MDC is still untouched
+(:func:`unbooked_host_copies`): the vectorized engine counts them in its
+plan, the scalar loop books them one at a time (:func:`book_host_copies`).
+:meth:`MemoryController.store_block`, the per-block store of
+``replay_mode="scalar"``, books a block as it stores it.
 """
 
 from __future__ import annotations

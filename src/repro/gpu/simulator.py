@@ -245,20 +245,20 @@ class GPUSimulator:
             overlap of computation and memory transfers.
         train_samples: number of blocks sampled per workload to train the
             compression backend's probability model (E2MC's online sampling).
-        batch_store: run the host-to-device store phase through the backend's
-            batched analysis kernels (:mod:`repro.kernels`), one
-            ``store_batch`` call and one block-store write per region instead
-            of one ``store_block`` call per block.  Results are identical;
-            disable only to benchmark the scalar path.  The backends slice
-            large regions themselves (:data:`~repro.gpu.backends.
-            SLC_SLICE_ROWS`, :data:`~repro.gpu.backends.LOSSLESS_SLICE_ROWS`),
-            so a store's temporaries stay bounded at any scale.
-        replay_mode: how the kernel-execution phase replays the block trace.
-            ``"vectorized"`` (the default) runs the array engine
-            (:mod:`repro.replay`): compiled trace, reuse-distance L2,
-            batched miss-path accounting.  ``"scalar"`` runs the original
-            per-access loop.  Results are bit-identical; the scalar mode
-            exists as the reference oracle and for benchmarking.
+        replay_mode: which of the two pipelines runs the host-to-device
+            copy and the kernel-execution phase.  ``"vectorized"`` (the
+            default) stores each input region in one batched store (from
+            the input's per-row sizes where the backend allows) and replays
+            the trace with the array engine (:mod:`repro.replay`): compiled
+            trace, reuse-distance L2, batched miss-path accounting.  The
+            backends slice large regions themselves
+            (:data:`~repro.gpu.backends.SLC_SLICE_ROWS`,
+            :data:`~repro.gpu.backends.LOSSLESS_SLICE_ROWS`), so a store's
+            temporaries stay bounded at any scale.  ``"scalar"`` is the
+            n = 1 oracle: one ``store_block`` call per host block, then the
+            original per-access loop.  Results are bit-identical; the
+            scalar mode exists as the reference oracle and for
+            benchmarking.
         payload_digest: record a SHA-256 digest of the final stored state —
             every stored block's address, burst count, stored bits, lossy
             flag and (possibly degraded) data bytes, in address order — as
@@ -279,7 +279,6 @@ class GPUSimulator:
         sm_efficiency: float = 0.7,
         overlap_penalty: float = 0.15,
         train_samples: int = 1024,
-        batch_store: bool = True,
         replay_mode: str = "vectorized",
         payload_digest: bool = False,
     ) -> None:
@@ -296,7 +295,6 @@ class GPUSimulator:
             )
         self.overlap_penalty = overlap_penalty
         self.train_samples = train_samples
-        self.batch_store = batch_store
         self.replay_mode = replay_mode
         self.payload_digest = payload_digest
 
@@ -403,32 +401,28 @@ class GPUSimulator:
 
         # Host-to-device copy: every input region is compressed and stored.
         # This traffic happens before the kernel and is not charged to it.
-        # With batch_store each region is one vectorized store (from the
-        # input's per-row sizes where the backend allows) and one
-        # block-store write; the replay books the copies into the
-        # controllers.
+        # The vectorized pipeline stores each region in one batched store
+        # and one block-store write, and its replay books the copies into
+        # the controllers; the scalar oracle stores and books block by block.
         interleave = self.CHANNEL_INTERLEAVE_BLOCKS
-        cache = prepared.replay_cache if self.batch_store else None
+        vectorized = self.replay_mode == "vectorized"
+        cache = prepared.replay_cache
         with span("sim.h2d_store", cat="sim", workload=workload.name,
-                  batch=self.batch_store):
-            regions = [
-                (prepared.region_slice(name), region)
-                for name, region in input_regions.items()
-            ]
-            if cache is not None:
-                for sl, region in regions:
+                  mode=self.replay_mode):
+            for name, region in input_regions.items():
+                sl = prepared.region_slice(name)
+                if vectorized:
                     store.write(sl, cache.store(backend, sl, region.approximable))
-            else:
-                for sl, region in regions:
-                    for address in range(sl.start, sl.stop):
-                        controllers[
-                            controller_index(address, interleave, len(controllers))
-                        ].store_block(
-                            address,
-                            rows[address].tobytes(),
-                            approximable=region.approximable,
-                            count_traffic=False,
-                        )
+                    continue
+                for address in range(sl.start, sl.stop):
+                    controllers[
+                        controller_index(address, interleave, len(controllers))
+                    ].store_block(
+                        address,
+                        rows[address].tobytes(),
+                        approximable=region.approximable,
+                        count_traffic=False,
+                    )
 
         # Kernel execution: replay the workload's block trace through the L2.
         # The vectorized engine (repro.replay) and the scalar per-access loop
@@ -444,14 +438,12 @@ class GPUSimulator:
             controllers=controllers,
             interleave_blocks=interleave,
         )
-        if self.replay_mode == "vectorized":
-            replay = engine.replay_trace
-            replay_kwargs["cache"] = cache
-        else:
-            replay = replay_trace_scalar
         with span("sim.replay", cat="sim", workload=workload.name,
                   mode=self.replay_mode, accesses=len(trace)):
-            replay(trace, **replay_kwargs)
+            if vectorized:
+                engine.replay_trace(trace, cache=cache, **replay_kwargs)
+            else:
+                replay_trace_scalar(trace, **replay_kwargs)
 
         error_percent = 0.0
         fidelity: dict[str, float] = {}

@@ -3,15 +3,16 @@
 Replaces the simulator's per-access Python loop — one ``OrderedDict`` L2
 lookup per block access plus a chain of per-block memory-controller /
 metadata-cache / DRAM-channel method calls per miss — with array-speed
-equivalents that reproduce the scalar counters **bit-exactly**:
+equivalents that reproduce, from a fresh machine, the scalar loop's block
+store and every counter a result reads **bit-exactly**:
 
-* :func:`repro.replay.l2.replay_l2` — exact set-associative LRU over a
+* :func:`repro.replay.l2.resolve_l2` — exact set-associative LRU over a
   compiled trace, resolved per set via reuse distance (an access hits iff
   fewer than ``ways`` distinct lines in its set were touched since its
   previous use), with dirty tracking for eviction/writeback counts.
 * :func:`repro.replay.mdc.replay_mdc` — exact fully-associative LRU
   metadata-cache replay over a controller's miss-event stream.
-* :func:`repro.replay.dram.replay_dram` — grouped per-(controller, bank)
+* :func:`repro.replay.dram.scan_rows` — grouped per-(controller, bank)
   row-hit/row-miss scan replacing per-request ``DRAMChannel.service`` calls.
 * :mod:`repro.replay.plan` — the backend-independent outcome of a replay
   (:class:`~repro.replay.plan.ReplayPlan`), built once per prepared input
@@ -19,19 +20,15 @@ equivalents that reproduce the scalar counters **bit-exactly**:
 * :func:`repro.replay.engine.replay_trace` — the simulator's replay entry
   point and ``replay_mode="vectorized"``, its default.
 * :func:`repro.replay.reference.replay_trace_scalar` — the original scalar
-  loop and ``replay_mode="scalar"``, kept as the n = 1 reference the
-  equivalence suite checks against.
+  loop and, after per-block host stores, ``replay_mode="scalar"``: the
+  n = 1 reference the equivalence suite checks against.
 """
 
-from repro.replay.dram import replay_dram
 from repro.replay.engine import replay_trace
-from repro.replay.l2 import replay_l2
 from repro.replay.mdc import replay_mdc
 from repro.replay.reference import replay_trace_scalar
 
 __all__ = [
-    "replay_dram",
-    "replay_l2",
     "replay_mdc",
     "replay_trace",
     "replay_trace_scalar",

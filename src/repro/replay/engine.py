@@ -4,7 +4,8 @@ Reproduces the scalar kernel-execution loop of
 :func:`~repro.replay.reference.replay_trace_scalar` — per-access L2 lookups,
 per-miss memory-controller method chains — as a handful of array passes,
 bit-exact on every counter the simulation result is assembled from.  A
-replay is two steps (:mod:`repro.replay.plan`):
+replay runs once per run, on a fresh machine, in two steps
+(:mod:`repro.replay.plan`):
 
 1. a **plan** of everything the backend cannot change: the compiled trace
    (:meth:`~repro.gpu.trace.MemoryTrace.compile`), the L2 miss stream, each
@@ -12,15 +13,14 @@ replay is two steps (:mod:`repro.replay.plan`):
    the unbooked host copies' fills and the misses, and each DRAM channel's
    row hits;
 2. an **evaluation** with the run's backend: the write misses' stores,
-   burst gathers and sums, MDC values, DRAM busy cycles and the final
-   stores.
+   burst gathers and sums, DRAM busy cycles and the final stores.
 
-A run's replay takes its plan from the prepared input's
+Every replay takes its plan from the prepared input's
 :class:`~repro.replay.plan.ReplayCache`, so every scheme and MAG simulated
-on the input shares one plan per geometry; a call without the cache plans
-from the objects' current state.  The mutated objects (L2, controllers,
-their MDCs and channels, the block store and the backend's own counters)
-end up in the same state the scalar loop leaves them in.
+on the input shares one plan per geometry.  The replay leaves the block
+store and every counter of the L2, the controllers, their MDCs and
+channels as the scalar loop does; it does not fill the L2 sets, the MDC
+entries or the banks' open rows, which no result reads.
 """
 
 from __future__ import annotations
@@ -45,20 +45,18 @@ def replay_trace(
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
     interleave_blocks: int,
-    cache: ReplayCache | None = None,
+    cache: ReplayCache,
 ) -> None:
-    """Replay the kernel's block trace at array speed.
+    """Replay the kernel's block trace at array speed, on a fresh machine.
 
-    Same arguments and same observable effects as
-    :func:`~repro.replay.reference.replay_trace_scalar`.
+    Same arguments as :func:`~repro.replay.reference.replay_trace_scalar`,
+    and the same result, block store and counters.
 
     Args:
         cache: the prepared input's :class:`~repro.replay.plan.ReplayCache`
-            (it must hold ``trace`` and ``rows``).  Write misses are stored
-            through its per-row sizes, and a replay on fresh objects takes
-            its plan from it (building and keeping it on first use).
-            Without a cache, a plan is built from the objects' current
-            state and kept nowhere.
+            (it must hold ``trace`` and ``rows``).  The replay takes its
+            plan from it, building and keeping it on first use, and stores
+            write misses through its per-row sizes.
     """
     shared_store(controllers)
 
@@ -77,10 +75,7 @@ def replay_trace(
                 interleave_blocks=interleave_blocks,
             )
 
-    if cache is None:
-        plan = compile_and_plan()
-    else:
-        plan = cache.plan(trace, rows, l2, controllers, interleave_blocks, compile_and_plan)
-    evaluate(plan, rows=rows, l2=l2, controllers=controllers, cache=cache)
+    plan = cache.plan(trace, rows, l2, controllers, interleave_blocks, compile_and_plan)
+    evaluate(plan, cache=cache, l2=l2, controllers=controllers)
     if metrics.enabled():
         metrics.observe("replay.peak_rss_mib", metrics.peak_rss_mib())

@@ -2,16 +2,17 @@
 
 The scalar :class:`~repro.gpu.cache.SetAssociativeCache` walks one
 ``OrderedDict`` per access.  This module resolves a whole compiled trace at
-once: accesses are partitioned by set index, and hits are decided by reuse
-distance — an access hits iff fewer than ``ways`` distinct lines in its set
-were touched since the line's previous use.  The reuse distance is computed
-exactly by advancing a bounded LRU *stack* (the ``ways`` most recently
-touched distinct lines, most recent first) for every set simultaneously: the
-per-set access streams are padded into a matrix and the stacks advance one
-column at a time, so the Python-level loop runs ``O(max accesses per set)``
-iterations instead of ``O(total accesses)`` — each iteration a handful of
-NumPy operations over all sets.  A matched stack position *is* the access's
-reuse distance; position ``>= ways`` (not found) is a miss.
+once, from an empty cache: accesses are partitioned by set index, and hits
+are decided by reuse distance — an access hits iff fewer than ``ways``
+distinct lines in its set were touched since the line's previous use.  The
+reuse distance is computed exactly by advancing a bounded LRU *stack* (the
+``ways`` most recently touched distinct lines, most recent first) for every
+set simultaneously: the per-set access streams are padded into a matrix and
+the stacks advance one column at a time, so the Python-level loop runs
+``O(max accesses per set)`` iterations instead of ``O(total accesses)`` —
+each iteration a handful of NumPy operations over all sets.  A matched
+stack position *is* the access's reuse distance; position ``>= ways`` (not
+found) is a miss.
 
 Dirty state rides along in a parallel stack, which makes eviction and
 writeback accounting exact: the victim of a miss in a full set is the
@@ -25,7 +26,6 @@ the just-touched MRU line, exactly as in the scalar loop.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,53 +35,18 @@ from repro.gpu.cache import SetAssociativeCache
 
 @dataclass(frozen=True)
 class L2Outcome:
-    """What replaying an address stream does to a cache, before it is applied."""
+    """What replaying an address stream from an empty cache counts."""
 
     #: counter increments: hits, misses, evictions, writebacks
     stats: tuple[int, int, int, int]
-    #: ``(set index, ((line, dirty), ...))`` for every set the stream
-    #: touched: its final contents, LRU first
-    sets: tuple[tuple[int, tuple[tuple[int, bool], ...]], ...]
 
     def apply(self, cache: SetAssociativeCache) -> None:
-        """Advance ``cache`` (stats and touched sets) to the replayed state."""
+        """Add the counters to ``cache``'s stats."""
         hits, misses, evictions, writebacks = self.stats
         cache.stats.hits += hits
         cache.stats.misses += misses
         cache.stats.evictions += evictions
         cache.stats.writebacks += writebacks
-        for set_index, items in self.sets:
-            cache._sets[set_index] = OrderedDict(items)
-
-
-def replay_l2(
-    cache: SetAssociativeCache,
-    addresses: np.ndarray,
-    is_write: np.ndarray,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Replay a block-address stream through ``cache`` at array speed.
-
-    Mutates ``cache`` exactly as the equivalent sequence of
-    :meth:`~repro.gpu.cache.SetAssociativeCache.access` calls would — stats
-    counters and the resident lines (with LRU order and dirty flags) end up
-    identical.
-
-    Args:
-        cache: the cache to replay into (its current contents are the
-            initial state, so successive replays compose).
-        addresses: per-access global block addresses.
-        is_write: per-access write flags.
-        counts: optional per-access back-to-back repeat counts (RLE); a
-            repeat contributes ``count - 1`` extra hits and nothing else.
-
-    Returns:
-        Boolean miss mask aligned with ``addresses`` (one entry per RLE
-        access: only the first access of a repeat run can miss).
-    """
-    miss_mask, outcome = resolve_l2(cache, addresses, is_write, counts)
-    outcome.apply(cache)
-    return miss_mask
 
 
 def resolve_l2(
@@ -90,8 +55,24 @@ def resolve_l2(
     is_write: np.ndarray,
     counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, L2Outcome]:
-    """:func:`replay_l2` without touching ``cache``: the miss mask and the
-    outcome to apply."""
+    """Resolve a block-address stream through an empty cache of ``cache``'s geometry.
+
+    Gives the misses and counters the equivalent sequence of
+    :meth:`~repro.gpu.cache.SetAssociativeCache.access` calls on a new
+    cache would.  Reads only ``cache``'s sets and ways; modifies nothing.
+
+    Args:
+        cache: the cache whose geometry to use.
+        addresses: per-access global block addresses.
+        is_write: per-access write flags.
+        counts: optional per-access back-to-back repeat counts (RLE); a
+            repeat contributes ``count - 1`` extra hits and nothing else.
+
+    Returns:
+        The boolean miss mask aligned with ``addresses`` (one entry per RLE
+        access: only the first access of a repeat run can miss) and the
+        counter increments.
+    """
     addresses = np.asarray(addresses, dtype=np.int64)
     is_write = np.asarray(is_write, dtype=np.bool_)
     n = addresses.shape[0]
@@ -100,7 +81,7 @@ def resolve_l2(
     if counts is not None:
         repeats = int((np.asarray(counts, dtype=np.int64) - 1).sum())
     if n == 0:
-        return miss_mask, L2Outcome((repeats, 0, 0, 0), ())
+        return miss_mask, L2Outcome((repeats, 0, 0, 0))
     if addresses.min() < 0:
         raise ValueError("block address must be non-negative")
 
@@ -132,14 +113,9 @@ def resolve_l2(
     write_mat[row_col] = is_write[order]
     pos_mat[row_col] = order
 
-    # LRU stacks (MRU first) seeded from the cache's current contents.
+    # LRU stacks (MRU first), empty (-1) to start with.
     stack = np.full((rows, ways), -1, dtype=np.int64)
     dirty = np.zeros((rows, ways), dtype=np.bool_)
-    for row, set_index in enumerate(active_sets.tolist()):
-        resident = cache._sets[set_index]
-        if resident:
-            stack[row, : len(resident)] = list(reversed(resident.keys()))
-            dirty[row, : len(resident)] = list(reversed(resident.values()))
 
     hits = misses = evictions = writebacks = 0
     col_idx = np.arange(ways)
@@ -180,12 +156,4 @@ def resolve_l2(
         writebacks += int((evicted & victim_dirty).sum())
         miss_mask[pos_mat[:k, t][miss]] = True
 
-    # The final stacks, LRU first; a stack's empty (-1) slots are its tail.
-    filled = (stack != -1).sum(axis=1).tolist()
-    sets = tuple(
-        (set_index, tuple(zip(lines[:size][::-1], dirt[:size][::-1])))
-        for set_index, lines, dirt, size in zip(
-            active_sets.tolist(), stack.tolist(), dirty.tolist(), filled
-        )
-    )
-    return miss_mask, L2Outcome((hits + repeats, misses, evictions, writebacks), sets)
+    return miss_mask, L2Outcome((hits + repeats, misses, evictions, writebacks))

@@ -1,36 +1,36 @@
 """Replay plans: the scheme-independent part of a trace replay, built once.
 
-Most of what the kernel-execution phase decides does not depend on the
-compression backend.  It depends only on the trace, the run's layout and
-the simulator geometry: the L2 size, line and ways, the controller count
-and interleave, the MDC entries and the DRAM timing.
+Every replay starts from a fresh machine: an empty L2, empty MDCs and
+precharged DRAM banks.  So most of what the kernel-execution phase decides
+does not depend on the compression backend.  It depends only on the trace,
+the run's layout and the simulator geometry: the L2 size, line and ways,
+the controller count and interleave, the MDC entries and the DRAM timing.
 
-* which accesses miss the L2, and the L2's final contents and counters
+* which accesses miss the L2, and the L2's counters
   (:func:`~repro.replay.l2.resolve_l2`);
 * which controller serves each miss, and in what order;
 * which store each read fetches: the latest earlier write miss of its
   address, else what the block store held when the replay started (the host
   copy), else nothing, which reads uncompressed;
-* every MDC hit, the MDC's final key order and its counters, over the fills
-  of the unbooked host copies followed by the misses (stored values never
-  change a hit);
-* each DRAM channel's row misses, precharges and final open rows
+* every MDC hit and the MDC's counters, over the fills of the unbooked host
+  copies followed by the misses (stored values never change a hit);
+* each DRAM channel's row misses and precharges
   (:func:`~repro.replay.dram.scan_rows`);
 * for each write group (one per ``approximable`` flag), the last store of
   every address.
 
 A :class:`ReplayPlan` holds all of it as read-only arrays, and
-:func:`evaluate` does the backend's part per job: ``store_batch`` on the
-write-miss rows, the burst gathers and sums, the MDC values (checked to lie
-in ``1..max_bursts``), the DRAM busy cycles and the final stores.  A
-:class:`ReplayCache` keeps one prepared input's plans, keyed by geometry,
-and its lossless per-row sizes, so every scheme and MAG simulated on the
-input shares both.
+:func:`evaluate` does the backend's part per job: the write misses' stores,
+the burst gathers and sums, the range check of the burst counts the MDC
+records (``1..max_bursts``), the DRAM busy cycles and the final stores.  It
+writes counters into the run's L2, controllers, MDCs and channels, never
+their contents.  A :class:`ReplayCache` keeps one prepared input's plans,
+keyed by geometry, and its lossless per-row sizes, so every scheme and MAG
+simulated on the input shares both.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,13 +63,6 @@ class ControllerPlan:
     events: np.ndarray
     #: indices into :attr:`ReplayPlan.host_addresses` of its host copies
     host: np.ndarray
-    #: MDC entries it held before the replay
-    resident: int
-    #: final MDC keys, LRU first
-    mdc_keys: np.ndarray
-    #: where each final MDC value comes from: an index into the resident
-    #: values, then the host copies' bursts, then the events' bursts
-    mdc_source: np.ndarray
     #: MDC counter increments: hits, misses, evictions, updates
     mdc_stats: tuple[int, int, int, int]
     #: the channel's row-buffer outcome
@@ -78,7 +71,7 @@ class ControllerPlan:
 
 @dataclass(frozen=True, eq=False)
 class ReplayPlan:
-    """The backend-independent outcome of replaying one compiled trace."""
+    """The backend-independent outcome of one trace's replay on a fresh machine."""
 
     #: accesses replayed, back-to-back repeats included
     accesses: int
@@ -142,33 +135,24 @@ def _store_sources(addresses: np.ndarray, is_write: np.ndarray) -> np.ndarray:
 
 
 def _plan_mdc(
-    mdc: MetadataCache,
+    capacity_entries: int,
     host: np.ndarray,
     addresses: np.ndarray,
     is_read: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-    """MDC hits, final entries and counters over host fills then miss events.
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """MDC hits and counters over host fills then miss events.
 
-    Replays both streams through a shadow copy of ``mdc`` whose values are
-    codes — ``1..r`` for the ``r`` resident entries, then one per fill and
-    event — so the final entries name the value each one keeps.  The fills
-    and the events are two replays, so each takes the fast path whenever
-    it can.  Returns the events' hits, the final keys, each key's value
-    source (code - 1) and the counter increments.
+    Replays both streams through an empty shadow MDC.  Stored values never
+    change a hit, so every fill and event stores 1.  The fills and the
+    events are two replays, so each takes the fast path whenever it can.
+    Returns the events' hits and the counter increments.
     """
-    resident = len(mdc)
-    end = resident + host.size + addresses.size
-    shadow = MetadataCache(capacity_entries=mdc.capacity_entries, max_bursts=max(1, end))
-    shadow._entries = OrderedDict(zip(mdc._entries, range(1, resident + 1)))
-    fills = resident + host.size
+    shadow = MetadataCache(capacity_entries=capacity_entries, max_bursts=1)
     replay_mdc(shadow, host, np.zeros(host.size, dtype=np.bool_),
-               np.arange(resident + 1, fills + 1))
-    hits = replay_mdc(shadow, addresses, is_read, np.arange(fills + 1, end + 1))
-    n = len(shadow)
-    keys = np.fromiter(shadow._entries.keys(), np.int64, n)
-    source = np.fromiter(shadow._entries.values(), np.int64, n) - 1
+               np.ones(host.size, dtype=np.int64))
+    hits = replay_mdc(shadow, addresses, is_read, np.ones(addresses.size, dtype=np.int64))
     stats = shadow.stats
-    return hits, keys, source, (stats.hits, stats.misses, stats.evictions, stats.updates)
+    return hits, (stats.hits, stats.misses, stats.evictions, stats.updates)
 
 
 def build_plan(
@@ -180,9 +164,10 @@ def build_plan(
     controllers: list[MemoryController],
     interleave_blocks: int,
 ) -> ReplayPlan:
-    """Plan the replay of ``compiled`` from the objects' current state.
+    """Plan the replay of ``compiled`` on a fresh machine of the objects' geometry.
 
-    ``regions`` are ``compiled.regions`` in order.  Nothing is modified.
+    ``regions`` are ``compiled.regions`` in order.  The host copies the plan
+    books are the store's unbooked ones.  Nothing is modified.
 
     Raises:
         IndexError: if an access lies past the end of its region.
@@ -217,20 +202,19 @@ def build_plan(
         for c, controller in enumerate(controllers):
             events = np.flatnonzero(owner == c)
             mine = np.flatnonzero(host_owner == c)
-            hits, keys, source, mdc_stats = _plan_mdc(
-                controller.mdc, host[mine], addresses[events], ~is_write[events]
+            hits, mdc_stats = _plan_mdc(
+                controller.mdc.capacity_entries,
+                host[mine], addresses[events], ~is_write[events],
             )
             mdc_hit[events] = hits
-            _read_only(events, mine, keys, source)
+            _read_only(events, mine)
             parts.append(ControllerPlan(
                 events=events,
                 host=mine,
-                resident=len(controller.mdc),
-                mdc_keys=keys,
-                mdc_source=source,
                 mdc_stats=mdc_stats,
                 rows=scan_rows(
-                    controller.channel, addresses[events] * controller.block_size_bytes
+                    controller.channel.timing,
+                    addresses[events] * controller.block_size_bytes,
                 ),
             ))
 
@@ -254,16 +238,15 @@ def build_plan(
 def evaluate(
     plan: ReplayPlan,
     *,
-    rows: np.ndarray,
+    cache: "ReplayCache",
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
-    cache: "ReplayCache | None" = None,
 ) -> None:
     """Apply ``plan`` with the controllers' backend.
 
-    The objects must be in the state the plan was built from.  Write misses
-    are stored through ``cache`` (its per-row sizes) when given, else
-    through ``store_batch`` on their rows.
+    The objects must be fresh and their store must hold the host copies the
+    plan books.  Write misses are stored through ``cache`` (its per-row
+    sizes where the backend has them).
 
     Raises:
         ValueError: if a burst count the MDC would record lies outside
@@ -279,10 +262,7 @@ def evaluate(
     for flag, selected, last in plan.write_groups:
         addresses = plan.addresses[selected]
         with span("replay.store_batch", cat="replay", writes=int(selected.size)):
-            if cache is not None:
-                batch = cache.store(backend, addresses, flag)
-            else:
-                batch = backend.store_batch(rows[addresses], approximable=flag)
+            batch = cache.store(backend, addresses, flag)
         bursts[selected] = batch.bursts
         lossy[selected] = batch.lossy
         write_backs.append((addresses[last], batch.take(last)))
@@ -303,12 +283,8 @@ def evaluate(
         write = plan.is_write[part.events]
         read = ~write
         values = actual[part.events]
-        table = np.concatenate([
-            np.fromiter(mdc._entries.values(), np.int64, part.resident),
-            host_bursts[part.host],
-            values,
-        ])
-        if table.size and (table.min() < 1 or table.max() > mdc.max_bursts):
+        recorded = np.concatenate([host_bursts[part.host], values])
+        if recorded.size and (recorded.min() < 1 or recorded.max() > mdc.max_bursts):
             raise ValueError(f"burst count must be 1..{mdc.max_bursts}")
         # A read that misses the MDC fetches the worst case.
         fetched = np.where(write | plan.mdc_hit[part.events], values, mdc.max_bursts)
@@ -329,9 +305,6 @@ def evaluate(
             int(lossy[part.events].sum()) + int(host_lossy[part.host].sum())
         )
 
-        mdc._entries = OrderedDict(
-            zip(part.mdc_keys.tolist(), table[part.mdc_source].tolist())
-        )
         hits, misses, evictions, updates = part.mdc_stats
         mdc.stats.hits += hits
         mdc.stats.misses += misses
@@ -361,10 +334,9 @@ def _geometry(
 
 
 def _fresh(l2: SetAssociativeCache, controllers: list[MemoryController]) -> bool:
-    """Whether nothing has been replayed on these objects yet."""
-    return not any(l2._sets) and all(
-        not (c.mdc.stats.updates or len(c.mdc))
-        and all(row is None for row in c.channel._open_rows.values())
+    """Whether nothing has run on these objects yet: their counters read 0."""
+    return not l2.stats.accesses and all(
+        not (c.mdc.stats.accesses or c.mdc.stats.updates or c.channel.stats.requests)
         for c in controllers
     )
 
@@ -376,7 +348,7 @@ class ReplayCache:
     with the input.
 
     * :attr:`plans` maps a geometry (:func:`_geometry`) to the plan of a
-      run's first replay, from fresh L2, MDC and DRAM state.
+      replay on a fresh machine of that geometry.
     * :attr:`sizes` maps a backend's :attr:`~repro.gpu.backends.
       CompressionBackend.size_key` to the stored bits of every row, computed
       once (:meth:`~repro.gpu.backends.LosslessBackend.size_bits`, which

@@ -3,8 +3,10 @@
 This is the loop that used to live inline in ``GPUSimulator.run``: one L2
 lookup per access, one memory-controller method chain per miss.  It defines
 the semantics the vectorized engine (:mod:`repro.replay.engine`) must
-reproduce bit-exactly, and remains selectable via
-``GPUSimulator(replay_mode="scalar")`` for audits and benchmarks.
+reproduce bit-exactly.  ``GPUSimulator(replay_mode="scalar")`` runs it
+after storing the host copies block by block
+(:meth:`~repro.gpu.memory_controller.MemoryController.store_block`), which
+makes the whole run the per-block oracle for audits and benchmarks.
 """
 
 from __future__ import annotations

@@ -93,7 +93,6 @@ def run_cell(workload: str, scheme: str, mag: int, scalar: bool) -> dict:
     """One grid cell through the scalar reference or the batched pipeline."""
     return simulate_job(
         cell_job(workload, scheme, mag),
-        batch_store=not scalar,
         replay_mode="scalar" if scalar else "vectorized",
         payload_digest=True,
     ).to_dict()

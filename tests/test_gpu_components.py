@@ -261,14 +261,6 @@ def test_dram_rejects_zero_bursts():
         DRAMChannel().service(0, 0)
 
 
-def test_dram_reset_rows_forces_miss():
-    channel = DRAMChannel()
-    channel.service(0, 1)
-    channel.reset_rows()
-    channel.service(0, 1)
-    assert channel.stats.row_misses == 2
-
-
 # --------------------------------------------------------------------- #
 # interconnect, SM, energy
 

@@ -1,12 +1,12 @@
 """Equivalence suite for the vectorized trace-replay engine.
 
-The engine (:mod:`repro.replay`) must reproduce the scalar simulator's
-counters **bit-exactly**: every component model (L2, MDC, DRAM) is checked
-against its scalar oracle on targeted patterns and random streams, the full
-engine is property-tested against the scalar reference loop on random
-traces (including tiny caches that force evictions and the MDC slow path),
-and whole simulations are compared result-for-result over the paper's
-workload x backend x MAG grid.
+The engine (:mod:`repro.replay`) must reproduce, from a fresh machine, the
+scalar simulator's block store and counters **bit-exactly**: every
+component model (L2, MDC, DRAM) is checked against its scalar oracle on
+targeted patterns and random streams, the full engine is property-tested
+against the scalar reference loop on random traces (including tiny caches
+that force evictions and the MDC slow path), and whole simulations are
+compared result-for-result over the paper's workload x backend x MAG grid.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ from repro.campaign.worker import simulate_job
 from repro.core.config import SLCConfig, SLCVariant
 from repro.core.metadata_cache import MetadataCache
 from repro.core.slc import SLCCompressor
-from repro.gpu.backends import NoCompressionBackend, SLCBackend
+from repro.gpu.backends import NoCompressionBackend, SLCBackend, StoredBatch
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.dram import DRAMChannel, GDDR5Timing
 from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
-from repro.replay import (
-    replay_dram,
-    replay_l2,
-    replay_mdc,
-    replay_trace,
-    replay_trace_scalar,
-)
+from repro.replay import replay_mdc, replay_trace, replay_trace_scalar
+from repro.replay.dram import apply_rows, scan_rows
+from repro.replay.l2 import resolve_l2
+from repro.replay.plan import ReplayCache
 from repro.utils.blocks import array_to_rows
 from repro.workloads.base import Region
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER
@@ -41,31 +38,28 @@ SCALE = 1.0 / 1024.0
 
 
 # --------------------------------------------------------------------- #
-# L2: array model vs. the scalar SetAssociativeCache oracle
-
-
-def _cache_state(cache: SetAssociativeCache):
-    return [list(s.items()) for s in cache._sets], vars(cache.stats).copy()
+# L2: array model vs. the scalar SetAssociativeCache oracle, from empty
 
 
 def _assert_l2_equivalent(addresses, is_write, counts, *, sets=4, ways=2):
     size = sets * ways * 128
     oracle = SetAssociativeCache(size, line_bytes=128, ways=ways)
-    vector = SetAssociativeCache(size, line_bytes=128, ways=ways)
     oracle_miss = []
     for address, write, count in zip(addresses, is_write, counts):
         first_hit = oracle.access(address, is_write=write)
         oracle_miss.append(not first_hit)
         for _ in range(count - 1):
             oracle.access(address, is_write=write)
-    vector_miss = replay_l2(
+    vector = SetAssociativeCache(size, line_bytes=128, ways=ways)
+    vector_miss, outcome = resolve_l2(
         vector,
         np.asarray(addresses),
         np.asarray(is_write),
         np.asarray(counts),
     )
     assert vector_miss.tolist() == oracle_miss
-    assert _cache_state(vector) == _cache_state(oracle)
+    outcome.apply(vector)
+    assert vars(vector.stats) == vars(oracle.stats)
 
 
 def test_l2_streaming_and_reuse():
@@ -82,19 +76,6 @@ def test_l2_dirty_evictions_and_writebacks():
 
 def test_l2_repeat_counts_are_hits():
     _assert_l2_equivalent([3, 3, 7], [False, True, False], [4, 2, 3])
-
-
-def test_l2_replays_compose():
-    oracle = SetAssociativeCache(1024, line_bytes=128, ways=2)
-    vector = SetAssociativeCache(1024, line_bytes=128, ways=2)
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        addresses = rng.integers(0, 24, size=50)
-        writes = rng.random(50) < 0.3
-        for address, write in zip(addresses.tolist(), writes.tolist()):
-            oracle.access(address, is_write=write)
-        replay_l2(vector, addresses, writes)
-    assert _cache_state(vector) == _cache_state(oracle)
 
 
 @given(
@@ -118,7 +99,7 @@ def test_l2_property_random_streams(accesses, ways):
 
 def test_l2_rejects_negative_addresses():
     with pytest.raises(ValueError):
-        replay_l2(SetAssociativeCache(1024), np.array([-1]), np.array([False]))
+        resolve_l2(SetAssociativeCache(1024), np.array([-1]), np.array([False]))
 
 
 # --------------------------------------------------------------------- #
@@ -178,24 +159,18 @@ def test_mdc_property_random_streams(events, capacity):
 
 
 # --------------------------------------------------------------------- #
-# DRAM: batched row scan vs. per-request service() (the edge cases the
-# vectorized scan must honor: reset_rows between kernels, bank-conflict
-# row thrash, open-row state carried across scans)
+# DRAM: batched row scan vs. per-request service() on a precharged channel
+# (bank-conflict row thrash is the edge case the scan must honor)
 
 
-def _dram_state(channel: DRAMChannel):
-    return dict(channel._open_rows), vars(channel.stats).copy()
-
-
-def _assert_dram_equivalent(byte_addresses, bursts, *, channels=None, timing=None):
-    oracle, vector = channels if channels else (
-        DRAMChannel(timing=timing),
-        DRAMChannel(timing=timing),
-    )
+def _assert_dram_equivalent(byte_addresses, bursts, *, timing=None):
+    oracle = DRAMChannel(timing=timing)
     for address, burst in zip(byte_addresses, bursts):
         oracle.service(address, burst)
-    replay_dram(vector, np.asarray(byte_addresses), np.asarray(bursts))
-    assert _dram_state(vector) == _dram_state(oracle)
+    vector = DRAMChannel(timing=timing)
+    scan = scan_rows(vector.timing, np.asarray(byte_addresses))
+    apply_rows(vector, scan, int(sum(bursts)))
+    assert vars(vector.stats) == vars(oracle.stats)
 
 
 def test_dram_streaming_row_hits():
@@ -213,35 +188,37 @@ def test_dram_bank_conflict_row_thrash():
     _assert_dram_equivalent(addresses, [2] * 64, timing=timing)
 
 
-def test_dram_reset_rows_between_kernels():
-    oracle = DRAMChannel()
-    vector = DRAMChannel()
-    addresses = [i * 128 for i in range(32)]
-    _assert_dram_equivalent(addresses, [4] * 32, channels=(oracle, vector))
-    first_kernel_misses = vector.stats.row_misses
-    assert first_kernel_misses > 0
-    oracle.reset_rows()
-    vector.reset_rows()
-    # Second kernel re-touches the same rows: all banks are precharged, so
-    # the first request per bank must be a row miss again, with no
-    # precharge charge.
-    _assert_dram_equivalent(addresses, [1] * 32, channels=(oracle, vector))
-    assert vector.stats.row_misses == 2 * first_kernel_misses
-
-
-def test_dram_open_row_state_carries_across_scans():
-    oracle = DRAMChannel()
-    vector = DRAMChannel()
-    addresses = [i * 128 for i in range(16)]
-    _assert_dram_equivalent(addresses, [4] * 16, channels=(oracle, vector))
-    # Without a reset, a second scan over the same addresses starts on the
-    # open rows and must see row hits where the scalar model does.
-    _assert_dram_equivalent(addresses, [4] * 16, channels=(oracle, vector))
-
-
 def test_dram_rejects_zero_bursts():
-    with pytest.raises(ValueError):
-        replay_dram(DRAMChannel(), np.array([0]), np.array([0]))
+    """A block stored with 0 bursts fails both engines before any channel use."""
+
+    class ZeroBurstBackend(NoCompressionBackend):
+        def store(self, block, approximable=True):
+            return type(super().store(block))(bursts=0, stored_bits=0, data=block)
+
+        def store_batch(self, rows, approximable=True):
+            n = rows.shape[0]
+            return StoredBatch(
+                bursts=np.zeros(n, dtype=np.int64),
+                stored_bits=np.zeros(n, dtype=np.int64),
+                lossy=np.zeros(n, dtype=np.bool_),
+                data=rows,
+            )
+
+    region = Region(name="r", array=np.zeros(32, dtype=np.float32))
+    rows = np.zeros((1, 128), np.uint8)
+    trace = MemoryTrace([MemoryAccess("r", 0, AccessType.WRITE)])
+    for engine, options in [
+        (replay_trace_scalar, {}),
+        (replay_trace, {"cache": ReplayCache(trace, rows)}),
+    ]:
+        controllers = [MemoryController(0, ZeroBurstBackend())]
+        with pytest.raises(ValueError, match="burst"):
+            engine(
+                trace, all_regions={"r": region}, rows=rows, base_addresses={"r": 0},
+                l2=SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2),
+                controllers=controllers, interleave_blocks=16, **options,
+            )
+        assert controllers[0].channel.stats.requests == 0
 
 
 @given(
@@ -291,7 +268,11 @@ def test_mdc_miss_fetches_worst_case_and_counts_extra_bursts():
 
 
 def _make_state(seed: int, backend_kind: str, mdc_entries: int):
-    """One complete replay context: regions, trained backend, controllers."""
+    """One fresh replay context: regions, trained backend, controllers.
+
+    The input region's host copy is in the shared store, unbooked, as the
+    simulator's batched host-to-device copy leaves it.
+    """
     rng = np.random.default_rng(seed)
     arrays = {
         "inp": (rng.random(160) * 40).astype(np.float32),
@@ -314,26 +295,14 @@ def _make_state(seed: int, backend_kind: str, mdc_entries: int):
     else:
         backend = NoCompressionBackend()
     store = BlockStore(128, n_blocks=len(rows))
+    host = slice(base_addresses["inp"], base_addresses["inp"] + len(region_rows["inp"]))
+    store.write(host, backend.store_batch(region_rows["inp"], approximable=True))
     controllers = [
         MemoryController(i, backend, mdc_entries=mdc_entries, store=store)
         for i in range(2)
     ]
-    # host-to-device copy of the input region (not charged)
-    for index, row in enumerate(region_rows["inp"]):
-        address = base_addresses["inp"] + index
-        controllers[(address // 2) % 2].store_block(
-            address, row.tobytes(), approximable=True, count_traffic=False
-        )
     l2 = SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2)  # 2 sets, 2 ways
     return regions, rows, base_addresses, l2, controllers
-
-
-def _controller_state(controller: MemoryController):
-    return (
-        vars(controller.stats).copy(),
-        _mdc_state(controller.mdc),
-        _dram_state(controller.channel),
-    )
 
 
 def _store_state(store: BlockStore):
@@ -344,38 +313,37 @@ def _store_state(store: BlockStore):
     }
 
 
-def _run_both(*traces: MemoryTrace, backend_kind: str, seed: int, mdc_entries: int):
-    """Replay ``traces`` back to back on one state through each engine.
+def _run_both(trace: MemoryTrace, *, backend_kind: str, seed: int, mdc_entries: int):
+    """Replay ``trace`` on a fresh state through each engine.
 
-    Asserts both engines end in the same state, and returns it.
+    Asserts both engines end with the same counters and block store, and
+    returns them.
     """
     results = []
     for engine in (replay_trace_scalar, replay_trace):
         regions, rows, bases, l2, controllers = _make_state(
             seed, backend_kind, mdc_entries
         )
-        for trace in traces:
-            engine(
-                trace,
-                all_regions=regions,
-                rows=rows,
-                base_addresses=bases,
-                l2=l2,
-                controllers=controllers,
-                interleave_blocks=2,
-            )
-        state = (
-            _cache_state(l2),
-            [_controller_state(c) for c in controllers],
-            _store_state(controllers[0].store),
+        options = {"cache": ReplayCache(trace, rows)} if engine is replay_trace else {}
+        engine(
+            trace,
+            all_regions=regions,
+            rows=rows,
+            base_addresses=bases,
+            l2=l2,
+            controllers=controllers,
+            interleave_blocks=2,
+            **options,
         )
-        if backend_kind == "slc":
-            state += (
-                controllers[0].backend.total_blocks,
-                controllers[0].backend.lossy_blocks,
-                controllers[0].backend.total_overshoot_bits,
-            )
-        results.append(state)
+        results.append((
+            vars(l2.stats).copy(),
+            [
+                (vars(c.stats).copy(), vars(c.mdc.stats).copy(),
+                 vars(c.channel.stats).copy())
+                for c in controllers
+            ],
+            _store_state(controllers[0].store),
+        ))
     scalar_state, vector_state = results
     assert vector_state == scalar_state
     return scalar_state
@@ -406,20 +374,11 @@ def _trace_of(entries) -> MemoryTrace:
     return trace
 
 
-@given(
-    entries=trace_entries,
-    backend_kind=st.sampled_from(["none", "slc"]),
-    split=st.integers(min_value=0, max_value=40),
-)
+@given(entries=trace_entries, backend_kind=st.sampled_from(["none", "slc"]))
 @settings(max_examples=40, deadline=None)
-def test_engine_property_random_traces(entries, backend_kind, split):
+def test_engine_property_random_traces(entries, backend_kind):
     # mdc_entries=4 forces the exact slow path + LRU evictions in the MDC
-    options = dict(backend_kind=backend_kind, seed=11, mdc_entries=4)
-    whole = _run_both(_trace_of(entries), **options)
-    # the second half is planned from the L2, MDC, DRAM and block-store
-    # state the first half left behind
-    halves = _run_both(_trace_of(entries[:split]), _trace_of(entries[split:]), **options)
-    assert halves == whole
+    _run_both(_trace_of(entries), backend_kind=backend_kind, seed=11, mdc_entries=4)
 
 
 def test_engine_streamed_trace_matches_scalar():

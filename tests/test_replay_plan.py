@@ -5,12 +5,12 @@ compressor's per-row size depend only on the input and the simulator
 geometry, so a :class:`~repro.replay.plan.ReplayPlan` is built once per
 prepared input and geometry and evaluated per scheme and MAG.  These tests
 pin that a job on a warm plan equals a cold job and the scalar oracle
-(``replay_mode="scalar"``, ``batch_store=False``) in every result field and
-in the final L2, MDC, DRAM and block-store state, for every scheme, the
-uncompressed baseline and every MAG; that other geometries get their own
-plans; that the exact MDC path and the per-row size memo agree too; and
-that plans are read-only and counted.  Replays that start from state an
-earlier replay left behind are property-tested in ``tests/test_replay.py``.
+(``replay_mode="scalar"``) in every result field, in every counter of the
+L2, the controllers, their MDCs and DRAM channels, and in the final block
+store, for every scheme, the uncompressed baseline and every MAG; that
+other geometries get their own plans; that the exact MDC path and the
+per-row size memo agree too; that a plan is only applied to a fresh
+machine; and that plans are read-only and counted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.gpu import backends
 from repro.gpu.backends import NoCompressionBackend
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.memory_controller import BlockStore, MemoryController
+from repro.gpu.memory_controller import BlockStore, MemoryController, book_host_copies
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.trace import AccessType, MemoryTrace
 from repro.obs import metrics
@@ -85,16 +85,13 @@ def _backend(name: str, mag: int, config: GPUConfig = CONFIG):
 
 
 def _machine_state(l2, controllers, store) -> tuple:
-    """The L2, per-controller (stats, MDC, DRAM) and block-store state."""
+    """The L2, per-controller (stats, MDC, DRAM) counters and the block store."""
     return (
-        [list(s.items()) for s in l2._sets],
         vars(l2.stats).copy(),
         [
             (
                 vars(c.stats).copy(),
-                list(c.mdc._entries.items()),
                 vars(c.mdc.stats).copy(),
-                dict(c.channel._open_rows),
                 vars(c.channel.stats).copy(),
             )
             for c in controllers
@@ -107,7 +104,7 @@ def _machine_state(l2, controllers, store) -> tuple:
 
 
 class _CapturingSimulator(GPUSimulator):
-    """Keeps the machine state the last run ended in."""
+    """Keeps the counters and block store the last run ended with."""
 
     def _assemble_result(self, workload, backend, all_regions, controllers, store, l2,
                          *args, **kwargs):
@@ -126,7 +123,7 @@ def _run(prepared, backend_name: str, mag: int, config: GPUConfig = CONFIG, **op
 
 
 def _oracle(prepared, backend_name: str, mag: int, config: GPUConfig = CONFIG):
-    return _run(prepared, backend_name, mag, config, batch_store=False, replay_mode="scalar")
+    return _run(prepared, backend_name, mag, config, replay_mode="scalar")
 
 
 # --------------------------------------------------------------------- #
@@ -194,9 +191,9 @@ def test_reads_of_kernel_stores_match_the_scalar_loop(scheme, mag):
     states = []
     for engine, options in [
         (replay_trace_scalar, {}),
-        (replay_trace, {}),
-        (replay_trace, {"cache": cache}),
-        (replay_trace, {"cache": cache}),
+        (replay_trace, {"cache": ReplayCache(trace, prepared.rows)}),
+        (replay_trace, {"cache": cache}),  # builds the plan
+        (replay_trace, {"cache": cache}),  # reuses it
     ]:
         l2, controllers, store = _fresh_machine(prepared, backend, l2_kb=16)
         engine(trace, all_regions=prepared.all_regions, rows=prepared.rows,
@@ -237,7 +234,7 @@ def test_small_mdc_takes_the_exact_path_and_matches(metrics_on, scheme):
     states = []
     for engine, options in [
         (replay_trace_scalar, {}),
-        (replay_trace, {}),
+        (replay_trace, {"cache": ReplayCache(prepared.trace, prepared.rows)}),
         (replay_trace, {"cache": prepared.replay_cache}),  # builds the plan
         (replay_trace, {"cache": prepared.replay_cache}),  # reuses it
     ]:
@@ -335,21 +332,30 @@ def test_cached_plan_needs_its_input_and_fresh_state():
     backend.train(prepared.train_samples)
     other = _prepare("NN")
 
-    def replay(trace, rows, cache, l2=None):
-        machine_l2, controllers, _ = _fresh_machine(prepared, backend)
+    def replay(trace, rows, cache, use=None):
+        l2, controllers, _ = _fresh_machine(prepared, backend)
+        if use is not None:
+            use(l2, controllers)
         replay_trace(
             trace, all_regions=prepared.all_regions, rows=rows,
-            base_addresses=prepared.base_addresses, l2=l2 or machine_l2,
+            base_addresses=prepared.base_addresses, l2=l2,
             controllers=controllers,
             interleave_blocks=GPUSimulator.CHANNEL_INTERLEAVE_BLOCKS, cache=cache,
         )
 
     with pytest.raises(ValueError, match="another prepared input"):
         replay(prepared.trace, prepared.rows, other.replay_cache)
-    used = SetAssociativeCache(CONFIG.l2_cache_kb * 1024, CONFIG.l2_line_bytes, CONFIG.l2_ways)
-    used.access(3)
-    with pytest.raises(ValueError, match="fresh L2, MDC and DRAM state"):
-        replay(prepared.trace, prepared.rows, prepared.replay_cache, l2=used)
+    # a machine is used once any of its counters moved
+    for use in (
+        lambda l2, controllers: l2.access(3),
+        lambda l2, controllers: controllers[1].mdc.lookup(7),
+        lambda l2, controllers: book_host_copies(
+            controllers, GPUSimulator.CHANNEL_INTERLEAVE_BLOCKS
+        ),
+        lambda l2, controllers: controllers[2].channel.service(0, 1),
+    ):
+        with pytest.raises(ValueError, match="fresh L2, MDC and DRAM state"):
+            replay(prepared.trace, prepared.rows, prepared.replay_cache, use)
     assert not prepared.replay_cache.plans
 
 

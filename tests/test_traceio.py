@@ -46,7 +46,6 @@ def simulate(workload, scalar=False):
         config=config,
         payload_digest=True,
         replay_mode="scalar" if scalar else "vectorized",
-        batch_store=not scalar,
     )
     backend = build_backend(
         "TSLC-OPT", config, lossy_threshold_bytes=16, mag_bytes=32
