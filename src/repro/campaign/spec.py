@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 from repro.core.config import SLCVariant
@@ -175,6 +176,12 @@ class Job:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def config(self) -> GPUConfig:
+        """The GPU configuration of :attr:`config_overrides`, built once per
+        job object (:func:`overrides_to_config`)."""
+        return overrides_to_config(self.config_overrides)
+
     @property
     def input_key(self) -> tuple:
         """(workload, scale, seed, block size): what the job's input depends on.
@@ -183,8 +190,7 @@ class Job:
         a worker prepares that input once for all of them (see
         :class:`repro.campaign.worker.InputCache`).
         """
-        block_size = overrides_to_config(self.config_overrides).block_size_bytes
-        return (self.workload, self.scale, self.seed, block_size)
+        return (self.workload, self.scale, self.seed, self.config.block_size_bytes)
 
     def label(self) -> str:
         """Short human-readable identifier used in progress lines."""

@@ -28,7 +28,6 @@ from repro.campaign.spec import (
     LOSSLESS_SCHEMES,
     SCHEME_VARIANTS,
     Job,
-    overrides_to_config,
 )
 from repro.campaign.store import JobRecord
 from repro.obs import metrics, tracing
@@ -105,7 +104,7 @@ class InputCache:
     the workload name, scale, seed and block size.  A miss evicts the held
     input *before* building the next, so two inputs are never alive at
     once and a worker's memory stays that of one job.  Held arrays are
-    read-only.  The input's replay plans and per-row sizes
+    read-only.  The input's replay plans, per-row sizes and SLC decisions
     (:attr:`~repro.gpu.simulator.PreparedInput.replay_cache`) live and die
     with it.  Under :func:`repro.obs.metrics.enabled` every lookup counts
     ``sim.input_cache.hit`` or ``sim.input_cache.miss``.
@@ -169,7 +168,7 @@ def simulate_job(
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
     """
-    config = overrides_to_config(job.config_overrides)
+    config = job.config
     simulator = GPUSimulator(
         config=config,
         replay_mode=replay_mode,

@@ -104,9 +104,12 @@ class SymbolModel:
         """
         if not counts:
             raise CompressionError("cannot train a symbol model on no data")
-        ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        table = dict(ordered[: self.max_table_entries])
-        escaped = sum(counts.values()) - sum(table.values())
+        n = len(counts)
+        symbols = np.fromiter(counts, np.int64 if self.symbol_bits < 63 else object, n)
+        frequencies = np.fromiter(counts.values(), np.int64, n)
+        admitted = np.lexsort((symbols, -frequencies))[: self.max_table_entries]
+        table = dict(zip(symbols[admitted].tolist(), frequencies[admitted].tolist()))
+        escaped = int(frequencies.sum()) - sum(table.values())
         # The escape symbol always gets a codeword so unseen symbols at
         # compression time remain encodable.
         table[ESCAPE_SYMBOL] = max(1, escaped)

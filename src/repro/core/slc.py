@@ -333,24 +333,53 @@ class SLCCompressor:
 
         Same decision data as :meth:`analyze_batch` but returned as a
         :class:`~repro.kernels.decision.BatchDecisions` array-of-structs,
-        which :meth:`apply_decision_rows` and the backends consume without
-        materializing per-block :class:`SLCDecision` objects.  Only valid
-        for geometries where :meth:`batch_geometry_supported` holds.
+        which :meth:`apply_decision_rows` consumes without materializing
+        per-block :class:`SLCDecision` objects: :meth:`decide_symbols`,
+        expanded to every field.  Only valid for geometries where
+        :meth:`batch_geometry_supported` holds.
         """
-        from repro.kernels.decision import analyze_code_lengths
+        from repro.kernels.decision import expand
         from repro.kernels.symbols import as_symbol_view
 
         view = as_symbol_view(
             blocks, self.config.block_size_bytes, self.config.symbol_bytes
         )
-        lengths = self.baseline.model.code_length_table().lengths(view.symbols)
-        return analyze_code_lengths(
+        payload, decisions = self.decide_symbols(view.symbols, approximable)
+        return expand(self.config, payload, decisions)
+
+    def decide_symbols(
+        self,
+        symbols: np.ndarray,
+        approximable: bool = True,
+        payload: np.ndarray | None = None,
+    ) -> tuple:
+        """:func:`~repro.kernels.decision.analyze_code_lengths` over a
+        symbol matrix, gathering code lengths from the baseline's LUT.
+
+        Args:
+            symbols: ``(n, symbols_per_block)`` symbol matrix (a
+                :class:`~repro.kernels.symbols.BatchSymbolView`'s).
+            approximable: whether the rows are safe to approximate.
+            payload: the rows' payload bits, when the caller holds them;
+                summed from the LUT gather otherwise.
+
+        Returns:
+            ``(payload bits, compact decisions)``.  Only the lossy
+            candidates' code lengths are gathered for the adder tree.
+        """
+        from repro.kernels.decision import analyze_code_lengths
+
+        table = self.baseline.model.code_length_table()
+        if payload is None:
+            payload = table.payload_bits(symbols)
+        decisions = analyze_code_lengths(
             self.config,
-            lengths,
-            trained=self.trained,
+            payload,
+            lambda rows: table.lengths(symbols[rows]),
             approximable=approximable,
             plan=self._tree_plan(),
         )
+        return payload, decisions
 
     def _tree_plan(self):
         """Cached static adder-tree layout for the batched kernels."""
@@ -408,8 +437,6 @@ class SLCCompressor:
         lossy rows are rewritten, by one vectorized truncation/prediction
         pass.
         """
-        from repro.kernels.codec import reconstruct_rows
-
         if len(decisions) != view.n_blocks:
             raise CompressionError(
                 f"got {len(decisions)} decisions for {view.n_blocks} blocks"
@@ -418,14 +445,31 @@ class SLCCompressor:
         if not rows.size:
             return view.rows
         data = view.rows.copy()
-        data.view(view.symbols.dtype)[rows] = reconstruct_rows(
-            view.symbols[rows],
-            decisions.approx_start[rows],
-            decisions.approx_count[rows],
+        self.refill_rows(
+            data.view(view.symbols.dtype), rows,
+            decisions.approx_start[rows], decisions.approx_count[rows],
+        )
+        return data
+
+    def refill_rows(
+        self,
+        symbols: np.ndarray,
+        rows: np.ndarray,
+        approx_start: np.ndarray,
+        approx_count: np.ndarray,
+    ) -> None:
+        """Rebuild, in place, the truncated range of each of ``rows`` of a
+        symbol matrix, as this variant's read does
+        (:func:`~repro.kernels.codec.reconstruct_rows`)."""
+        from repro.kernels.codec import reconstruct_rows
+
+        symbols[rows] = reconstruct_rows(
+            symbols[rows],
+            approx_start,
+            approx_count,
             use_prediction=self.config.uses_prediction,
             element_symbols=self.config.element_symbols,
         )
-        return data
 
     # ------------------------------------------------------------------ #
     # decompression

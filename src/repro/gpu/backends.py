@@ -20,22 +20,28 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.compression.base import BlockCompressor, as_block_bytes
 from repro.compression.registry import scheme_latency
 from repro.compression.stats import bursts_for_size
+from repro.core.header import header_size_bits
 from repro.core.slc import SLCCompressor
 from repro.obs import metrics
 from repro.utils.blocks import as_block_rows
+
+if TYPE_CHECKING:  # the kernels load with the first SLC store, as in core.slc
+    from repro.kernels.decision import CompactDecisions
 
 #: rows per lossless size-kernel call (:meth:`LosslessBackend.size_bits`);
 #: bounds the kernels' temporary arrays
 LOSSLESS_SLICE_ROWS = 1024
 #: rows per SLC decision and reconstruction pass
-#: (:meth:`SLCBackend.store_batch`); bounds their temporaries, which run at
-#: about 1 KB per row.  Each pass has about 0.5 ms of fixed cost, so much
+#: (:meth:`SLCBackend.store_batch`, :meth:`SLCBackend.decide`,
+#: :meth:`SLCBackend.from_decisions`); bounds their temporaries, which run
+#: at about 1 KB per row.  Each pass has about 0.5 ms of fixed cost, so much
 #: smaller slices slow stores down.
 SLC_SLICE_ROWS = 8192
 
@@ -132,6 +138,15 @@ class CompressionBackend(ABC):
         """
         return None
 
+    def decision_key(self, approximable: bool) -> tuple | None:
+        """Key of a Fig. 4 decision held per row matrix, or ``None``.
+
+        A backend with a key stores a row matrix from that decision
+        (:meth:`SLCBackend.decide`, :meth:`SLCBackend.from_decisions`);
+        ``None`` (the default) stores through :meth:`store_batch`.
+        """
+        return None
+
     @abstractmethod
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         """Decide how a block is stored and what a read of it returns."""
@@ -192,6 +207,23 @@ class NoCompressionBackend(CompressionBackend):
             lossy=np.zeros(n, dtype=np.bool_),
             data=rows,
         )
+
+
+def compressed_sizes(compressor: BlockCompressor, rows: np.ndarray) -> np.ndarray:
+    """Stored bits of each row of an ``(n, block_size_bytes)`` matrix.
+
+    The compressor analyzes :data:`LOSSLESS_SLICE_ROWS` rows per call, so
+    its temporaries stay bounded however many rows there are.
+    """
+    if metrics.enabled() and not compressor.batched_analysis:
+        metrics.inc("backend.scalar_store_rows", rows.shape[0])
+    sizes = np.empty(rows.shape[0], dtype=np.int64)
+    step = LOSSLESS_SLICE_ROWS
+    for start in range(0, rows.shape[0], step):
+        sizes[start:start + step] = compressor.compressed_size_bits_batch(
+            rows[start:start + step]
+        )
+    return sizes
 
 
 #: latency fallback for compressors that are not in the registry (custom /
@@ -266,20 +298,9 @@ class LosslessBackend(CompressionBackend):
         return self.from_sizes(self.size_bits(rows), rows)
 
     def size_bits(self, rows: np.ndarray) -> np.ndarray:
-        """Stored bits of each row of an ``(n, block_size_bytes)`` matrix.
-
-        The compressor analyzes :data:`LOSSLESS_SLICE_ROWS` rows per call,
-        so its temporaries stay bounded however many rows there are.
-        """
-        if metrics.enabled() and not self.compressor.batched_analysis:
-            metrics.inc("backend.scalar_store_rows", rows.shape[0])
-        sizes = np.empty(rows.shape[0], dtype=np.int64)
-        step = LOSSLESS_SLICE_ROWS
-        for start in range(0, rows.shape[0], step):
-            sizes[start:start + step] = self.compressor.compressed_size_bits_batch(
-                rows[start:start + step]
-            )
-        return sizes
+        """Stored bits of each row of an ``(n, block_size_bytes)`` matrix
+        (:func:`compressed_sizes`)."""
+        return compressed_sizes(self.compressor, rows)
 
     def from_sizes(self, sizes: np.ndarray, rows: np.ndarray) -> StoredBatch:
         """Store ``rows`` as they are, given their :meth:`size_bits`.
@@ -316,7 +337,11 @@ class SLCBackend(CompressionBackend):
     Batched stores (:meth:`store_batch`) run the vectorized Fig. 4 decision
     and the TSLC reconstruction of the lossy rows in slices of
     :data:`SLC_SLICE_ROWS` rows; per-block :meth:`store` is their oracle.
-    No store encodes a Huffman bitstream: the stored bits are the decision's
+    A prepared input's :class:`~repro.replay.plan.ReplayCache` instead
+    holds one compact decision of all its rows per :meth:`decision_key`
+    (:meth:`decide`, on the payloads of the E2MC sizes it holds) and
+    stores from it (:meth:`from_decisions`), with the same results.  No
+    store encodes a Huffman bitstream: the stored bits are the decision's
     sizes, and a read returns the reconstructed bytes.
 
     Args:
@@ -356,16 +381,15 @@ class SLCBackend(CompressionBackend):
     def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
         """Batched stores: vectorized Fig. 4 decision + batched reconstruction.
 
-        Each slice of :data:`SLC_SLICE_ROWS` rows takes one
-        :meth:`SLCCompressor.analyze_batch_arrays` decision and one
+        Each slice of :data:`SLC_SLICE_ROWS` rows takes one decision over
+        its LUT payload (:meth:`SLCCompressor.decide_symbols`) and one
         vectorized truncation/prediction pass over its lossy rows
-        (:meth:`SLCCompressor.apply_decision_rows`), so no per-block Python
-        work remains and the temporaries stay those of one slice.
-        The result's data is ``rows`` itself when no row is lossy, else one
-        copy with only the lossy rows rewritten.  Per-block results are
-        identical to calling :meth:`store` per block.  Geometries the
-        kernels do not cover take the per-block loop, counted as
-        ``backend.scalar_store_rows``.
+        (:meth:`from_decisions`), so no per-block Python work remains and
+        the temporaries stay those of one slice.  The result's data is
+        ``rows`` itself when no row is lossy, else one copy with only the
+        lossy rows rewritten.  Per-block results are identical to calling
+        :meth:`store` per block.  Geometries the kernels do not cover take
+        the per-block loop, counted as ``backend.scalar_store_rows``.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
         if not self.slc.batch_geometry_supported():
@@ -391,23 +415,126 @@ class SLCBackend(CompressionBackend):
     def _store_slice(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
         """:meth:`store_batch` of one slice: one decision, one reconstruction."""
         store_start = time.perf_counter() if metrics.enabled() else 0.0
-        view = self.slc.symbol_view(rows)
-        decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
-        data = self.slc.apply_decision_rows(view, decisions)
-        lossy = decisions.lossy_mask
+        payload, decisions = self.slc.decide_symbols(
+            self.slc.symbol_view(rows).symbols, approximable
+        )
+        return self.from_decisions(rows, payload, decisions, store_start=store_start)
+
+    # ------------------------------------------------------------------ #
+    # stores from a held decision (:class:`repro.replay.plan.ReplayCache`)
+
+    def decision_key(self, approximable: bool) -> tuple | None:
+        """Everything :meth:`decide` reads besides the rows, or ``None``.
+
+        That is the baseline's size key (its model, by identity, and
+        geometry), the header layout, the MAG, the threshold, the adder
+        tree's layout and the approximable flag — not the variant, so
+        TSLC-SIMP and TSLC-PRED share one decision.  ``None`` where the
+        baseline has no size key (untrained or unbatched), the kernels do
+        not cover the geometry, or a raw E2MC row would not be raw for SLC
+        (a lossless SLC header smaller than E2MC's).
+        """
+        baseline = self.slc.baseline
+        size_key = baseline.size_key
+        config = self.slc.config
+        if (
+            size_key is None
+            or not self.slc.batch_geometry_supported()
+            or header_size_bits(False, config.block_size_bytes, config.num_pdw)
+            < baseline.header_bits
+        ):
+            return None
+        extra_nodes = (
+            tuple(sorted(config.opt_extra_nodes.items()))
+            if config.uses_optimized_tree
+            else None
+        )
+        return (
+            size_key, config.num_pdw, config.mag_bytes, config.lossy_threshold_bytes,
+            extra_nodes, config.max_approx_symbols, bool(approximable),
+        )
+
+    def payload_bits(self, sizes: np.ndarray) -> np.ndarray:
+        """Payload bits of rows whose baseline (E2MC) stored bits are ``sizes``.
+
+        A compressed row's payload is its size minus E2MC's header; a raw
+        row gets the block size, which SLC stores raw too (valid wherever
+        :meth:`decision_key` is not ``None``).
+        """
+        baseline = self.slc.baseline
+        block_bits = baseline.block_size_bits
+        return np.where(sizes < block_bits, sizes - baseline.header_bits, block_bits)
+
+    def decide(
+        self, rows: np.ndarray, payload: np.ndarray, approximable: bool
+    ) -> CompactDecisions:
+        """The compact decision of every row of ``rows``, given its payload
+        bits, in slices of :data:`SLC_SLICE_ROWS` rows."""
+        from repro.kernels.decision import CompactDecisions
+
+        store_start = time.perf_counter() if metrics.enabled() else 0.0
+        symbols = self.slc.symbol_view(rows).symbols
+        step = SLC_SLICE_ROWS
+        decisions = CompactDecisions.stack([
+            self.slc.decide_symbols(
+                symbols[start:start + step], approximable, payload[start:start + step]
+            )[1]
+            for start in range(0, max(1, rows.shape[0]), step)
+        ])
+        if metrics.enabled():
+            metrics.inc("backend.slc_store_s", time.perf_counter() - store_start)
+        return decisions
+
+    def from_decisions(
+        self,
+        rows: np.ndarray,
+        payload: np.ndarray,
+        decisions: CompactDecisions,
+        index: "slice | np.ndarray | None" = None,
+        store_start: float | None = None,
+    ) -> StoredBatch:
+        """Store ``rows[index]`` (all rows by default), whose payload bits
+        are ``payload``, as ``decisions`` (which cover every row of
+        ``rows``) say.
+
+        Only the lossy rows are rebuilt, :data:`SLC_SLICE_ROWS` at a time,
+        in one copy of the selected rows; without a lossy row the data is
+        ``rows[index]`` (``rows`` itself by default).
+        """
+        from repro.kernels.decision import stored_sizes
+
+        if store_start is None:
+            store_start = time.perf_counter() if metrics.enabled() else 0.0
+        config = self.slc.config
+        if index is None:
+            data = rows
+            lossy, entries = decisions.lossy, np.arange(decisions.rows.size)
+        else:
+            data = rows[index]
+            lossy, entries = decisions.select(index)
+        lossy_at = np.flatnonzero(lossy)
+        stored_bits, bursts = stored_sizes(
+            config, payload, lossy_at, decisions.bits_removed[entries]
+        )
+        if lossy_at.size:
+            if np.may_share_memory(data, rows):
+                data = data.copy()
+            symbols = self.slc.symbol_view(data).symbols
+            step = SLC_SLICE_ROWS
+            for first in range(0, lossy_at.size, step):
+                chosen = entries[first:first + step]
+                self.slc.refill_rows(
+                    symbols, lossy_at[first:first + step],
+                    decisions.start[chosen], decisions.count[chosen],
+                )
         if metrics.enabled():
             # store bits/s is derivable from the two counters (mean over
             # merged snapshots stays exact: total bits / total seconds)
             metrics.inc("backend.slc_store_s", time.perf_counter() - store_start)
-            metrics.inc("backend.stored_bits", int(decisions.stored_size_bits.sum()))
-            metrics.inc("backend.blocks_compressed", len(decisions))
-            metrics.inc("backend.lossy_blocks", int(lossy.sum()))
-        return StoredBatch(
-            bursts=np.asarray(decisions.bursts, dtype=np.int64),
-            stored_bits=np.asarray(decisions.stored_size_bits, dtype=np.int64),
-            lossy=lossy,
-            data=data,
-        )
+            metrics.inc("backend.stored_bits", int(stored_bits.sum()))
+            metrics.inc("backend.blocks_compressed", lossy.size)
+            metrics.inc("backend.lossy_blocks", lossy_at.size)
+        return StoredBatch(bursts=bursts, stored_bits=stored_bits, lossy=lossy, data=data)
 
     @property
     def compress_latency_cycles(self) -> int:

@@ -61,10 +61,10 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = size_bytes // (line_bytes * ways)
-        # Each set maps line address -> dirty flag, ordered by recency.
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # Each set maps line address -> dirty flag, ordered by recency.  A
+        # set is built on its first access: the array replay only adds to
+        # the counters of a cache, so most caches never build one.
+        self._sets: dict[int, OrderedDict[int, bool]] = {}
         self.stats = CacheStats()
 
     def _set_index(self, block_address: int) -> int:
@@ -79,7 +79,10 @@ class SetAssociativeCache:
         """
         if block_address < 0:
             raise ValueError("block address must be non-negative")
-        target_set = self._sets[self._set_index(block_address)]
+        index = self._set_index(block_address)
+        target_set = self._sets.get(index)
+        if target_set is None:
+            target_set = self._sets[index] = OrderedDict()
         if block_address in target_set:
             target_set.move_to_end(block_address)
             if is_write:
@@ -97,7 +100,7 @@ class SetAssociativeCache:
 
     def contains(self, block_address: int) -> bool:
         """Whether a block is currently cached (does not update LRU/stats)."""
-        return block_address in self._sets[self._set_index(block_address)]
+        return block_address in self._sets.get(self._set_index(block_address), ())
 
     def flush(self) -> int:
         """Write back all dirty lines and empty the cache.
@@ -111,7 +114,7 @@ class SetAssociativeCache:
             The number of dirty lines written back.
         """
         writebacks = 0
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             for _, dirty in cache_set.items():
                 if dirty:
                     writebacks += 1
@@ -123,4 +126,4 @@ class SetAssociativeCache:
     @property
     def occupancy(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())

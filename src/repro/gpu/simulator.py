@@ -10,8 +10,8 @@ execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 :meth:`GPUSimulator.prepare` does the backend-independent part once (data,
 exact outputs, the row matrix of blocks, layout, training samples, trace)
 so several backends can be simulated on one :class:`PreparedInput`, which
-also caches their shared replay plans and lossless per-row sizes
-(:class:`~repro.replay.plan.ReplayCache`) and the exact-side fidelity
+also caches their shared replay plans, lossless per-row sizes and SLC
+decisions (:class:`~repro.replay.plan.ReplayCache`) and the exact-side fidelity
 statistics of its approximable regions
 (:class:`~repro.metrics.fidelity.ExactSide`).  Each run then keeps what it
 stores in one address-indexed
@@ -203,7 +203,8 @@ class PreparedInput:
     #: the simulator geometry the input was prepared for
     block_size_bytes: int
     train_sample_target: int
-    #: replay plans per simulator geometry and per-row sizes per compressor
+    #: replay plans per simulator geometry, per-row sizes per compressor and
+    #: SLC decisions per model, MAG, threshold and tree layout
     replay_cache: ReplayCache = field(init=False, repr=False)
     #: the fidelity statistics of each approximable input region, built by
     #: the first error phase that damages it
@@ -248,10 +249,11 @@ class GPUSimulator:
         replay_mode: which of the two pipelines runs the host-to-device
             copy and the kernel-execution phase.  ``"vectorized"`` (the
             default) stores each input region in one batched store (from
-            the input's per-row sizes where the backend allows) and replays
-            the trace with the array engine (:mod:`repro.replay`): compiled
-            trace, reuse-distance L2, batched miss-path accounting.  The
-            backends slice large regions themselves
+            the input's per-row sizes or held SLC decision where the
+            backend allows) and replays the trace with the array engine
+            (:mod:`repro.replay`): compiled trace, reuse-distance L2,
+            batched miss-path accounting.  The backends slice large
+            regions themselves
             (:data:`~repro.gpu.backends.SLC_SLICE_ROWS`,
             :data:`~repro.gpu.backends.LOSSLESS_SLICE_ROWS`), so a store's
             temporaries stay bounded at any scale.  ``"scalar"`` is the

@@ -16,7 +16,10 @@ size-analysis pipeline as array programs over all blocks of a region at once:
   gathers plus an ``argmax`` priority encoder (including the TSLC-OPT
   staggered windows);
 * :mod:`~repro.kernels.decision` — the Fig. 4 mode decision (bit budget,
-  threshold, burst accounting) as elementwise array arithmetic;
+  threshold, burst accounting) as elementwise array arithmetic on each
+  block's payload bits, with code lengths gathered for the lossy
+  candidates only, held compactly (a flag per block, a truncated range per
+  lossy block);
 * :mod:`~repro.kernels.codec` — the TSLC truncation/prediction pass that
   materializes the bytes a read of every lossy block of a region returns.
 
@@ -32,7 +35,7 @@ scalar oracle.
 """
 
 from repro.kernels.codec import reconstruct_rows
-from repro.kernels.decision import BatchDecisions, analyze_code_lengths
+from repro.kernels.decision import BatchDecisions, CompactDecisions, analyze_code_lengths
 from repro.kernels.lut import CodeLengthLUT
 from repro.kernels.symbols import BatchSymbolView, as_symbol_view
 from repro.kernels.tree import BatchSelection, BatchTreePlan, select_subblocks
@@ -43,6 +46,7 @@ __all__ = [
     "BatchSymbolView",
     "BatchTreePlan",
     "CodeLengthLUT",
+    "CompactDecisions",
     "analyze_code_lengths",
     "as_symbol_view",
     "reconstruct_rows",

@@ -25,19 +25,21 @@ the burst gathers and sums, the range check of the burst counts the MDC
 records (``1..max_bursts``), the DRAM busy cycles and the final stores.  It
 writes counters into the run's L2, controllers, MDCs and channels, never
 their contents.  A :class:`ReplayCache` keeps one prepared input's plans,
-keyed by geometry, and its lossless per-row sizes, so every scheme and MAG
-simulated on the input shares both.
+keyed by geometry, its lossless per-row sizes and its compact Fig. 4
+decisions, so every scheme and MAG simulated on the input shares them: an
+SLC store reads its decision (built once per model, MAG, threshold and
+tree layout, from the E2MC sizes) and only refills its lossy rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.metadata_cache import MetadataCache
-from repro.gpu.backends import CompressionBackend, StoredBatch
+from repro.gpu.backends import CompressionBackend, StoredBatch, compressed_sizes
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory_controller import (
     MemoryController,
@@ -53,6 +55,9 @@ from repro.replay.l2 import L2Outcome, resolve_l2
 from repro.replay.mdc import replay_mdc
 from repro.utils.blocks import block_count
 from repro.workloads.base import Region
+
+if TYPE_CHECKING:
+    from repro.kernels.decision import CompactDecisions
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,22 +347,30 @@ def _fresh(l2: SetAssociativeCache, controllers: list[MemoryController]) -> bool
 
 
 class ReplayCache:
-    """What the runs on one prepared input share: plans and per-row sizes.
+    """What the runs on one prepared input share: plans, sizes, decisions.
 
     A :class:`~repro.gpu.simulator.PreparedInput` holds one; it is dropped
     with the input.
 
     * :attr:`plans` maps a geometry (:func:`_geometry`) to the plan of a
       replay on a fresh machine of that geometry.
-    * :attr:`sizes` maps a backend's :attr:`~repro.gpu.backends.
-      CompressionBackend.size_key` to the stored bits of every row, computed
-      once (:meth:`~repro.gpu.backends.LosslessBackend.size_bits`, which
-      bounds its own temporaries).  Another MAG then only re-rounds the
-      bursts.
+    * :attr:`sizes` maps a compressor's
+      :attr:`~repro.compression.base.BlockCompressor.size_key` to the
+      stored bits of every row, computed once
+      (:func:`~repro.gpu.backends.compressed_sizes`, which bounds its own
+      temporaries).  Another MAG then only re-rounds the bursts.
+    * :attr:`decisions` maps an SLC backend's
+      :meth:`~repro.gpu.backends.SLCBackend.decision_key` to the compact
+      Fig. 4 decision of every row
+      (:class:`~repro.kernels.decision.CompactDecisions`, a few bytes per
+      row).  The decision reads each row's payload off its baseline's E2MC
+      sizes (shared with the E2MC runs) and gathers code lengths for the
+      lossy candidates only.  TSLC-SIMP and TSLC-PRED share one decision
+      per MAG and threshold; each store then only refills its lossy rows.
 
     Every array it holds is read-only.  Threads sharing an input may race
-    to build the same plan or sizes; both results are equal, and either is
-    kept.
+    to build the same plan, sizes or decision; both results are equal, and
+    either is kept.
     """
 
     def __init__(self, trace: MemoryTrace, rows: np.ndarray) -> None:
@@ -365,6 +378,16 @@ class ReplayCache:
         self.rows = rows
         self.plans: dict[tuple, ReplayPlan] = {}
         self.sizes: dict[tuple, np.ndarray] = {}
+        self.decisions: dict[tuple, CompactDecisions] = {}
+
+    def _sizes(self, key: tuple, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The sizes memoized under ``key``, else ``compute(rows)`` (kept)."""
+        sizes = self.sizes.get(key)
+        if sizes is None:
+            sizes = compute(self.rows)
+            _read_only(sizes)
+            self.sizes[key] = sizes
+        return sizes
 
     def store(
         self,
@@ -373,16 +396,26 @@ class ReplayCache:
         approximable: bool,
     ) -> StoredBatch:
         """``backend.store_batch(rows[addresses], approximable)``, from the
-        memoized sizes when the backend has a size key."""
+        memoized sizes or decision when the backend has a key for them."""
         key = backend.size_key
+        if key is not None:
+            sizes = self._sizes(key, backend.size_bits)
+            return backend.from_sizes(sizes[addresses], self.rows[addresses])
+        key = backend.decision_key(approximable)
         if key is None:
             return backend.store_batch(self.rows[addresses], approximable=approximable)
-        sizes = self.sizes.get(key)
-        if sizes is None:
-            sizes = backend.size_bits(self.rows)
-            _read_only(sizes)
-            self.sizes[key] = sizes
-        return backend.from_sizes(sizes[addresses], self.rows[addresses])
+        baseline = backend.slc.baseline
+        sizes = self._sizes(
+            baseline.size_key, lambda rows: compressed_sizes(baseline, rows)
+        )
+        decisions = self.decisions.get(key)
+        if decisions is None:
+            decisions = backend.decide(self.rows, backend.payload_bits(sizes), approximable)
+            _read_only(*decisions.arrays())
+            self.decisions[key] = decisions
+        return backend.from_decisions(
+            self.rows, backend.payload_bits(sizes[addresses]), decisions, addresses
+        )
 
     def plan(
         self,

@@ -33,27 +33,54 @@ def _neighbors(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return north - image, south - image, west - image, east - image
 
 
+#: pixels per row band of :func:`srad_coefficients`, which bounds its
+#: float64 temporaries (about 15 band-sized arrays); an image of up to this
+#: many pixels is one band
+BAND_PIXELS = 1 << 16
+
+
 def srad_coefficients(
     image: np.ndarray, q0_squared: float = 0.05
 ) -> dict[str, np.ndarray]:
-    """SRAD kernel 1: directional derivatives and diffusion coefficient."""
-    image = np.asarray(image, dtype=np.float64)
-    image = np.maximum(image, 1e-6)
-    d_n, d_s, d_w, d_e = _neighbors(image)
-    gradient_sq = (d_n**2 + d_s**2 + d_w**2 + d_e**2) / (image**2)
-    laplacian = (d_n + d_s + d_w + d_e) / image
-    num = 0.5 * gradient_sq - (1.0 / 16.0) * laplacian**2
-    den = (1.0 + 0.25 * laplacian) ** 2
-    q_squared = num / np.maximum(den, 1e-9)
-    coefficient = 1.0 / (1.0 + (q_squared - q0_squared) / (q0_squared * (1.0 + q0_squared)))
-    coefficient = np.clip(coefficient, 0.0, 1.0)
-    return {
-        "coefficient": coefficient.astype(np.float32),
-        "d_n": d_n.astype(np.float32),
-        "d_s": d_s.astype(np.float32),
-        "d_w": d_w.astype(np.float32),
-        "d_e": d_e.astype(np.float32),
+    """SRAD kernel 1: directional derivatives and diffusion coefficient.
+
+    Computed in bands of whole rows (:data:`BAND_PIXELS` pixels) with a
+    one-row halo above and below, so the float64 temporaries are those of
+    one band; every pixel goes through the same operations, in the same
+    order, as over the whole image at once.
+    """
+    image = np.asarray(image)
+    height = image.shape[0]
+    band = max(1, BAND_PIXELS // max(1, image[:1].size))
+    results = {
+        name: np.empty(image.shape, dtype=np.float32)
+        for name in ("coefficient", "d_n", "d_s", "d_w", "d_e")
     }
+    for top in range(0, height, band):
+        bottom = min(height, top + band)
+        above = max(0, top - 1)
+        part = np.maximum(
+            np.asarray(image[above:min(height, bottom + 1)], dtype=np.float64), 1e-6
+        )
+        # The halo rows' own derivatives are dropped.
+        keep = slice(top - above, bottom - above)
+        d_n, d_s, d_w, d_e = (d[keep] for d in _neighbors(part))
+        part = part[keep]
+        gradient_sq = (d_n**2 + d_s**2 + d_w**2 + d_e**2) / (part**2)
+        laplacian = (d_n + d_s + d_w + d_e) / part
+        num = 0.5 * gradient_sq - (1.0 / 16.0) * laplacian**2
+        den = (1.0 + 0.25 * laplacian) ** 2
+        q_squared = num / np.maximum(den, 1e-9)
+        coefficient = 1.0 / (
+            1.0 + (q_squared - q0_squared) / (q0_squared * (1.0 + q0_squared))
+        )
+        rows = slice(top, bottom)
+        results["coefficient"][rows] = np.clip(coefficient, 0.0, 1.0)
+        results["d_n"][rows] = d_n
+        results["d_s"][rows] = d_s
+        results["d_w"][rows] = d_w
+        results["d_e"][rows] = d_e
+    return results
 
 
 def srad_update(

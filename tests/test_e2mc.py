@@ -129,3 +129,39 @@ def test_e2mc_roundtrip_property(trained_e2mc, symbols):
 
     block = symbols_to_block(symbols)
     assert trained_e2mc.roundtrip(block) == block
+
+
+def _sorted_admission_code(counts, max_table_entries, max_code_length=24):
+    """The table order ``fit_counts`` used before ``np.lexsort``: descending
+    count, the symbol value breaking ties, as a ``sorted`` key."""
+    from repro.compression.huffman import build_huffman_code
+
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    table = dict(ordered[:max_table_entries])
+    table[ESCAPE_SYMBOL] = max(1, sum(counts.values()) - sum(table.values()))
+    return build_huffman_code(table, max_length=max_code_length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.integers(0, (1 << 16) - 1), st.integers(1, 6), min_size=1, max_size=300
+    ),
+    max_table_entries=st.integers(1, 64),
+)
+def test_fit_counts_admits_symbols_in_the_sorted_order(counts, max_table_entries):
+    # counts of 1..6 over up to 300 symbols tie often, at the table's edge too
+    model = SymbolModel(max_table_entries=max_table_entries)
+    model.fit_counts(counts)
+    expected = _sorted_admission_code(counts, max_table_entries)
+    assert model.code.lengths == expected.lengths
+    assert model.code.codewords == expected.codewords
+    assert list(model.code.lengths) == list(expected.lengths)
+
+
+def test_fit_counts_orders_symbols_wider_than_int64():
+    counts = {(1 << 70) + 5: 3, 7: 3, 1 << 66: 9, 2: 1}
+    model = SymbolModel(symbol_bytes=9, max_table_entries=3)
+    model.fit_counts(counts)
+    expected = _sorted_admission_code(counts, 3)
+    assert model.code.codewords == expected.codewords

@@ -498,3 +498,118 @@ def test_panel_temporaries_are_a_few_float64_copies():
     )
     assert held_mib < 6 * copy_mib
     assert fresh_mib < 8 * copy_mib
+
+
+# --------------------------------------------------------------------- #
+# KS from the changed elements, and the held Pearson moments
+
+
+def damaged_pairs(dtype, max_size=64):
+    """An exact sample with ties and a copy changed at some positions: new
+    values, a permutation of the changed ones (their CDF is unchanged), one
+    change, or every element."""
+    return st.integers(min_value=1, max_value=max_size).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(dtype=dtype, shape=n, elements=tied_floats),
+            st.sampled_from(["replace", "permute", "one", "all"]),
+            st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+            hnp.arrays(dtype=dtype, shape=n, elements=tied_floats),
+            st.randoms(use_true_random=False),
+        )
+    ).map(_damage)
+
+
+def _damage(drawn):
+    exact, kind, positions, values, rng = drawn
+    approx = exact.copy()
+    if kind == "one":
+        positions = positions[:1] or [0]
+    elif kind == "all":
+        positions = list(range(exact.size))
+    positions = np.asarray(positions, dtype=np.int64)
+    if kind == "permute":
+        shuffled = list(positions)
+        rng.shuffle(shuffled)
+        approx[positions] = exact[shuffled]
+    else:
+        approx[positions] = values[positions]
+    return exact, approx
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_ks_from_the_changes_equals_the_one_sort_and_four_pass_oracles(dtype, data):
+    exact, approx = data.draw(damaged_pairs(dtype))
+    side = ExactSide(exact)
+    exact_arr, approx_arr = side.validated(approx)
+    changed = exact_arr != approx_arr
+    expected = _ks_oracle(exact, approx)
+    values, counts, _ = side.stats(exact_arr)
+    # the sparse formula itself, whatever share of the elements changed
+    sparse = fidelity._ks_from_changes(
+        values, counts, np.sort(exact_arr[changed]), np.sort(approx_arr[changed]),
+        exact_arr.size,
+    )
+    assert sparse == side.ks(exact_arr, approx_arr) == expected
+    assert side.ks(exact_arr, approx_arr, changed) == expected
+    assert fidelity_panel(exact, approx)["ks"] == expected
+
+
+def test_ks_of_a_permutation_or_a_signed_zero_swap_is_zero(dtype):
+    exact = np.array([3.0, -0.0, 1.0, 0.0, 2.0, 5.0], dtype)
+    permuted = exact.copy()
+    permuted[[0, 2, 4]] = exact[[4, 0, 2]]
+    swapped = exact.copy()
+    swapped[[1, 3]] = exact[[3, 1]]
+    for approx in (permuted, swapped):
+        assert fidelity_panel(exact, approx)["ks"] == 0.0 == _ks_oracle(exact, approx)
+
+
+def test_the_panel_chooses_the_ks_path_by_the_changed_count(monkeypatch):
+    rng = np.random.default_rng(9)
+    exact = rng.normal(size=1000)
+    sorted_sizes = []
+    real_sort = np.sort
+
+    def counting_sort(array, *args, **kwargs):
+        sorted_sizes.append(array.size)
+        return real_sort(array, *args, **kwargs)
+
+    side = ExactSide(exact)
+    side.stats(side.validated(exact)[0])  # the held side is built
+    monkeypatch.setattr(np, "sort", counting_sort)
+    for changed, sorts in ((400, [400, 400]), (401, [1000])):
+        approx = exact.copy()
+        approx[:changed] += 1.0
+        expected = _ks_oracle(exact, approx)
+        sorted_sizes.clear()
+        held = fidelity_summary({"r": exact}, {"r": approx}, {"r": side})
+        assert sorted_sizes == sorts
+        assert held["fidelity_ks"] == expected
+
+
+def test_a_held_side_runs_two_dot_products_per_damaged_pair(monkeypatch):
+    rng = np.random.default_rng(4)
+    exact = rng.normal(size=512)
+    side = ExactSide(exact)
+    first = exact + rng.normal(scale=0.1, size=512)
+    second = exact.copy()
+    second[::7] = 0.0
+    fidelity_summary({"r": exact}, {"r": first}, {"r": side})
+    exact_arr = side.validated(exact)[0]
+    deviations = exact_arr - exact_arr.mean()
+    assert side.moments(exact_arr) == (
+        False, float(exact_arr.mean()), float(np.dot(deviations, deviations))
+    )
+    calls = []
+    real_dot = np.dot
+
+    def counting_dot(*args, **kwargs):
+        calls.append(1)
+        return real_dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting_dot)
+    held = fidelity_summary({"r": exact}, {"r": second}, {"r": side})
+    assert len(calls) == 2
+    monkeypatch.setattr(np, "dot", real_dot)
+    assert held["fidelity_pearson"] == pearson_correlation(exact, second)

@@ -225,6 +225,19 @@ def test_cache_negative_address_rejected():
         SetAssociativeCache(16 * 1024).access(-1)
 
 
+def test_cache_builds_a_set_on_its_first_access():
+    """The array replay only adds to a cache's counters, so a cache holds
+    no set until a scalar access touches one."""
+    cache = SetAssociativeCache(768 * 1024)
+    assert not cache._sets
+    assert not cache.contains(7) and cache.occupancy == 0 and cache.flush() == 0
+    assert not cache._sets
+    for address in (7, 7 + cache.num_sets, 9):
+        cache.access(address)
+    assert sorted(cache._sets) == [7, 9]
+    assert cache.contains(7 + cache.num_sets) and cache.occupancy == 3
+
+
 # --------------------------------------------------------------------- #
 # DRAM
 

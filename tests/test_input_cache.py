@@ -157,6 +157,24 @@ def test_simulate_job_keys_the_process_cache_by_factory_and_input():
         job.input_key}
 
 
+def test_simulate_job_builds_the_job_config_once(monkeypatch):
+    from repro.campaign import spec
+
+    calls = []
+    real = spec.overrides_to_config
+
+    def counting(overrides):
+        calls.append(overrides)
+        return real(overrides)
+
+    monkeypatch.setattr(spec, "overrides_to_config", counting)
+    job = _job("TP", "E2MC", config_overrides=(("l2_cache_kb", 512),))
+    result = worker.simulate_job(job)
+    assert calls == [job.config_overrides]
+    assert job.config.l2_cache_kb == 512 and job.input_key[-1] == job.config.block_size_bytes
+    assert result == worker.simulate_job(Job.from_dict(job.to_dict()))
+
+
 def test_reregistered_workload_never_serves_the_stale_input():
     name = "CACHEPLUGIN"
     register_workload(name, NearestNeighborWorkload)

@@ -188,6 +188,63 @@ def test_nearest_neighbors_validation():
 # SRAD
 
 
+def _srad_coefficients_whole_image(image, q0_squared=0.05):
+    """The kernel over the whole image at once: the banded kernel's oracle."""
+    from repro.workloads.srad import _neighbors
+
+    image = np.maximum(np.asarray(image, dtype=np.float64), 1e-6)
+    d_n, d_s, d_w, d_e = _neighbors(image)
+    gradient_sq = (d_n**2 + d_s**2 + d_w**2 + d_e**2) / (image**2)
+    laplacian = (d_n + d_s + d_w + d_e) / image
+    num = 0.5 * gradient_sq - (1.0 / 16.0) * laplacian**2
+    den = (1.0 + 0.25 * laplacian) ** 2
+    q_squared = num / np.maximum(den, 1e-9)
+    coefficient = 1.0 / (1.0 + (q_squared - q0_squared) / (q0_squared * (1.0 + q0_squared)))
+    coefficient = np.clip(coefficient, 0.0, 1.0)
+    fields = {"coefficient": coefficient, "d_n": d_n, "d_s": d_s, "d_w": d_w, "d_e": d_e}
+    return {name: value.astype(np.float32) for name, value in fields.items()}
+
+
+@pytest.mark.parametrize("band_rows", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("shape", [(1, 5), (2, 3), (17, 9), (64, 33)])
+def test_srad_bands_equal_the_whole_image(monkeypatch, shape, band_rows):
+    from repro.workloads import srad
+
+    rng = np.random.default_rng(shape[0] * 100 + band_rows)
+    for dtype, low in ((np.float32, 0.0), (np.float64, -5.0)):
+        image = rng.uniform(low, 200.0, size=shape).astype(dtype)
+        image[0, 0] = 0.0  # clamped to 1e-6
+        monkeypatch.setattr(srad, "BAND_PIXELS", band_rows * shape[1])
+        got = srad_coefficients(image)
+        want = _srad_coefficients_whole_image(image)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].dtype == np.float32
+            np.testing.assert_array_equal(got[name], want[name])
+
+
+def test_srad_benchmark_scales_are_one_band():
+    from repro.workloads import srad
+    from repro.workloads.registry import get_workload
+
+    # fig7 runs at 1/64, the tournament at 1/256
+    for scale in (1.0 / 64.0, 1.0 / 256.0):
+        image = get_workload("SRAD1", scale=scale, seed=2019).generate()["image"].array
+        assert image.size <= srad.BAND_PIXELS
+
+
+def test_srad_coefficients_peak_is_bounded():
+    from repro.obs.metrics import measure_peak_mib
+
+    rng = np.random.default_rng(3)
+    image = rng.uniform(50, 200, size=(1024, 1024)).astype(np.float32)  # 4 MiB
+    results, peak_mib = measure_peak_mib(srad_coefficients, image)
+    # the five float32 results are 20 MiB; over the whole image at once the
+    # float64 temporaries peaked at 108 MiB
+    assert peak_mib <= 40
+    assert sum(value.nbytes for value in results.values()) == 20 * 1024 * 1024
+
+
 def test_srad_coefficient_in_unit_range():
     rng = np.random.default_rng(7)
     image = rng.uniform(50, 200, size=(32, 32))

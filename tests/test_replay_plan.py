@@ -284,8 +284,24 @@ def test_size_memo_matches_store_batch(scheme, mag, monkeypatch):
     assert other.size_key == key
 
 
-@pytest.mark.parametrize("name", ["TSLC-OPT", "TSLC-SIMP", "uncompressed"])
+@pytest.mark.parametrize("name", ["uncompressed"])
 def test_backends_without_a_size_key_store_through_store_batch(name):
+    prepared = _prepare("NN")
+    backend = _backend(name, 32)
+    backend.train(prepared.train_samples)
+    assert backend.size_key is None and backend.decision_key(True) is None
+    sl = slice(0, 40)
+    reference = _backend(name, 32)
+    reference.train(prepared.train_samples)
+    assert prepared.replay_cache.store(backend, sl, True) == reference.store_batch(
+        prepared.rows[sl], approximable=True
+    )
+    assert not prepared.replay_cache.sizes
+    assert not prepared.replay_cache.decisions
+
+
+@pytest.mark.parametrize("name", ["TSLC-OPT", "TSLC-SIMP"])
+def test_tslc_stores_through_a_held_decision_on_the_e2mc_sizes(name):
     prepared = _prepare("NN")
     backend = _backend(name, 32)
     backend.train(prepared.train_samples)
@@ -296,7 +312,11 @@ def test_backends_without_a_size_key_store_through_store_batch(name):
     assert prepared.replay_cache.store(backend, sl, True) == reference.store_batch(
         prepared.rows[sl], approximable=True
     )
-    assert not prepared.replay_cache.sizes
+    # the decision reads the sizes an E2MC run on the input stores from
+    e2mc = _backend("E2MC", 32)
+    e2mc.train(prepared.train_samples)
+    assert list(prepared.replay_cache.sizes) == [e2mc.size_key]
+    assert list(prepared.replay_cache.decisions) == [backend.decision_key(True)]
 
 
 # --------------------------------------------------------------------- #
