@@ -436,7 +436,12 @@ DIFF_COUNTER_FIELDS = (
 
 
 def _record_drift(a: JobRecord, b: JobRecord) -> list[str]:
-    """Field labels in which two records of the same cell disagree."""
+    """Field labels in which two records of the same cell disagree.
+
+    Compared are the counters of :data:`DIFF_COUNTER_FIELDS`, the payload
+    digest when both records carry one, every ``fidelity_*`` extra metric
+    (one record lacking a key the other has is drift) and the energy.
+    """
     if a.status != b.status:
         return [f"status {a.status}->{b.status}"]
     if a.result is None or b.result is None:
@@ -446,10 +451,16 @@ def _record_drift(a: JobRecord, b: JobRecord) -> list[str]:
         for field in DIFF_COUNTER_FIELDS
         if getattr(a.result, field) != getattr(b.result, field)
     ]
-    digest_a = a.result.extra_metrics.get("payload_sha256")
-    digest_b = b.result.extra_metrics.get("payload_sha256")
+    extra_a, extra_b = a.result.extra_metrics, b.result.extra_metrics
+    digest_a = extra_a.get("payload_sha256")
+    digest_b = extra_b.get("payload_sha256")
     if digest_a is not None and digest_b is not None and digest_a != digest_b:
         drift.append("payload_sha256")
+    drift.extend(
+        key
+        for key in sorted({*extra_a, *extra_b})
+        if key.startswith("fidelity_") and extra_a.get(key) != extra_b.get(key)
+    )
     if a.result.energy != b.result.energy:
         drift.append("energy")
     return drift
@@ -458,8 +469,9 @@ def _record_drift(a: JobRecord, b: JobRecord) -> list[str]:
 def cmd_diff(args: argparse.Namespace) -> int:
     """``campaign diff``: compare two stores cell-by-cell, nonzero on drift.
 
-    Reports cells missing from either store and cells whose counters or
-    payload digests disagree — the check to run after a model change (same
+    Reports cells missing from either store and cells whose counters,
+    payload digests, fidelity metrics or energy disagree
+    (:func:`_record_drift`) — the check to run after a model change (same
     grid, before/after stores) or between two hosts' sweeps.  A path with
     no results is an error, not an empty store: a typo must not turn the
     drift check into a vacuous pass.

@@ -38,6 +38,7 @@ from repro.core.slc import SLCCompressor
 from repro.gpu.backends import CompressionBackend, LosslessBackend, SLCBackend
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import GPUSimulator, PreparedInput, SimulationResult
+from repro.utils.blas import pin_one_thread
 from repro.workloads.registry import workload_factory
 
 
@@ -155,6 +156,10 @@ def simulate_job(
     the previous job used skips preparing it.  Results are identical
     either way.  No option is needed to bound memory at scale 1.0: the
     backends slice large stores themselves (:mod:`repro.gpu.backends`).
+    Each job first pins numpy's BLAS to one thread
+    (:func:`repro.utils.blas.pin_one_thread`): the worker pool supplies
+    the parallelism, and helper threads cost more than they save on the
+    workloads' small matrix products.
 
     Args:
         job: the campaign job description.
@@ -168,6 +173,7 @@ def simulate_job(
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
     """
+    pin_one_thread()
     config = job.config
     simulator = GPUSimulator(
         config=config,

@@ -25,8 +25,17 @@ there.  When at most two fifths of the elements changed, KS comes from the
 changed values alone (:func:`_ks_from_changes`), with the same bits as the
 one-sort KS that heavier damage and :func:`ks_statistic` keep.  Against a
 held :class:`ExactSide` the exact side's sort, finiteness and Pearson
-moments are built once, so a damaged pair runs two dot products and no
+moments are built once, so a damaged pair runs two sums of products and no
 exact-side reduction.
+
+Every Pearson sum of products goes through :func:`_sum_of_products`, which
+gives the bits of OpenBLAS's two-thread ``ddot`` on one thread: above
+OpenBLAS's threading cutoff of 10,000 elements it adds the dot products
+of the two halves to 0.0, as the two helper threads would.  The process's
+BLAS is pinned to one thread first (:func:`repro.utils.blas.pin_one_thread`),
+so the results do not depend on ``OPENBLAS_NUM_THREADS`` or the host's
+core count.  They still depend on the ``ddot`` kernel OpenBLAS picks for
+the CPU, whose last bits differ between, say, Haswell and SkylakeX.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.obs import metrics
+from repro.utils.blas import pin_one_thread
 
 __all__ = [
     "ExactSide",
@@ -82,6 +92,29 @@ def _unit_peak(arr: np.ndarray) -> np.ndarray:
     return arr / peak if peak > 0.0 else arr
 
 
+#: OpenBLAS runs a ``ddot`` of more than this many elements on its helper
+#: threads
+_THREADED_DOT = 10_000
+
+
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
+    """``np.dot`` of two flat float64 arrays as two-thread OpenBLAS sums
+    it, on one thread.
+
+    Above :data:`_THREADED_DOT` elements OpenBLAS gives the first thread
+    the first ``ceil(n / 2)`` elements and the second the rest, and adds
+    the two partial sums to 0.0 in that order.  The ``0.0 +`` turns a -0.0
+    first half into +0.0, so it decides the sign of a zero sum.  Each half
+    runs on one thread under the process-wide pin.
+    """
+    n = x.size
+    if n <= _THREADED_DOT:
+        return float(np.dot(x, y))
+    pin_one_thread()
+    half = (n + 1) // 2
+    return (0.0 + float(np.dot(x[:half], y[:half]))) + float(np.dot(x[half:], y[half:]))
+
+
 def _moments(vals: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Deviations from the mean, the mean and the sum of squared deviations.
 
@@ -90,7 +123,7 @@ def _moments(vals: np.ndarray) -> tuple[np.ndarray, float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = vals.mean()
         dev = vals - mean
-        return dev, float(mean), float(np.dot(dev, dev))
+        return dev, float(mean), _sum_of_products(dev, dev)
 
 
 def _centered(
@@ -147,7 +180,7 @@ def _pearson(
         exact_dev, approx_dev, _, denom = _centered(
             _unit_peak(exact_arr), _unit_peak(approx_arr)
         )
-    corr = float(np.dot(exact_dev, approx_dev)) / denom
+    corr = _sum_of_products(exact_dev, approx_dev) / denom
     return float(np.clip(corr, -1.0, 1.0))
 
 

@@ -6,6 +6,11 @@ invariance of the IQR-normalized error — and the explicit ValueError
 behaviour on malformed inputs (shape mismatch, empty arrays, NaN/inf).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -589,27 +594,111 @@ def test_the_panel_chooses_the_ks_path_by_the_changed_count(monkeypatch):
 
 
 def test_a_held_side_runs_two_dot_products_per_damaged_pair(monkeypatch):
-    rng = np.random.default_rng(4)
-    exact = rng.normal(size=512)
-    side = ExactSide(exact)
-    first = exact + rng.normal(scale=0.1, size=512)
-    second = exact.copy()
-    second[::7] = 0.0
-    fidelity_summary({"r": exact}, {"r": first}, {"r": side})
-    exact_arr = side.validated(exact)[0]
-    deviations = exact_arr - exact_arr.mean()
-    assert side.moments(exact_arr) == (
-        False, float(exact_arr.mean()), float(np.dot(deviations, deviations))
+    """Two sums of products per damaged pair against a held side; above
+    OpenBLAS's threading cutoff each sum is two half-length dot products."""
+    real_sum, real_dot = fidelity._sum_of_products, np.dot
+    for size, dots_per_sum in ((512, 1), (20_480, 2)):
+        rng = np.random.default_rng(4)
+        exact = rng.normal(size=size)
+        side = ExactSide(exact)
+        first = exact + rng.normal(scale=0.1, size=size)
+        second = exact.copy()
+        second[::7] = 0.0
+        fidelity_summary({"r": exact}, {"r": first}, {"r": side})
+        exact_arr = side.validated(exact)[0]
+        deviations = exact_arr - exact_arr.mean()
+        assert side.moments(exact_arr) == (
+            False, float(exact_arr.mean()), real_sum(deviations, deviations)
+        )
+        sums, dots = [], []
+
+        def counting_sum(x, y):
+            sums.append(x.size)
+            return real_sum(x, y)
+
+        def counting_dot(x, y):
+            dots.append(x.size)
+            return real_dot(x, y)
+
+        monkeypatch.setattr(fidelity, "_sum_of_products", counting_sum)
+        monkeypatch.setattr(np, "dot", counting_dot)
+        held = fidelity_summary({"r": exact}, {"r": second}, {"r": side})
+        monkeypatch.undo()
+        assert sums == [size, size]
+        assert dots == [size // dots_per_sum] * (2 * dots_per_sum)
+        assert held["fidelity_pearson"] == pearson_correlation(exact, second)
+
+
+# --------------------------------------------------------------------- #
+# sums of products: OpenBLAS's two-thread ddot, on one thread
+
+
+def test_a_sum_of_products_splits_above_the_threading_cutoff(monkeypatch):
+    rng = np.random.default_rng(12)
+    for size in (1, 9_999, 10_000):
+        x, y = rng.normal(size=size), rng.normal(size=size)
+        assert fidelity._sum_of_products(x, y) == float(np.dot(x, y))
+    for size in (10_001, 20_001, 65_536):
+        x, y = rng.normal(size=size), rng.normal(size=size)
+        half = (size + 1) // 2  # the first half is the longer one
+        assert fidelity._sum_of_products(x, y) == (
+            (0.0 + float(np.dot(x[:half], y[:half]))) + float(np.dot(x[half:], y[half:]))
+        )
+    # the first half is added to +0.0, as OpenBLAS adds its partial sums
+    monkeypatch.setattr(np, "dot", lambda x, y: -0.0)
+    assert str(fidelity._sum_of_products(x, y)) == "0.0"
+
+
+#: a child interpreter's Pearson and panel bits for one damaged pair whose
+#: halves are both above OpenBLAS's threading cutoff
+THREADS_CHILD = """
+import numpy as np
+from repro.metrics.fidelity import fidelity_summary, pearson_correlation
+rng = np.random.default_rng(2019)
+exact = rng.normal(size=60_000)
+approx = exact.copy()
+approx[::4] += rng.normal(scale=0.05, size=approx[::4].size)
+summary = fidelity_summary({"r": exact}, {"r": approx})
+print(pearson_correlation(exact, approx).hex(), *(v.hex() for v in summary.values()))
+"""
+
+#: a child interpreter that compares threaded ``np.dot`` sums (taken before
+#: anything pins the BLAS) with the one-thread split
+TWO_THREAD_CHILD = """
+import numpy as np
+rng = np.random.default_rng(5)
+pairs = [rng.normal(size=(2, n)) for n in rng.integers(10_001, 200_000, 40)]
+threaded = [float(np.dot(x, y)) for x, y in pairs]
+from repro.metrics.fidelity import _sum_of_products
+print(sum(_sum_of_products(x, y) == dot for (x, y), dot in zip(pairs, threaded)))
+"""
+
+
+def _child_stdout(code: str, threads: int) -> str:
+    src = str(Path(fidelity.__file__).resolve().parents[2])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(threads),
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
-    calls = []
-    real_dot = np.dot
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
-    def counting_dot(*args, **kwargs):
-        calls.append(1)
-        return real_dot(*args, **kwargs)
 
-    monkeypatch.setattr(np, "dot", counting_dot)
-    held = fidelity_summary({"r": exact}, {"r": second}, {"r": side})
-    assert len(calls) == 2
-    monkeypatch.setattr(np, "dot", real_dot)
-    assert held["fidelity_pearson"] == pearson_correlation(exact, second)
+def test_pearson_bits_do_not_depend_on_the_blas_thread_count():
+    outputs = {threads: _child_stdout(THREADS_CHILD, threads) for threads in (1, 2, 4)}
+    assert len(set(outputs.values())) == 1, outputs
+
+
+#: CPUs this process may run on; OpenBLAS starts no more threads than that
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_the_split_sum_is_openblas_two_thread_ddot():
+    assert _child_stdout(TWO_THREAD_CHILD, 2) == "40\n"

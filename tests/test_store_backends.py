@@ -143,6 +143,37 @@ def test_cli_diff_detects_missing_and_changed(tmp_path, capsys, sample_record):
     assert "changed" in out and "total_bursts" in out
 
 
+def test_cli_diff_detects_fidelity_drift(tmp_path, capsys, sample_record):
+    """Two records equal but for a fidelity metric's last bits differ."""
+    result = sample_record.result.to_dict()
+    panel = {"fidelity_pearson": 0.9991290038006524, "fidelity_ks": 0.01}
+
+    def record(**extra) -> JobRecord:
+        extra_metrics = {**result["extra_metrics"], **panel, **extra}
+        return JobRecord(
+            job=sample_record.job,
+            status="ok",
+            result=sample_record.result.__class__.from_dict(
+                {**result, "extra_metrics": extra_metrics}
+            ),
+        )
+
+    _populated_store(tmp_path / "a", [record()])
+    _populated_store(tmp_path / "b", [record(fidelity_pearson=0.9991290038006523)])
+    _populated_store(tmp_path / "c", [record()])
+    code = cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "fidelity_pearson" in out and "1 changed" in out
+    assert "fidelity_ks" not in out
+    assert cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    # a fidelity metric on one side only is drift too
+    _populated_store(tmp_path / "d", [record(fidelity_iqr_max=0.5)])
+    assert cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "d")]) == 1
+    assert "fidelity_iqr_max" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- #
 # a bad --dir is refused: exit 2, one error line naming it, nothing created
 
