@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -53,3 +56,26 @@ def test_an_unresolved_setter_warns_once_and_counts_every_request(
     assert len(caplog.records) == 1
     assert "cannot pin" in caplog.messages[0]
     assert metrics.snapshot()["counters"]["blas.unpinned"] == 3
+
+
+def test_racing_threads_resolve_and_pin_once(monkeypatch):
+    pinned_to = []
+
+    def slow_setter():
+        time.sleep(0.01)  # widens the window between the check and the pin
+        return pinned_to.append
+
+    monkeypatch.setattr(blas, "_setter", slow_setter)
+    monkeypatch.setattr(blas, "_pinned", None)
+    threads = [threading.Thread(target=blas.pin_one_thread) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert pinned_to == [1]
