@@ -1,13 +1,14 @@
-"""BENCH-K — batched analysis kernels vs. the per-block scalar path.
+"""BENCH-K — the batched SLC store vs. the per-block scalar store.
 
-Measures the SLC analysis hot path — code lengths, Fig. 4 decision, adder
-tree — over all blocks of each paper workload's regions, comparing the
-vectorized ``analyze_batch`` kernels (:mod:`repro.kernels`) against the
-per-block scalar ``analyze`` loop they replace, plus the end-to-end effect on
-one campaign job.  Full mode (the default) sweeps all nine workloads and
-asserts the ≥5× speedup target; ``--kernels-quick`` is the CI smoke mode
-(three workloads, relaxed floor) so the batch path is exercised on every
-push.
+Measures the SLC store hot path — code lengths, Fig. 4 decision, adder tree
+and the TSLC reconstruction of the lossy blocks — over all blocks of each
+paper workload's regions, comparing the batched
+``SLCBackend.store_batch`` (``decide`` then ``from_decisions``, on the
+kernels of :mod:`repro.kernels`) against the per-block ``SLCBackend.store``
+loop that is its oracle, plus the end-to-end effect on one campaign job.
+Full mode (the default) sweeps all nine workloads and asserts the ≥5×
+speedup target; ``--kernels-quick`` is the CI smoke mode (three workloads,
+relaxed floor) so the batch path is exercised on every push.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from repro.campaign.worker import simulate_job
 from repro.compression.stats import geometric_mean
 from repro.core.config import SLCConfig, SLCVariant
 from repro.core.slc import SLCCompressor
-from repro.utils.blocks import array_to_blocks
+from repro.gpu.backends import SLCBackend
+from repro.utils.blocks import array_to_blocks, as_block_rows
 from repro.utils.sampling import sample_evenly
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
@@ -50,7 +52,7 @@ def _time(fn, repeats: int = 3) -> float:
 
 def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
                                        bench_record):
-    """analyze_batch vs. per-block analyze over a paper-workload sweep slice."""
+    """store_batch vs. per-block store over a paper-workload sweep slice."""
     names = QUICK_WORKLOADS if kernels_quick else PAPER_WORKLOAD_ORDER
     floor = QUICK_SPEEDUP_FLOOR if kernels_quick else FULL_SPEEDUP_FLOOR
     config = SLCConfig(variant=SLCVariant.OPT)
@@ -59,11 +61,12 @@ def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
     rows = []
     for name in names:
         blocks = _workload_blocks(name, slc_scale)
-        slc = SLCCompressor(config)
-        slc.train(sample_evenly(blocks, 1024))
+        matrix = as_block_rows(blocks)
+        backend = SLCBackend(SLCCompressor(config))
+        backend.train(sample_evenly(blocks, 1024))
 
-        scalar_s = _time(lambda: [slc.analyze(block) for block in blocks])
-        batch_s = _time(lambda: slc.analyze_batch(blocks))
+        scalar_s = _time(lambda: [backend.store(block) for block in blocks])
+        batch_s = _time(lambda: backend.store_batch(matrix))
         speedups[name] = scalar_s / batch_s
         rows.append(
             f"{name:<8} {len(blocks):>6} blocks  scalar {scalar_s * 1e3:8.2f} ms  "
@@ -72,19 +75,20 @@ def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
 
     gm = geometric_mean(list(speedups.values()))
     print()
-    print("BENCH-K — batched SLC analysis vs. per-block scalar path")
+    print("BENCH-K — batched SLC store vs. per-block scalar store")
     for row in rows:
         print(row)
     print(f"{'GM':<8} {'':>14}  speedup {gm:6.1f}x  (floor {floor:.0f}x)")
     bench_record(f"kernels_gm_speedup{'_quick' if kernels_quick else ''}", gm)
 
-    # time the batch kernel once more under pytest-benchmark for the report
+    # time the batched store once more under pytest-benchmark for the report
     blocks = _workload_blocks(names[0], slc_scale)
-    slc = SLCCompressor(config)
-    slc.train(sample_evenly(blocks, 1024))
-    benchmark.pedantic(lambda: slc.analyze_batch(blocks), rounds=3, iterations=1)
+    backend = SLCBackend(SLCCompressor(config))
+    backend.train(sample_evenly(blocks, 1024))
+    matrix = as_block_rows(blocks)
+    benchmark.pedantic(lambda: backend.store_batch(matrix), rounds=3, iterations=1)
 
-    assert gm >= floor, f"batched kernels only {gm:.1f}x over scalar (floor {floor}x)"
+    assert gm >= floor, f"batched store only {gm:.1f}x over scalar (floor {floor}x)"
 
 
 def test_bench_kernels_end_to_end_job(slc_scale, kernels_quick, bench_record):

@@ -81,10 +81,10 @@ class _ReplayContext:
             )
             for i in range(config.num_memory_controllers)
         ]
-        cache = ReplayCache(self.trace, self.rows)
-        for name, region in self.prepared.input_regions.items():
+        cache = ReplayCache(self.trace, self.rows, self.prepared.replay_cache.approximable)
+        for name in self.prepared.input_regions:
             sl = self.prepared.region_slice(name)
-            store.write(sl, cache.store(self.backend, sl, region.approximable))
+            store.write(sl, cache.store(self.backend, sl))
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,

@@ -417,62 +417,37 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-#: result fields campaign diff compares (counters first, then the digest)
-DIFF_COUNTER_FIELDS = (
-    "exec_time_s",
-    "compute_time_s",
-    "memory_time_s",
-    "total_bursts",
-    "read_bursts",
-    "write_bursts",
-    "dram_bytes",
-    "dram_row_misses",
-    "l2_accesses",
-    "l2_hit_rate",
-    "stored_blocks",
-    "lossy_blocks",
-    "error_percent",
-)
-
-
 def _record_drift(a: JobRecord, b: JobRecord) -> list[str]:
     """Field labels in which two records of the same cell disagree.
 
-    Compared are the counters of :data:`DIFF_COUNTER_FIELDS`, the payload
-    digest when both records carry one, every ``fidelity_*`` extra metric
-    (one record lacking a key the other has is drift) and the energy.
+    Compared is every field of the result's ``to_dict`` (the energy as one
+    field) and every extra metric.  One record lacking an extra metric the
+    other has is drift, except the payload digest, which only runs asked
+    for it carry.
     """
     if a.status != b.status:
         return [f"status {a.status}->{b.status}"]
     if a.result is None or b.result is None:
         return []
-    drift = [
-        field
-        for field in DIFF_COUNTER_FIELDS
-        if getattr(a.result, field) != getattr(b.result, field)
-    ]
-    extra_a, extra_b = a.result.extra_metrics, b.result.extra_metrics
-    digest_a = extra_a.get("payload_sha256")
-    digest_b = extra_b.get("payload_sha256")
-    if digest_a is not None and digest_b is not None and digest_a != digest_b:
-        drift.append("payload_sha256")
+    fields_a, fields_b = a.result.to_dict(), b.result.to_dict()
+    extra_a, extra_b = fields_a.pop("extra_metrics"), fields_b.pop("extra_metrics")
+    drift = [field for field in fields_a if fields_a[field] != fields_b[field]]
     drift.extend(
         key
         for key in sorted({*extra_a, *extra_b})
-        if key.startswith("fidelity_") and extra_a.get(key) != extra_b.get(key)
+        if extra_a.get(key) != extra_b.get(key)
+        and (key != "payload_sha256" or (key in extra_a and key in extra_b))
     )
-    if a.result.energy != b.result.energy:
-        drift.append("energy")
     return drift
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """``campaign diff``: compare two stores cell-by-cell, nonzero on drift.
 
-    Reports cells missing from either store and cells whose counters,
-    payload digests, fidelity metrics or energy disagree
-    (:func:`_record_drift`) — the check to run after a model change (same
-    grid, before/after stores) or between two hosts' sweeps.  A path with
+    Reports cells missing from either store and cells whose results
+    disagree in any field or extra metric (:func:`_record_drift`) — the
+    check to run after a model change (same grid, before/after stores) or
+    between two hosts' sweeps.  A path with
     no results is an error, not an empty store: a typo must not turn the
     drift check into a vacuous pass.
     """

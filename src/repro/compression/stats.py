@@ -175,13 +175,6 @@ class CompressionStats:
             return float("nan")
         return self.total_original_bytes / self.total_effective_bytes
 
-    @property
-    def uncompressed_fraction(self) -> float:
-        """Fraction of blocks stored uncompressed."""
-        if self.total_blocks == 0:
-            return 0.0
-        return self.uncompressed_blocks / self.total_blocks
-
     def extra_byte_distribution(self) -> dict[int, float]:
         """Histogram of bytes-above-MAG as a fraction of all blocks."""
         if self.total_blocks == 0:

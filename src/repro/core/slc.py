@@ -29,7 +29,7 @@ from repro.core.header import header_size_bits
 from repro.core.prediction import predict_truncated_symbols
 from repro.core.tree import AdderTree
 from repro.utils.bitstream import BitReader, BitWriter
-from repro.utils.blocks import block_to_symbols, iter_blocks, symbols_to_block
+from repro.utils.blocks import block_to_symbols, symbols_to_block
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,6 @@ class SLCBlock(CompressedBlock):
     def stored_size_bits(self) -> int:
         """Bits actually stored for this block (header + payload)."""
         return self.compressed_size_bits
-
-    @property
-    def effective_size_bytes(self) -> int:
-        """Bytes fetched from memory for this block (bursts × MAG)."""
-        return self.bursts * self.mag_bytes
 
     @property
     def is_lossy(self) -> bool:
@@ -275,34 +270,6 @@ class SLCCompressor:
             used_extra_node=selection.used_extra_node,
         )
 
-    def analyze_batch(
-        self,
-        blocks: "list[bytes]",
-        approximable: bool = True,
-    ) -> list[SLCDecision]:
-        """Run the SLC mode decision for many blocks at once.
-
-        The batched path (:mod:`repro.kernels`) computes code lengths through
-        a dense LUT gather and the Fig. 4 decision — bit budget, threshold,
-        adder-tree sub-block search, burst accounting — as array operations
-        over all blocks simultaneously.  Results are bit-exact against
-        per-block :meth:`analyze`, which remains the n = 1 reference (and the
-        fallback for geometries the kernels do not cover: symbols wider than
-        2 bytes or a non-power-of-two symbol count).
-
-        Args:
-            blocks: the raw blocks, as a list of ``block_size_bytes`` chunks
-                or a pre-built :class:`~repro.kernels.symbols.BatchSymbolView`.
-            approximable: whether the blocks' region is safe to approximate.
-        """
-        view = self.symbol_view(blocks)
-        if view is None:
-            return [
-                self.analyze(block, approximable=approximable)
-                for block in iter_blocks(blocks)
-            ]
-        return self.analyze_batch_arrays(view, approximable=approximable).to_decisions()
-
     def batch_geometry_supported(self) -> bool:
         """Whether the batch kernels cover this configuration.
 
@@ -328,29 +295,10 @@ class SLCCompressor:
             blocks, self.config.block_size_bytes, self.config.symbol_bytes
         )
 
-    def analyze_batch_arrays(self, blocks, approximable: bool = True):
-        """The batched Fig. 4 decision as raw arrays (one entry per block).
-
-        Same decision data as :meth:`analyze_batch` but returned as a
-        :class:`~repro.kernels.decision.BatchDecisions` array-of-structs,
-        which :meth:`apply_decision_rows` consumes without materializing
-        per-block :class:`SLCDecision` objects: :meth:`decide_symbols`,
-        expanded to every field.  Only valid for geometries where
-        :meth:`batch_geometry_supported` holds.
-        """
-        from repro.kernels.decision import expand
-        from repro.kernels.symbols import as_symbol_view
-
-        view = as_symbol_view(
-            blocks, self.config.block_size_bytes, self.config.symbol_bytes
-        )
-        payload, decisions = self.decide_symbols(view.symbols, approximable)
-        return expand(self.config, payload, decisions)
-
     def decide_symbols(
         self,
         symbols: np.ndarray,
-        approximable: bool = True,
+        approximable: "bool | np.ndarray" = True,
         payload: np.ndarray | None = None,
     ) -> tuple:
         """:func:`~repro.kernels.decision.analyze_code_lengths` over a
@@ -359,7 +307,8 @@ class SLCCompressor:
         Args:
             symbols: ``(n, symbols_per_block)`` symbol matrix (a
                 :class:`~repro.kernels.symbols.BatchSymbolView`'s).
-            approximable: whether the rows are safe to approximate.
+            approximable: whether the rows are safe to approximate: one
+                flag, or one per row.
             payload: the rows' payload bits, when the caller holds them;
                 summed from the LUT gather otherwise.
 
@@ -425,31 +374,6 @@ class SLCCompressor:
 
     # ------------------------------------------------------------------ #
     # batched reconstruction
-
-    def apply_decision_rows(self, view, decisions) -> np.ndarray:
-        """The rows of a symbol view as they read back after ``decisions``.
-
-        The batched :meth:`apply_decision`: ``decisions`` are the
-        :class:`~repro.kernels.decision.BatchDecisions` arrays of
-        :meth:`analyze_batch_arrays`, one per row.  Only valid where
-        :meth:`batch_geometry_supported` holds.  Returns ``view.rows``
-        itself when no block is lossy; otherwise a copy in which only the
-        lossy rows are rewritten, by one vectorized truncation/prediction
-        pass.
-        """
-        if len(decisions) != view.n_blocks:
-            raise CompressionError(
-                f"got {len(decisions)} decisions for {view.n_blocks} blocks"
-            )
-        rows = np.nonzero(decisions.lossy_mask)[0]
-        if not rows.size:
-            return view.rows
-        data = view.rows.copy()
-        self.refill_rows(
-            data.view(view.symbols.dtype), rows,
-            decisions.approx_start[rows], decisions.approx_count[rows],
-        )
-        return data
 
     def refill_rows(
         self,

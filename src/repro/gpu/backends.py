@@ -7,12 +7,16 @@ subsequent read returns.  A :class:`CompressionBackend` provides exactly that
 — one block at a time (:meth:`~CompressionBackend.store`, a
 :class:`StoredBlock`) or for a whole ``(n_blocks, block_size)`` uint8 row
 matrix at once (:meth:`~CompressionBackend.store_batch`, a struct-of-arrays
-:class:`StoredBatch`) — for three families:
+:class:`StoredBatch`, with one approximable flag for all rows or one per
+row) — for three families:
 
 * :class:`NoCompressionBackend` — the uncompressed baseline,
 * :class:`LosslessBackend` — any :class:`~repro.compression.base.BlockCompressor`
   (BDI, FPC, C-PACK, E2MC, BPC) with MAG-aware burst accounting,
-* :class:`SLCBackend` — the paper's selective lossy compression.
+* :class:`SLCBackend` — the paper's selective lossy compression, whose one
+  batched store is :meth:`~SLCBackend.decide` followed by
+  :meth:`~SLCBackend.from_decisions`, pinned to per-block
+  :meth:`~SLCBackend.store`.
 """
 
 from __future__ import annotations
@@ -39,10 +43,9 @@ if TYPE_CHECKING:  # the kernels load with the first SLC store, as in core.slc
 #: bounds the kernels' temporary arrays
 LOSSLESS_SLICE_ROWS = 1024
 #: rows per SLC decision and reconstruction pass
-#: (:meth:`SLCBackend.store_batch`, :meth:`SLCBackend.decide`,
-#: :meth:`SLCBackend.from_decisions`); bounds their temporaries, which run
-#: at about 1 KB per row.  Each pass has about 0.5 ms of fixed cost, so much
-#: smaller slices slow stores down.
+#: (:meth:`SLCBackend.decide`, :meth:`SLCBackend.from_decisions`); bounds
+#: their temporaries, which run at about 1 KB per row.  Each pass has about
+#: 0.5 ms of fixed cost, so much smaller slices slow stores down.
 SLC_SLICE_ROWS = 8192
 
 
@@ -138,12 +141,14 @@ class CompressionBackend(ABC):
         """
         return None
 
-    def decision_key(self, approximable: bool) -> tuple | None:
+    @property
+    def decision_key(self) -> tuple | None:
         """Key of a Fig. 4 decision held per row matrix, or ``None``.
 
-        A backend with a key stores a row matrix from that decision
-        (:meth:`SLCBackend.decide`, :meth:`SLCBackend.from_decisions`);
-        ``None`` (the default) stores through :meth:`store_batch`.
+        A backend with a key stores a row matrix from that decision, taken
+        with each row's own approximable flag (:meth:`SLCBackend.decide`,
+        :meth:`SLCBackend.from_decisions`); ``None`` (the default) stores
+        through :meth:`store_batch`.
         """
         return None
 
@@ -151,26 +156,28 @@ class CompressionBackend(ABC):
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         """Decide how a block is stored and what a read of it returns."""
 
-    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
-        """Batched :meth:`store` over all blocks of a region.
+    def store_batch(self, rows, approximable: "bool | np.ndarray" = True) -> StoredBatch:
+        """Batched :meth:`store` over many blocks.
 
         Args:
             rows: the blocks as an ``(n, block_size_bytes)`` uint8 matrix
                 (a list of ``block_size_bytes`` chunks is accepted too).
-            approximable: whether the blocks' region is safe to approximate.
+            approximable: whether the blocks are safe to approximate: one
+                flag for all, or an ``(n,)`` bool array, one per block.
 
         The default loops :meth:`store` per row; backends with vectorized
         analysis override it.  Results are identical to calling
-        :meth:`store` per block, in order.
+        :meth:`store` per block, in order, with each block's flag.
         """
         return self._store_rows(as_block_rows(rows, self.block_size_bytes), approximable)
 
-    def _store_rows(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
+    def _store_rows(self, rows: np.ndarray, approximable: "bool | np.ndarray") -> StoredBatch:
         """The per-block loop, counted as ``backend.scalar_store_rows``."""
         if metrics.enabled():
             metrics.inc("backend.scalar_store_rows", rows.shape[0])
+        flags = np.broadcast_to(approximable, rows.shape[:1]).tolist()
         return StoredBatch.from_blocks(
-            [self.store(row.tobytes(), approximable=approximable) for row in rows],
+            [self.store(row.tobytes(), approximable=flag) for row, flag in zip(rows, flags)],
             self.block_size_bytes,
         )
 
@@ -198,7 +205,7 @@ class NoCompressionBackend(CompressionBackend):
             lossy=False,
         )
 
-    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
+    def store_batch(self, rows, approximable: "bool | np.ndarray" = True) -> StoredBatch:
         rows = as_block_rows(rows, self.block_size_bytes)
         n = rows.shape[0]
         return StoredBatch(
@@ -283,7 +290,7 @@ class LosslessBackend(CompressionBackend):
         """The compressor's size key: stored bits depend on the row alone."""
         return self.compressor.size_key
 
-    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
+    def store_batch(self, rows, approximable: "bool | np.ndarray" = True) -> StoredBatch:
         """Batched stores through the compressor's batched size analysis.
 
         Every :class:`~repro.compression.base.BlockCompressor` provides
@@ -334,15 +341,17 @@ class LosslessBackend(CompressionBackend):
 class SLCBackend(CompressionBackend):
     """Selective lossy compression (the paper's contribution).
 
-    Batched stores (:meth:`store_batch`) run the vectorized Fig. 4 decision
-    and the TSLC reconstruction of the lossy rows in slices of
-    :data:`SLC_SLICE_ROWS` rows; per-block :meth:`store` is their oracle.
-    A prepared input's :class:`~repro.replay.plan.ReplayCache` instead
-    holds one compact decision of all its rows per :meth:`decision_key`
-    (:meth:`decide`, on the payloads of the E2MC sizes it holds) and
-    stores from it (:meth:`from_decisions`), with the same results.  No
-    store encodes a Huffman bitstream: the stored bits are the decision's
-    sizes, and a read returns the reconstructed bytes.
+    Its one batched store is :meth:`decide` — the vectorized Fig. 4
+    decision of every row, in slices of :data:`SLC_SLICE_ROWS` rows, held
+    compactly — followed by :meth:`from_decisions`, the TSLC
+    reconstruction of the lossy rows.  :meth:`store_batch` runs both on the
+    LUT payload of the rows it is given; a prepared input's
+    :class:`~repro.replay.plan.ReplayCache` runs :meth:`decide` once per
+    :attr:`decision_key` on the payloads of the E2MC sizes it holds and
+    stores every selection of rows from that decision.  Per-block
+    :meth:`store` is the oracle of both.  No store encodes a Huffman
+    bitstream: the stored bits are the decision's sizes, and a read returns
+    the reconstructed bytes.
 
     Args:
         slc: the configured (and later trained) :class:`SLCCompressor`.
@@ -378,61 +387,36 @@ class SLCBackend(CompressionBackend):
             lossy=decision.is_lossy,
         )
 
-    def store_batch(self, rows, approximable: bool = True) -> StoredBatch:
-        """Batched stores: vectorized Fig. 4 decision + batched reconstruction.
+    def store_batch(self, rows, approximable: "bool | np.ndarray" = True) -> StoredBatch:
+        """:meth:`decide` on the rows' LUT payload, then :meth:`from_decisions`.
 
-        Each slice of :data:`SLC_SLICE_ROWS` rows takes one decision over
-        its LUT payload (:meth:`SLCCompressor.decide_symbols`) and one
-        vectorized truncation/prediction pass over its lossy rows
-        (:meth:`from_decisions`), so no per-block Python work remains and
-        the temporaries stay those of one slice.  The result's data is
-        ``rows`` itself when no row is lossy, else one copy with only the
-        lossy rows rewritten.  Per-block results are identical to calling
-        :meth:`store` per block.  Geometries the kernels do not cover take
-        the per-block loop, counted as ``backend.scalar_store_rows``.
+        The result's data is ``rows`` itself when no row is lossy, else one
+        copy with only the lossy rows rewritten.  Per-block results are
+        identical to calling :meth:`store` per block with its flag.
+        Geometries the kernels do not cover take the per-block loop,
+        counted as ``backend.scalar_store_rows``.
         """
         rows = as_block_rows(rows, self.block_size_bytes)
         if not self.slc.batch_geometry_supported():
             return self._store_rows(rows, approximable)
-        n, step = rows.shape[0], SLC_SLICE_ROWS
-        if n <= step:
-            return self._store_slice(rows, approximable)
-        bursts = np.empty(n, dtype=np.int64)
-        stored_bits = np.empty(n, dtype=np.int64)
-        lossy = np.empty(n, dtype=np.bool_)
-        data = rows
-        for start in range(0, n, step):
-            part = self._store_slice(rows[start:start + step], approximable)
-            bursts[start:start + step] = part.bursts
-            stored_bits[start:start + step] = part.stored_bits
-            lossy[start:start + step] = part.lossy
-            if part.lossy.any():
-                if data is rows:
-                    data = rows.copy()
-                data[start:start + step] = part.data
-        return StoredBatch(bursts=bursts, stored_bits=stored_bits, lossy=lossy, data=data)
-
-    def _store_slice(self, rows: np.ndarray, approximable: bool) -> StoredBatch:
-        """:meth:`store_batch` of one slice: one decision, one reconstruction."""
-        store_start = time.perf_counter() if metrics.enabled() else 0.0
-        payload, decisions = self.slc.decide_symbols(
-            self.slc.symbol_view(rows).symbols, approximable
-        )
-        return self.from_decisions(rows, payload, decisions, store_start=store_start)
+        payload, decisions = self.decide(rows, approximable)
+        return self.from_decisions(rows, payload, decisions)
 
     # ------------------------------------------------------------------ #
-    # stores from a held decision (:class:`repro.replay.plan.ReplayCache`)
+    # the batched decision and the stores from it
 
-    def decision_key(self, approximable: bool) -> tuple | None:
-        """Everything :meth:`decide` reads besides the rows, or ``None``.
+    @property
+    def decision_key(self) -> tuple | None:
+        """Everything :meth:`decide` reads besides the rows and their
+        approximable flags, or ``None``.
 
         That is the baseline's size key (its model, by identity, and
-        geometry), the header layout, the MAG, the threshold, the adder
-        tree's layout and the approximable flag — not the variant, so
-        TSLC-SIMP and TSLC-PRED share one decision.  ``None`` where the
-        baseline has no size key (untrained or unbatched), the kernels do
-        not cover the geometry, or a raw E2MC row would not be raw for SLC
-        (a lossless SLC header smaller than E2MC's).
+        geometry), the header layout, the MAG, the threshold and the adder
+        tree's layout — not the variant, so TSLC-SIMP and TSLC-PRED share
+        one decision.  ``None`` where the baseline has no size key
+        (untrained or unbatched), the kernels do not cover the geometry, or
+        a raw E2MC row would not be raw for SLC (a lossless SLC header
+        smaller than E2MC's).
         """
         baseline = self.slc.baseline
         size_key = baseline.size_key
@@ -451,7 +435,7 @@ class SLCBackend(CompressionBackend):
         )
         return (
             size_key, config.num_pdw, config.mag_bytes, config.lossy_threshold_bytes,
-            extra_nodes, config.max_approx_symbols, bool(approximable),
+            extra_nodes, config.max_approx_symbols,
         )
 
     def payload_bits(self, sizes: np.ndarray) -> np.ndarray:
@@ -466,24 +450,42 @@ class SLCBackend(CompressionBackend):
         return np.where(sizes < block_bits, sizes - baseline.header_bits, block_bits)
 
     def decide(
-        self, rows: np.ndarray, payload: np.ndarray, approximable: bool
-    ) -> CompactDecisions:
-        """The compact decision of every row of ``rows``, given its payload
-        bits, in slices of :data:`SLC_SLICE_ROWS` rows."""
+        self,
+        rows: np.ndarray,
+        approximable: "bool | np.ndarray" = True,
+        payload: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, CompactDecisions]:
+        """The payload bits and compact decision of every row of ``rows``,
+        in slices of :data:`SLC_SLICE_ROWS` rows.
+
+        Args:
+            rows: an ``(n, block_size_bytes)`` uint8 matrix.
+            approximable: whether the rows are safe to approximate: one flag
+                for all, or an ``(n,)`` bool array, one per row.  Only a
+                row that is safe to approximate can be lossy.
+            payload: the rows' payload bits, when the caller holds them
+                (:meth:`payload_bits`); summed from the LUT otherwise.
+        """
         from repro.kernels.decision import CompactDecisions
 
         store_start = time.perf_counter() if metrics.enabled() else 0.0
         symbols = self.slc.symbol_view(rows).symbols
+        flags = np.broadcast_to(approximable, rows.shape[:1])
         step = SLC_SLICE_ROWS
-        decisions = CompactDecisions.stack([
+        payloads, parts = zip(*(
             self.slc.decide_symbols(
-                symbols[start:start + step], approximable, payload[start:start + step]
-            )[1]
+                symbols[start:start + step],
+                flags[start:start + step],
+                None if payload is None else payload[start:start + step],
+            )
             for start in range(0, max(1, rows.shape[0]), step)
-        ])
+        ))
+        if payload is None:
+            payload = np.concatenate(payloads)
+        decisions = CompactDecisions.stack(list(parts))
         if metrics.enabled():
             metrics.inc("backend.slc_store_s", time.perf_counter() - store_start)
-        return decisions
+        return payload, decisions
 
     def from_decisions(
         self,
@@ -491,7 +493,6 @@ class SLCBackend(CompressionBackend):
         payload: np.ndarray,
         decisions: CompactDecisions,
         index: "slice | np.ndarray | None" = None,
-        store_start: float | None = None,
     ) -> StoredBatch:
         """Store ``rows[index]`` (all rows by default), whose payload bits
         are ``payload``, as ``decisions`` (which cover every row of
@@ -500,11 +501,15 @@ class SLCBackend(CompressionBackend):
         Only the lossy rows are rebuilt, :data:`SLC_SLICE_ROWS` at a time,
         in one copy of the selected rows; without a lossy row the data is
         ``rows[index]`` (``rows`` itself by default).
+
+        Raises:
+            ValueError: if ``decisions`` cover another number of rows.
         """
         from repro.kernels.decision import stored_sizes
 
-        if store_start is None:
-            store_start = time.perf_counter() if metrics.enabled() else 0.0
+        if len(decisions) != rows.shape[0]:
+            raise ValueError(f"got {len(decisions)} decisions for {rows.shape[0]} rows")
+        store_start = time.perf_counter() if metrics.enabled() else 0.0
         config = self.slc.config
         if index is None:
             data = rows

@@ -32,13 +32,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    @property
-    def miss_rate(self) -> float:
-        """Miss rate; 0.0 when no access has been made."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
 
 class SetAssociativeCache:
     """A write-back, write-allocate, LRU set-associative cache.

@@ -111,16 +111,6 @@ class GPUConfig:
         """Number of lines in the shared L2."""
         return self.l2_cache_kb * 1024 // self.l2_line_bytes
 
-    @property
-    def l2_num_sets(self) -> int:
-        """Number of sets in the shared L2."""
-        return max(1, self.l2_num_lines // self.l2_ways)
-
-    @property
-    def peak_throughput_ops(self) -> float:
-        """Peak scalar operations per second (32 lanes per SM)."""
-        return self.num_sms * 32 * self.core_clock_hz
-
     def scaled(self, **overrides) -> "GPUConfig":
         """Return a copy of the configuration with the given fields replaced."""
         values = {

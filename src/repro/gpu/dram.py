@@ -49,14 +49,6 @@ class DRAMStats:
     row_misses: int = 0
     busy_cycles: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Row-buffer hit rate."""
-        total = self.row_hits + self.row_misses
-        if not total:
-            return 0.0
-        return self.row_hits / total
-
 
 class DRAMChannel:
     """One GDDR5 channel (attached to one memory controller)."""

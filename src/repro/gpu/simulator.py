@@ -11,10 +11,10 @@ execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 exact outputs, the row matrix of blocks, layout, training samples, trace)
 so several backends can be simulated on one :class:`PreparedInput`, which
 also caches their shared replay plans, lossless per-row sizes and SLC
-decisions (:class:`~repro.replay.plan.ReplayCache`) and the exact-side fidelity
-statistics of its approximable regions
-(:class:`~repro.metrics.fidelity.ExactSide`).  Each run then keeps what it
-stores in one address-indexed
+decisions (:class:`~repro.replay.plan.ReplayCache`, which reads each row's
+approximability off its region) and the exact-side fidelity statistics of
+its approximable regions (:class:`~repro.metrics.fidelity.ExactSide`).
+Each run then keeps what it stores in one address-indexed
 :class:`~repro.gpu.memory_controller.BlockStore` shared by its controllers.
 """
 
@@ -204,14 +204,18 @@ class PreparedInput:
     block_size_bytes: int
     train_sample_target: int
     #: replay plans per simulator geometry, per-row sizes per compressor and
-    #: SLC decisions per model, MAG, threshold and tree layout
+    #: SLC decisions per model, MAG, threshold and tree layout, with one
+    #: approximable flag per row, its region's
     replay_cache: ReplayCache = field(init=False, repr=False)
     #: the fidelity statistics of each approximable input region, built by
     #: the first error phase that damages it
     exact_sides: dict[str, ExactSide] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.replay_cache = ReplayCache(self.trace, self.rows)
+        approximable = np.zeros(self.rows.shape[0], dtype=np.bool_)
+        for name, region in self.all_regions.items():
+            approximable[self.region_slice(name)] = region.approximable
+        self.replay_cache = ReplayCache(self.trace, self.rows, approximable)
         self.exact_sides = {
             name: ExactSide(region.array)
             for name, region in self.input_regions.items()
@@ -414,7 +418,7 @@ class GPUSimulator:
             for name, region in input_regions.items():
                 sl = prepared.region_slice(name)
                 if vectorized:
-                    store.write(sl, cache.store(backend, sl, region.approximable))
+                    store.write(sl, cache.store(backend, sl))
                     continue
                 for address in range(sl.start, sl.stop):
                     controllers[

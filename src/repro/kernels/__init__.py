@@ -24,24 +24,26 @@ size-analysis pipeline as array programs over all blocks of a region at once:
   materializes the bytes a read of every lossy block of a region returns.
 
 No kernel encodes or decodes a Huffman bitstream: a store needs only sizes
-and the degraded bytes.  The scalar path remains the n = 1 reference:
-`analyze_batch` results are bit-exact against per-block `analyze` (enforced
-by ``tests/test_batch_kernels.py``), and the batched sizes and reads against
-the scalar `compress`/`decompress` bitstream (``tests/test_codec.py`` and
-the golden-result suite).
+and the degraded bytes.  The SLC kernels' one entry point is the batched
+SLC store, :meth:`repro.gpu.backends.SLCBackend.decide` followed by
+:meth:`~repro.gpu.backends.SLCBackend.from_decisions`.  The scalar path
+remains the n = 1 reference: the batched decision is bit-exact against
+per-block `SLCCompressor.analyze` (enforced by
+``tests/test_batch_kernels.py``), and the batched sizes and reads against
+the per-block `SLCBackend.store` and the scalar `compress`/`decompress`
+bitstream (``tests/test_codec.py`` and the golden-result suite).
 
 Each kernel has one fast path — single-threaded NumPy — pinned to one
 scalar oracle.
 """
 
 from repro.kernels.codec import reconstruct_rows
-from repro.kernels.decision import BatchDecisions, CompactDecisions, analyze_code_lengths
+from repro.kernels.decision import CompactDecisions, analyze_code_lengths
 from repro.kernels.lut import CodeLengthLUT
 from repro.kernels.symbols import BatchSymbolView, as_symbol_view
 from repro.kernels.tree import BatchSelection, BatchTreePlan, select_subblocks
 
 __all__ = [
-    "BatchDecisions",
     "BatchSelection",
     "BatchSymbolView",
     "BatchTreePlan",

@@ -5,11 +5,12 @@ each block's per-symbol code lengths (:mod:`repro.kernels.lut`,
 :mod:`repro.kernels.decision`), and a read of a lossy block returns its kept
 symbols plus the truncated range rebuilt by the TSLC predictor.
 :func:`reconstruct_rows` does that rebuilding for every lossy row of a
-region at once, bit-exact against
+store at once (:meth:`repro.gpu.backends.SLCBackend.from_decisions`, through
+:meth:`repro.core.slc.SLCCompressor.refill_rows`), bit-exact against
 :func:`~repro.core.prediction.predict_truncated_symbols`.  The scalar
 ``compress``/``decompress`` pair (``BitWriter``/``BitReader``) is the one
-bitstream, and the oracle ``tests/test_codec.py`` pins the batched sizes and
-reads to.
+bitstream, and with per-block ``SLCBackend.store`` the oracle
+``tests/test_codec.py`` pins the batched sizes and reads to.
 """
 
 from __future__ import annotations

@@ -1,22 +1,22 @@
 """Vectorized Fig. 4 mode decision: SLC analysis for all blocks at once.
 
-The decision reads two things per block: its payload bits (the sum of its
-per-symbol code lengths) and, only for a lossy candidate, the code lengths
+The decision reads three things per block: whether it lies in a
+safe-to-approximate region, its payload bits (the sum of its per-symbol
+code lengths) and, only for a lossy candidate, the code lengths
 themselves.  Bit budgets, extra bits and the candidate filter are
 elementwise arithmetic on the payload; the sub-block search runs through
 the vectorized adder tree of :mod:`repro.kernels.tree` on the candidate
-rows alone.  :func:`analyze_code_lengths` is that one decision.  Its
-callers either sum the code lengths of a LUT gather
-(:meth:`repro.core.slc.SLCCompressor.decide_symbols`) or read the payload
-off the E2MC sizes an input already holds
+rows alone.  :func:`analyze_code_lengths` is the one batched decision.  Its
+one caller, :meth:`repro.gpu.backends.SLCBackend.decide`, either sums the
+code lengths of a LUT gather (:meth:`repro.gpu.backends.SLCBackend.store_batch`)
+or reads the payload off the E2MC sizes an input already holds
 (:class:`repro.replay.plan.ReplayCache`).
 
 The result, :class:`CompactDecisions`, keeps a per-row lossy flag and the
-truncated range of the lossy rows only: everything else follows from the
-payload (:func:`stored_sizes`, :func:`expand`), so a held decision costs a
-few bytes per row.  :func:`expand` gives the full per-row
-:class:`BatchDecisions`, bit-exact against
-:meth:`repro.core.slc.SLCCompressor.analyze` (the n = 1 reference).
+truncated range of the lossy rows only: the stored bits and bursts follow
+from the payload (:func:`stored_sizes`), so a held decision costs a few
+bytes per row.  Per-block :meth:`repro.core.slc.SLCCompressor.analyze` is
+its n = 1 reference.
 """
 
 from __future__ import annotations
@@ -26,79 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.config import SLCConfig, SLCMode
+from repro.core.config import SLCConfig
 from repro.core.header import header_size_bits
 from repro.kernels.tree import BatchTreePlan, select_subblocks
-
-#: integer mode codes used inside the result arrays
-MODE_UNCOMPRESSED = 0
-MODE_LOSSLESS = 1
-MODE_LOSSY = 2
-
-_MODE_ENUMS = {
-    MODE_UNCOMPRESSED: SLCMode.UNCOMPRESSED,
-    MODE_LOSSLESS: SLCMode.LOSSLESS,
-    MODE_LOSSY: SLCMode.LOSSY,
-}
-
-
-@dataclass(frozen=True)
-class BatchDecisions:
-    """Array-of-structs result of the batched Fig. 4 decision.
-
-    One entry per block; every field mirrors the corresponding
-    :class:`~repro.core.slc.SLCDecision` attribute.
-    """
-
-    mode: np.ndarray
-    comp_size_bits: np.ndarray
-    stored_size_bits: np.ndarray
-    bit_budget_bits: np.ndarray
-    extra_bits: np.ndarray
-    bursts: np.ndarray
-    approx_start: np.ndarray
-    approx_count: np.ndarray
-    bits_removed: np.ndarray
-    used_extra_node: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mode)
-
-    @property
-    def lossy_mask(self) -> np.ndarray:
-        """Boolean mask of blocks that took the lossy path."""
-        return self.mode == MODE_LOSSY
-
-    def to_decisions(self) -> list:
-        """Materialize scalar :class:`~repro.core.slc.SLCDecision` objects."""
-        from repro.core.slc import SLCDecision
-
-        return [
-            SLCDecision(
-                mode=_MODE_ENUMS[mode],
-                comp_size_bits=comp,
-                stored_size_bits=stored,
-                bit_budget_bits=budget,
-                extra_bits=extra,
-                bursts=bursts,
-                approx_start=start,
-                approx_count=count,
-                bits_removed=removed,
-                used_extra_node=used_extra,
-            )
-            for mode, comp, stored, budget, extra, bursts, start, count, removed, used_extra in zip(
-                self.mode.tolist(),
-                self.comp_size_bits.tolist(),
-                self.stored_size_bits.tolist(),
-                self.bit_budget_bits.tolist(),
-                self.extra_bits.tolist(),
-                self.bursts.tolist(),
-                self.approx_start.tolist(),
-                self.approx_count.tolist(),
-                self.bits_removed.tolist(),
-                self.used_extra_node.tolist(),
-            )
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +127,10 @@ def analyze_code_lengths(
     config: SLCConfig,
     payload_bits: np.ndarray,
     code_lengths: Callable[[np.ndarray], np.ndarray],
-    approximable: bool = True,
+    approximable: "bool | np.ndarray" = True,
     plan: BatchTreePlan | None = None,
 ) -> CompactDecisions:
-    """Run the SLC mode decision for every block of a region at once.
+    """Run the SLC mode decision for many blocks at once.
 
     Args:
         config: SLC parameters (MAG, threshold, variant, ...).
@@ -212,22 +142,22 @@ def analyze_code_lengths(
         code_lengths: maps the indices of the lossy candidates to their
             ``(k, symbols_per_block)`` per-symbol code lengths (a LUT
             gather); it is called once, and not at all without candidates.
-        approximable: whether the region is safe to approximate.
+        approximable: whether the blocks are safe to approximate: one flag
+            for all, or an ``(n_blocks,)`` bool array, one per block.  Only
+            a block that is safe to approximate is a lossy candidate.
         plan: optional precomputed tree layout (built from ``config`` when
             omitted; callers analyzing many regions should reuse one).
     """
     payload = np.asarray(payload_bits, dtype=np.int64)
     mag_bits = config.mag_bits
     lossless_header, lossy_header = _headers(config)
-    rows = np.empty(0, dtype=np.int64)
-    if approximable:
-        comp = payload + lossless_header
-        # Above one MAG the extra bits are the size past a MAG multiple; a
-        # block at or below one MAG has a budget above its size and none.
-        extra = comp % mag_bits
-        candidate = (comp > mag_bits) & (comp < config.block_size_bits)
-        candidate &= (extra > 0) & (extra <= config.lossy_threshold_bits)
-        rows = np.flatnonzero(candidate)
+    comp = payload + lossless_header
+    # Above one MAG the extra bits are the size past a MAG multiple; a
+    # block at or below one MAG has a budget above its size and none.
+    extra = comp % mag_bits
+    candidate = (comp > mag_bits) & (comp < config.block_size_bits) & approximable
+    candidate &= (extra > 0) & (extra <= config.lossy_threshold_bits)
+    rows = np.flatnonzero(candidate)
     if not rows.size:
         empty = np.empty(0, dtype=np.int64)
         return CompactDecisions.build(config, payload.size, rows, empty, empty, empty, empty)
@@ -278,42 +208,3 @@ def stored_sizes(
         # A lossy block fits its budget, the MAG multiple below its size.
         bursts[lossy_at] = np.maximum(1, comp[lossy_at] // config.mag_bits)
     return stored, bursts
-
-
-def expand(
-    config: SLCConfig, payload_bits: np.ndarray, decisions: CompactDecisions
-) -> BatchDecisions:
-    """Every :class:`BatchDecisions` field of ``decisions``' rows, whose
-    payload bits are ``payload_bits``."""
-    payload = np.asarray(payload_bits, dtype=np.int64)
-    n = payload.size
-    block_bits = config.block_size_bits
-    mag_bits = config.mag_bits
-    comp = payload + _headers(config)[0]
-    compressible = comp < block_bits
-    budget = np.where(comp <= mag_bits, mag_bits, (comp // mag_bits) * mag_bits)
-    rows = decisions.rows.astype(np.int64)
-    stored, bursts = stored_sizes(config, payload, rows, decisions.bits_removed)
-
-    mode = np.where(compressible, MODE_LOSSLESS, MODE_UNCOMPRESSED)
-    mode[rows] = MODE_LOSSY
-    approx_start = np.zeros(n, dtype=np.int64)
-    approx_count = np.zeros(n, dtype=np.int64)
-    bits_removed = np.zeros(n, dtype=np.int64)
-    used_extra = np.zeros(n, dtype=bool)
-    approx_start[rows] = decisions.start
-    approx_count[rows] = decisions.count
-    bits_removed[rows] = decisions.bits_removed
-    used_extra[rows] = decisions.used_extra_node
-    return BatchDecisions(
-        mode=mode,
-        comp_size_bits=np.where(compressible, comp, block_bits),
-        stored_size_bits=stored,
-        bit_budget_bits=np.where(compressible, budget, block_bits),
-        extra_bits=np.where(compressible, np.maximum(0, comp - budget), 0),
-        bursts=bursts,
-        approx_start=approx_start,
-        approx_count=approx_count,
-        bits_removed=bits_removed,
-        used_extra_node=used_extra,
-    )

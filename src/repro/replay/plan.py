@@ -16,8 +16,7 @@ the controller count and interleave, the MDC entries and the DRAM timing.
   copies followed by the misses (stored values never change a hit);
 * each DRAM channel's row misses and precharges
   (:func:`~repro.replay.dram.scan_rows`);
-* for each write group (one per ``approximable`` flag), the last store of
-  every address.
+* the write misses, and the last of them to store each address.
 
 A :class:`ReplayPlan` holds all of it as read-only arrays, and
 :func:`evaluate` does the backend's part per job: the write misses' stores,
@@ -28,7 +27,8 @@ their contents.  A :class:`ReplayCache` keeps one prepared input's plans,
 keyed by geometry, its lossless per-row sizes and its compact Fig. 4
 decisions, so every scheme and MAG simulated on the input shares them: an
 SLC store reads its decision (built once per model, MAG, threshold and
-tree layout, from the E2MC sizes) and only refills its lossy rows.
+tree layout, from the E2MC sizes and each row's approximable flag) and
+only refills its lossy rows.
 """
 
 from __future__ import annotations
@@ -89,8 +89,10 @@ class ReplayPlan:
     source: np.ndarray
     #: per miss: whether its MDC lookup hits (never for a write)
     mdc_hit: np.ndarray
-    #: ``(approximable, selected misses, last store of each address)``
-    write_groups: tuple[tuple[bool, np.ndarray, np.ndarray], ...]
+    #: indices of the write misses, and the entry of :attr:`writes` that
+    #: stores each written address last
+    writes: np.ndarray
+    last: np.ndarray
     #: the host copies the replay books first, ascending
     host_addresses: np.ndarray
     controllers: tuple[ControllerPlan, ...]
@@ -184,22 +186,13 @@ def build_plan(
         )
     addresses = compiled.addresses[miss]
     is_write = compiled.is_write[miss]
-    approximable = np.fromiter(
-        (region.approximable for region in regions), np.bool_, len(regions)
-    )[compiled.region_index[miss]]
     owner = controller_index(addresses, interleave_blocks, len(controllers))
     host = unbooked_host_copies(controllers)
     host_owner = controller_index(host, interleave_blocks, len(controllers))
 
-    write_groups = []
     writes = np.flatnonzero(is_write)
-    for flag in (True, False):
-        selected = writes[approximable[writes] == flag]
-        if selected.size:
-            chosen = addresses[selected]
-            last = chosen.size - 1 - np.unique(chosen[::-1], return_index=True)[1]
-            _read_only(selected, last)
-            write_groups.append((flag, selected, last))
+    written = addresses[writes]
+    last = written.size - 1 - np.unique(written[::-1], return_index=True)[1]
 
     mdc_hit = np.zeros(addresses.shape[0], dtype=np.bool_)
     parts = []
@@ -230,12 +223,14 @@ def build_plan(
         is_write=is_write,
         source=_store_sources(addresses, is_write),
         mdc_hit=mdc_hit,
-        write_groups=tuple(write_groups),
+        writes=writes,
+        last=last,
         host_addresses=host,
         controllers=tuple(parts),
     )
     _read_only(
-        plan.addresses, plan.is_write, plan.source, plan.mdc_hit, plan.host_addresses
+        plan.addresses, plan.is_write, plan.source, plan.mdc_hit, plan.writes,
+        plan.last, plan.host_addresses,
     )
     return plan
 
@@ -263,14 +258,12 @@ def evaluate(
 
     bursts = np.zeros(n, dtype=np.int64)
     lossy = np.zeros(n, dtype=np.bool_)
-    write_backs = []
-    for flag, selected, last in plan.write_groups:
-        addresses = plan.addresses[selected]
-        with span("replay.store_batch", cat="replay", writes=int(selected.size)):
-            batch = cache.store(backend, addresses, flag)
-        bursts[selected] = batch.bursts
-        lossy[selected] = batch.lossy
-        write_backs.append((addresses[last], batch.take(last)))
+    written = plan.addresses[plan.writes]
+    if written.size:
+        with span("replay.store_batch", cat="replay", writes=int(written.size)):
+            batch = cache.store(backend, written)
+        bursts[plan.writes] = batch.bursts
+        lossy[plan.writes] = batch.lossy
 
     # The bursts each miss's block is stored with: its source write's, else
     # the store's before the replay (a never-stored block reads uncompressed).
@@ -318,8 +311,8 @@ def evaluate(
         apply_rows(controller.channel, part.rows, read_bursts + write_bursts)
 
     plan.l2.apply(l2)
-    for addresses, batch in write_backs:
-        store.write(addresses, batch)
+    if written.size:
+        store.write(written[plan.last], batch.take(plan.last))
     if metrics.enabled():
         metrics.inc("replay.accesses", plan.accesses)
         metrics.inc("replay.l2_misses", n)
@@ -360,22 +353,32 @@ class ReplayCache:
       (:func:`~repro.gpu.backends.compressed_sizes`, which bounds its own
       temporaries).  Another MAG then only re-rounds the bursts.
     * :attr:`decisions` maps an SLC backend's
-      :meth:`~repro.gpu.backends.SLCBackend.decision_key` to the compact
+      :attr:`~repro.gpu.backends.SLCBackend.decision_key` to the compact
       Fig. 4 decision of every row
       (:class:`~repro.kernels.decision.CompactDecisions`, a few bytes per
       row).  The decision reads each row's payload off its baseline's E2MC
-      sizes (shared with the E2MC runs) and gathers code lengths for the
-      lossy candidates only.  TSLC-SIMP and TSLC-PRED share one decision
-      per MAG and threshold; each store then only refills its lossy rows.
+      sizes (shared with the E2MC runs), takes each row's own
+      :attr:`approximable` flag, so only rows of safe-to-approximate
+      regions are lossy candidates, and gathers code lengths for those
+      candidates only.  TSLC-SIMP and TSLC-PRED share one decision per MAG
+      and threshold; each store then only refills its lossy rows.
 
     Every array it holds is read-only.  Threads sharing an input may race
     to build the same plan, sizes or decision; both results are equal, and
     either is kept.
+
+    Args:
+        trace: the input's block trace.
+        rows: the input's row matrix, row ``a`` holding block address ``a``.
+        approximable: ``(n_rows,)`` bool: whether row ``a`` lies in a
+            safe-to-approximate region (kept read-only).
     """
 
-    def __init__(self, trace: MemoryTrace, rows: np.ndarray) -> None:
+    def __init__(self, trace: MemoryTrace, rows: np.ndarray, approximable: np.ndarray) -> None:
+        _read_only(approximable)
         self.trace = trace
         self.rows = rows
+        self.approximable = approximable
         self.plans: dict[tuple, ReplayPlan] = {}
         self.sizes: dict[tuple, np.ndarray] = {}
         self.decisions: dict[tuple, CompactDecisions] = {}
@@ -390,27 +393,29 @@ class ReplayCache:
         return sizes
 
     def store(
-        self,
-        backend: CompressionBackend,
-        addresses: "slice | np.ndarray",
-        approximable: bool,
+        self, backend: CompressionBackend, addresses: "slice | np.ndarray"
     ) -> StoredBatch:
-        """``backend.store_batch(rows[addresses], approximable)``, from the
-        memoized sizes or decision when the backend has a key for them."""
+        """``backend.store_batch(rows[addresses], approximable[addresses])``,
+        from the memoized sizes or decision when the backend has a key for
+        them."""
         key = backend.size_key
         if key is not None:
             sizes = self._sizes(key, backend.size_bits)
             return backend.from_sizes(sizes[addresses], self.rows[addresses])
-        key = backend.decision_key(approximable)
+        key = backend.decision_key
         if key is None:
-            return backend.store_batch(self.rows[addresses], approximable=approximable)
+            return backend.store_batch(
+                self.rows[addresses], approximable=self.approximable[addresses]
+            )
         baseline = backend.slc.baseline
         sizes = self._sizes(
             baseline.size_key, lambda rows: compressed_sizes(baseline, rows)
         )
         decisions = self.decisions.get(key)
         if decisions is None:
-            decisions = backend.decide(self.rows, backend.payload_bits(sizes), approximable)
+            _, decisions = backend.decide(
+                self.rows, self.approximable, backend.payload_bits(sizes)
+            )
             _read_only(*decisions.arrays())
             self.decisions[key] = decisions
         return backend.from_decisions(

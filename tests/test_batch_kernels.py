@@ -2,9 +2,12 @@
 
 The scalar paths (`SLCCompressor.analyze`, `AdderTree.select_subblock`,
 `SymbolModel.code_length`) are the reference implementations; every batched
-kernel in :mod:`repro.kernels` must reproduce them bit-exactly — identical
-modes, stored bits, burst counts and truncation ranges — on random blocks and
-on real workload regions, across MAGs, thresholds and all SLC variants.
+kernel in :mod:`repro.kernels` must reproduce them bit-exactly.  The one
+batched Fig. 4 decision (`SLCBackend.decide`, with `stored_sizes`) must give
+per-block `analyze`'s lossy flags, truncation ranges, bits removed,
+extra-node flags, stored bits and burst counts on random blocks and on real
+workload regions, across MAGs, thresholds, all SLC variants and per-block
+approximable flags.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.kernels import (
     CodeLengthLUT,
     select_subblocks,
 )
+from repro.kernels.decision import stored_sizes
 from repro.utils.blocks import array_to_blocks, as_block_rows, block_to_symbols
 from repro.workloads.registry import get_workload
 
@@ -180,12 +184,32 @@ def test_e2mc_batch_sizes_untrained_are_raw():
 
 
 # --------------------------------------------------------------------- #
-# SLC analyze vs analyze_batch — the headline equivalence
+# SLC analyze vs the batched decision — the headline equivalence
+
+
+def _assert_decide_matches_analyze(slc: SLCCompressor, blocks, approximable=True) -> list:
+    """``SLCBackend.decide`` plus ``stored_sizes`` over ``blocks`` equal
+    per-block ``analyze`` with each block's flag (``approximable`` is one
+    flag or one per block); returns the scalar decisions."""
+    flags = np.broadcast_to(approximable, (len(blocks),)).tolist()
+    scalar = [slc.analyze(block, approximable=flag) for block, flag in zip(blocks, flags)]
+    payload, decisions = SLCBackend(slc).decide(as_block_rows(blocks), approximable)
+    stored, bursts = stored_sizes(slc.config, payload, decisions.rows, decisions.bits_removed)
+    lossy = [d for d in scalar if d.is_lossy]
+    assert decisions.lossy.tolist() == [d.is_lossy for d in scalar]
+    assert decisions.start.tolist() == [d.approx_start for d in lossy]
+    assert decisions.count.tolist() == [d.approx_count for d in lossy]
+    assert decisions.bits_removed.tolist() == [d.bits_removed for d in lossy]
+    assert decisions.used_extra_node.tolist() == [d.used_extra_node for d in lossy]
+    assert stored.tolist() == [d.stored_size_bits for d in scalar]
+    assert bursts.tolist() == [d.bursts for d in scalar]
+    return scalar
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 @pytest.mark.parametrize("mag_bytes", MAGS)
 def test_analyze_batch_equivalence_random_blocks(variant, mag_bytes):
+    """The batched decision equals per-block ``analyze`` across thresholds."""
     blocks = _mixed_blocks(seed=9)
     lossy_seen = False
     for threshold in sorted({0, mag_bytes // 4, mag_bytes // 2, mag_bytes}):
@@ -194,8 +218,7 @@ def test_analyze_batch_equivalence_random_blocks(variant, mag_bytes):
         )
         slc = SLCCompressor(config)
         slc.train(blocks[:256])
-        scalar = [slc.analyze(block) for block in blocks]
-        assert slc.analyze_batch(blocks) == scalar
+        scalar = _assert_decide_matches_analyze(slc, blocks)
         lossy_seen = lossy_seen or any(d.is_lossy for d in scalar)
     # lossy decisions must actually occur somewhere in the sweep for the
     # equivalence to mean anything (at wide MAGs most budgets already fit)
@@ -205,6 +228,8 @@ def test_analyze_batch_equivalence_random_blocks(variant, mag_bytes):
 
 @pytest.mark.parametrize("workload_name", ["NN", "FWT", "SRAD1"])
 def test_analyze_batch_equivalence_real_regions(workload_name):
+    """The batched decision of each real region equals per-block ``analyze``,
+    with the region's own flag and with one flag per block."""
     workload = get_workload(workload_name, scale=1.0 / 1024.0, seed=7)
     regions = workload.generate()
     config = SLCConfig(variant=SLCVariant.OPT)
@@ -215,28 +240,29 @@ def test_analyze_batch_equivalence_real_regions(workload_name):
         for block in array_to_blocks(region.array)
     ]
     slc.train(all_blocks[: min(256, len(all_blocks))])
+    rng = np.random.default_rng(7)
     for region in regions.values():
         blocks = array_to_blocks(region.array)
-        scalar = [slc.analyze(block) for block in blocks]
-        assert slc.analyze_batch(blocks) == scalar
-        # a prebuilt view must give the same answer as a block list
-        view = BatchSymbolView.from_array(region.array)
-        assert slc.analyze_batch(view) == scalar
+        _assert_decide_matches_analyze(slc, blocks, region.approximable)
+        _assert_decide_matches_analyze(slc, blocks, rng.random(len(blocks)) < 0.5)
 
 
 def test_analyze_batch_untrained_and_unapproximable():
     blocks = _mixed_blocks(seed=10)[:32]
     slc = SLCCompressor(SLCConfig())
-    assert slc.analyze_batch(blocks) == [slc.analyze(b) for b in blocks]
+    _assert_decide_matches_analyze(slc, blocks)
     slc.train(blocks)
-    assert slc.analyze_batch(blocks, approximable=False) == [
-        slc.analyze(b, approximable=False) for b in blocks
-    ]
+    assert not any(d.is_lossy for d in _assert_decide_matches_analyze(slc, blocks, False))
+    # one flag per block: only the approximable blocks may be lossy
+    flags = np.arange(len(blocks)) % 2 == 0
+    scalar = _assert_decide_matches_analyze(slc, blocks, flags)
+    assert any(d.is_lossy for d in scalar)
 
 
 def test_analyze_batch_empty():
     slc = SLCCompressor(SLCConfig())
-    assert slc.analyze_batch([]) == []
+    assert _assert_decide_matches_analyze(slc, []) == []
+    assert SLCBackend(slc).store_batch([]).bursts.size == 0
 
 
 # --------------------------------------------------------------------- #

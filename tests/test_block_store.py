@@ -285,7 +285,8 @@ def test_replay_requires_one_shared_store():
         replay_trace(
             trace, all_regions={"r": region}, rows=rows,
             base_addresses={"r": 0}, l2=SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2),
-            controllers=controllers, interleave_blocks=16, cache=ReplayCache(trace, rows),
+            controllers=controllers, interleave_blocks=16,
+            cache=ReplayCache(trace, rows, np.zeros(1, dtype=bool)),
         )
 
 
@@ -304,7 +305,8 @@ def test_write_past_region_end_fails_loudly(engine, access):
     controllers = [MemoryController(0, NoCompressionBackend(), store=store)]
     trace = MemoryTrace([MemoryAccess("a", 1, access)])
     rows = np.zeros((2, 128), np.uint8)
-    options = {"cache": ReplayCache(trace, rows)} if engine is replay_trace else {}
+    cache = ReplayCache(trace, rows, np.zeros(2, dtype=bool))
+    options = {"cache": cache} if engine is replay_trace else {}
     verb = "write to" if access is AccessType.WRITE else "read of"
     with pytest.raises(IndexError, match=f"{verb} block 1 of region 'a', which has 1 blocks"):
         engine(

@@ -1,18 +1,21 @@
-"""Property tests pinning the batched store path to the scalar bitstream.
+"""Property tests pinning the batched SLC store to the scalar bitstream.
 
-A store never encodes a payload: :meth:`SLCCompressor.analyze_batch_arrays`
-takes each block's stored size from its code lengths, and
-:meth:`SLCCompressor.apply_decision_rows` rebuilds the bytes a read returns
+A store never encodes a payload: :meth:`SLCBackend.store_batch` — the one
+batched decision, :meth:`SLCBackend.decide`, followed by
+:meth:`SLCBackend.from_decisions` — takes each block's stored size from its
+code lengths and rebuilds the bytes a read returns
 (:func:`repro.kernels.codec.reconstruct_rows`).  The scalar
 ``compress``/``decompress`` pair (``BitWriter``/``BitReader``) is the one
-real bitstream and the oracle both are pinned to, on randomized regions —
-all-zero blocks, all-same-symbol blocks, low-entropy blocks, escape-heavy
-random blocks, and blocks of a code capped so that its rare symbols carry
-maximum-length codewords — across all three TSLC variants and
-MAG ∈ {16, 32, 64}:
+real bitstream and, with per-block ``apply_decision``, the oracle the
+batched store is pinned to, on randomized regions — all-zero blocks,
+all-same-symbol blocks, low-entropy blocks, escape-heavy random blocks, and
+blocks of a code capped so that its rare symbols carry maximum-length
+codewords — across all three TSLC variants, MAG ∈ {16, 32, 64} and one
+approximable flag per store or per block:
 
-* ``analyze_batch_arrays(...).stored_size_bits == [compress(b).compressed_size_bits]``,
-* ``apply_decision_rows(...) == [roundtrip(b)]``, and equals per-block
+* ``store_batch(...).stored_bits == [compress(b).compressed_size_bits]``,
+  and so are the bursts and lossy flags,
+* ``store_batch(...).data == [roundtrip(b)]``, and equals per-block
   ``apply_decision`` for analyzer-produced *and* synthetic decisions.
 """
 
@@ -24,13 +27,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.base import CompressionError
 from repro.compression.e2mc import E2MCCompressor, SymbolModel
 from repro.core.config import SLCConfig, SLCMode, SLCVariant
 from repro.core.slc import SLCBlock, SLCCompressor, SLCDecision
 from repro.gpu.backends import SLCBackend, StoredBatch
 from repro.kernels.codec import reconstruct_rows
-from repro.kernels.decision import MODE_LOSSY, MODE_UNCOMPRESSED, BatchDecisions
+from repro.kernels.decision import CompactDecisions
 from repro.kernels.symbols import BatchSymbolView
 from repro.utils.blocks import as_block_rows, symbols_to_block
 
@@ -119,10 +121,25 @@ blocks_strategy = st.lists(block_strategy, min_size=1, max_size=12)
 # batched SLC sizes and reads vs. the scalar bitstream
 
 
-def _applied_rows(slc: SLCCompressor, blocks, decisions) -> list[bytes]:
-    """``apply_decision_rows`` over ``blocks``, one ``bytes`` per row."""
-    view = slc.symbol_view(blocks)
-    return [row.tobytes() for row in slc.apply_decision_rows(view, decisions)]
+def draw_flags(data, n: int):
+    """One approximable flag for the store, or one per block."""
+    if data.draw(st.booleans()):
+        return data.draw(st.booleans())
+    return np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+
+
+def _flags(approximable, n: int) -> list[bool]:
+    return np.broadcast_to(approximable, (n,)).tolist()
+
+
+def _store(slc: SLCCompressor, blocks, approximable=True) -> StoredBatch:
+    """``SLCBackend.store_batch`` over ``blocks``."""
+    return SLCBackend(slc).store_batch(as_block_rows(blocks, BLOCK), approximable)
+
+
+def _read_rows(batch: StoredBatch) -> list[bytes]:
+    """What a read of each stored block returns, one ``bytes`` per row."""
+    return [row.tobytes() for row in batch.data]
 
 
 def _applied_blocks(slc: SLCCompressor, blocks) -> list[bytes]:
@@ -131,29 +148,28 @@ def _applied_blocks(slc: SLCCompressor, blocks) -> list[bytes]:
 
 
 def _assert_matches_bitstream(slc: SLCCompressor, blocks, approximable=True):
-    """Batched sizes, bursts and reads equal the scalar ``compress`` /
-    ``decompress`` pair's; returns the batched decisions."""
-    decisions = slc.analyze_batch_arrays(blocks, approximable=approximable)
-    compressed = [slc.compress(b, approximable=approximable) for b in blocks]
-    assert decisions.stored_size_bits.tolist() == [
-        c.compressed_size_bits for c in compressed
+    """Batched sizes, bursts, lossy flags and reads equal the scalar
+    ``compress`` / ``decompress`` pair's; returns the batch."""
+    batch = _store(slc, blocks, approximable)
+    compressed = [
+        slc.compress(b, approximable=flag)
+        for b, flag in zip(blocks, _flags(approximable, len(blocks)))
     ]
-    assert decisions.bursts.tolist() == [c.bursts for c in compressed]
-    assert _applied_rows(slc, blocks, decisions) == [
-        slc.decompress(c) for c in compressed
-    ]
-    return decisions
+    assert batch.stored_bits.tolist() == [c.compressed_size_bits for c in compressed]
+    assert batch.bursts.tolist() == [c.bursts for c in compressed]
+    assert batch.lossy.tolist() == [c.is_lossy for c in compressed]
+    assert _read_rows(batch) == [slc.decompress(c) for c in compressed]
+    return batch
 
 
 @settings(max_examples=30, deadline=None)
 @given(blocks=blocks_strategy, data=st.data())
 def test_batch_sizes_match_compress(blocks, data):
     slc = draw_slc(data)
-    approximable = data.draw(st.booleans())
-    decisions = slc.analyze_batch_arrays(blocks, approximable=approximable)
-    assert decisions.stored_size_bits.tolist() == [
-        slc.compress(b, approximable=approximable).compressed_size_bits
-        for b in blocks
+    approximable = draw_flags(data, len(blocks))
+    assert _store(slc, blocks, approximable).stored_bits.tolist() == [
+        slc.compress(b, approximable=flag).compressed_size_bits
+        for b, flag in zip(blocks, _flags(approximable, len(blocks)))
     ]
 
 
@@ -161,19 +177,36 @@ def test_batch_sizes_match_compress(blocks, data):
 @given(blocks=blocks_strategy, data=st.data())
 def test_roundtrip_batch_matches_scalar_oracle(blocks, data):
     slc = draw_slc(data)
-    approximable = data.draw(st.booleans())
-    decisions = slc.analyze_batch_arrays(blocks, approximable=approximable)
-    assert _applied_rows(slc, blocks, decisions) == [
-        slc.roundtrip(b, approximable=approximable) for b in blocks
+    approximable = draw_flags(data, len(blocks))
+    assert _read_rows(_store(slc, blocks, approximable)) == [
+        slc.roundtrip(b, approximable=flag)
+        for b, flag in zip(blocks, _flags(approximable, len(blocks)))
     ]
 
 
 @settings(max_examples=30, deadline=None)
 @given(blocks=blocks_strategy, data=st.data())
-def test_apply_decision_rows_matches_scalar(blocks, data):
+def test_store_batch_reads_match_apply_decision(blocks, data):
     slc = draw_slc(data)
-    arrays = slc.analyze_batch_arrays(blocks)
-    assert _applied_rows(slc, blocks, arrays) == _applied_blocks(slc, blocks)
+    assert _read_rows(_store(slc, blocks)) == _applied_blocks(slc, blocks)
+
+
+def _synthetic_decisions(slc: SLCCompressor, ranges) -> CompactDecisions:
+    """Lossy :class:`CompactDecisions` truncating each ``(start, count)``."""
+    n = len(ranges)
+    return CompactDecisions.build(
+        slc.config, n, np.arange(n),
+        [r[0] for r in ranges], [r[1] for r in ranges],
+        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+    )
+
+
+def _synthetic_reads(slc: SLCCompressor, blocks, ranges) -> list[bytes]:
+    """The reads ``from_decisions`` returns for synthetic lossy decisions."""
+    rows = as_block_rows(blocks, BLOCK)
+    payload = np.zeros(rows.shape[0], dtype=np.int64)
+    batch = SLCBackend(slc).from_decisions(rows, payload, _synthetic_decisions(slc, ranges))
+    return _read_rows(batch)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +216,7 @@ def test_apply_decision_rows_matches_scalar(blocks, data):
     count=st.integers(min_value=1, max_value=SPB),
     data=st.data(),
 )
-def test_apply_decision_rows_synthetic_ranges(block, start, count, data):
+def test_from_decisions_synthetic_ranges(block, start, count, data):
     """Synthetic lossy decisions cover every (start, count) geometry,
     including ranges the analyzer would never produce (whole-block
     truncation, ranges past the max-approx cap)."""
@@ -200,39 +233,25 @@ def test_apply_decision_rows_synthetic_ranges(block, start, count, data):
         approx_start=start,
         approx_count=count,
     )
-    arrays = _synthetic_decisions([(start, count)])
-    assert _applied_rows(slc, [block], arrays) == [slc.apply_decision(block, decision)]
+    assert _synthetic_reads(slc, [block], [(start, count)]) == [
+        slc.apply_decision(block, decision)
+    ]
 
 
-def _synthetic_decisions(ranges) -> BatchDecisions:
-    """Lossy :class:`BatchDecisions` truncating each ``(start, count)``."""
-    n = len(ranges)
-    zeros = np.zeros(n, dtype=np.int64)
-    return BatchDecisions(
-        mode=np.full(n, MODE_LOSSY, dtype=np.int64),
-        comp_size_bits=zeros,
-        stored_size_bits=zeros,
-        bit_budget_bits=zeros,
-        extra_bits=zeros,
-        bursts=np.ones(n, dtype=np.int64),
-        approx_start=np.asarray([r[0] for r in ranges], dtype=np.int64),
-        approx_count=np.asarray([r[1] for r in ranges], dtype=np.int64),
-        bits_removed=zeros,
-        used_extra_node=np.zeros(n, dtype=np.bool_),
-    )
-
-
-def test_apply_decision_rows_length_mismatch():
+def test_from_decisions_length_mismatch():
     slc = trained_slc(SLCVariant.OPT, 32)
-    with pytest.raises(CompressionError):
-        slc.apply_decision_rows(slc.symbol_view([bytes(BLOCK)]), _synthetic_decisions([]))
+    rows = as_block_rows([bytes(BLOCK)], BLOCK)
+    with pytest.raises(ValueError, match="0 decisions for 1 rows"):
+        SLCBackend(slc).from_decisions(
+            rows, np.zeros(1, dtype=np.int64), _synthetic_decisions(slc, [])
+        )
 
 
 def test_payload_codec_empty_region():
     slc = trained_slc(SLCVariant.OPT, 32)
-    empty = slc.analyze_batch_arrays([])
-    assert len(empty) == 0
-    assert _applied_rows(slc, [], empty) == []
+    empty = _store(slc, [])
+    assert empty.bursts.size == empty.stored_bits.size == empty.lossy.size == 0
+    assert _read_rows(empty) == []
 
 
 def test_whole_block_truncation_matches_scalar():
@@ -253,16 +272,17 @@ def test_whole_block_truncation_matches_scalar():
         mag_bytes=32,
     )
     source = make_float_blocks()[0]
-    rows = _applied_rows(slc, [source], _synthetic_decisions([(0, SPB)]))
+    rows = _synthetic_reads(slc, [source], [(0, SPB)])
     assert rows == [slc.decompress(block)] == [bytes(BLOCK)]
 
 
 def test_untrained_slc_stores_raw():
     slc = SLCCompressor(SLCConfig())
     blocks = make_mixed_blocks()[:8]
-    decisions = _assert_matches_bitstream(slc, blocks)
-    assert (decisions.mode == MODE_UNCOMPRESSED).all()
-    assert _applied_rows(slc, blocks, decisions) == [bytes(b) for b in blocks]
+    batch = _assert_matches_bitstream(slc, blocks)
+    assert all(slc.analyze(b).mode is SLCMode.UNCOMPRESSED for b in blocks)
+    assert (batch.stored_bits == slc.config.block_size_bits).all()
+    assert _read_rows(batch) == [bytes(b) for b in blocks]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
@@ -271,10 +291,13 @@ def test_full_grid_on_fixed_corpus(variant, mag):
     """Deterministic sweep of every MAG × variant over the shared corpus."""
     blocks = make_float_blocks() + make_mixed_blocks()
     slc = trained_slc(variant, mag)
-    decisions = _assert_matches_bitstream(slc, blocks)
-    assert _applied_rows(slc, blocks, decisions) == _applied_blocks(slc, blocks)
+    batch = _assert_matches_bitstream(slc, blocks)
+    assert _read_rows(batch) == _applied_blocks(slc, blocks)
     # the sweep is only meaningful if it exercises the lossy path
-    assert decisions.lossy_mask.any()
+    assert batch.lossy.any()
+    # one flag per block: the exact blocks among them stay lossless
+    flags = np.arange(len(blocks)) % 3 != 0
+    assert not _assert_matches_bitstream(slc, blocks, flags).lossy[~flags].any()
 
 
 def test_max_length_codewords_and_escapes_match_scalar():
@@ -298,24 +321,33 @@ def test_max_length_codewords_and_escapes_match_scalar():
     for variant in ALL_VARIANTS:
         for mag in ALL_MAGS:
             slc = trained_slc(variant, mag, "skewed")
-            decisions = _assert_matches_bitstream(slc, blocks)
-            assert (decisions.mode != MODE_UNCOMPRESSED).any()
+            batch = _assert_matches_bitstream(slc, blocks)
+            assert (batch.stored_bits < slc.config.block_size_bits).any()
             if mag <= 32:
-                assert decisions.lossy_mask.any()
+                assert batch.lossy.any()
 
 
 def test_store_batch_matches_scalar_store_counters():
-    """SLCBackend batched stores equal per-block stores, lossy flags included."""
+    """SLCBackend batched stores equal per-block stores, lossy flags included,
+    with one flag for the store and with one flag per block."""
     blocks = make_float_blocks() + make_mixed_blocks()
     config = SLCConfig(variant=SLCVariant.OPT)
     scalar_backend = SLCBackend(SLCCompressor(config))
     batch_backend = SLCBackend(SLCCompressor(config))
     for backend in (scalar_backend, batch_backend):
         backend.train(blocks)
-    scalar = StoredBatch.from_blocks([scalar_backend.store(b) for b in blocks], BLOCK)
     rows = as_block_rows(blocks, BLOCK)
-    assert batch_backend.store_batch(rows) == scalar
-    assert scalar.lossy.any()
+    flags = np.arange(len(blocks)) % 2 == 1
+    for approximable in (True, flags):
+        scalar = StoredBatch.from_blocks(
+            [
+                scalar_backend.store(b, approximable=flag)
+                for b, flag in zip(blocks, _flags(approximable, len(blocks)))
+            ],
+            BLOCK,
+        )
+        assert batch_backend.store_batch(rows, approximable) == scalar
+        assert scalar.lossy.any()
 
 
 # --------------------------------------------------------------------- #
@@ -411,8 +443,7 @@ def test_wide_symbol_geometry_falls_back_to_scalar():
     blocks = make_float_blocks()[:16]
     slc.train(blocks)
     assert slc.symbol_view(blocks) is None
-    decisions = slc.analyze_batch(blocks)
-    assert decisions == [slc.analyze(b) for b in blocks]
-    assert [slc.apply_decision(b, d) for b, d in zip(blocks, decisions)] == [
-        slc.roundtrip(b) for b in blocks
-    ]
+    backend = SLCBackend(slc)
+    batch = backend.store_batch(blocks)
+    assert batch == StoredBatch.from_blocks([backend.store(b) for b in blocks], BLOCK)
+    assert _read_rows(batch) == [slc.roundtrip(b) for b in blocks]

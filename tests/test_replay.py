@@ -209,7 +209,7 @@ def test_dram_rejects_zero_bursts():
     trace = MemoryTrace([MemoryAccess("r", 0, AccessType.WRITE)])
     for engine, options in [
         (replay_trace_scalar, {}),
-        (replay_trace, {"cache": ReplayCache(trace, rows)}),
+        (replay_trace, {"cache": ReplayCache(trace, rows, np.zeros(1, dtype=bool))}),
     ]:
         controllers = [MemoryController(0, ZeroBurstBackend())]
         with pytest.raises(ValueError, match="burst"):
@@ -324,7 +324,11 @@ def _run_both(trace: MemoryTrace, *, backend_kind: str, seed: int, mdc_entries: 
         regions, rows, bases, l2, controllers = _make_state(
             seed, backend_kind, mdc_entries
         )
-        options = {"cache": ReplayCache(trace, rows)} if engine is replay_trace else {}
+        flags = np.concatenate([
+            np.full(len(array_to_rows(region.array, 128)), region.approximable)
+            for region in regions.values()
+        ])
+        options = {"cache": ReplayCache(trace, rows, flags)} if engine is replay_trace else {}
         engine(
             trace,
             all_regions=regions,

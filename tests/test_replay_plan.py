@@ -26,7 +26,7 @@ from repro.campaign.executor import run_jobs
 from repro.campaign.spec import KNOWN_SCHEMES, LOSSLESS_SCHEMES, CampaignSpec
 from repro.campaign.worker import build_backend
 from repro.gpu import backends
-from repro.gpu.backends import NoCompressionBackend
+from repro.gpu.backends import NoCompressionBackend, StoredBatch
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import BlockStore, MemoryController, book_host_copies
@@ -169,7 +169,8 @@ def _read_after_write_trace(prepared) -> MemoryTrace:
     """Reads, overwrites and re-reads input and output blocks.
 
     No registered kernel reads a block it wrote, so this trace is what
-    covers both write groups and reads that fetch a kernel's store.
+    covers write misses to approximable and exact rows in one store and
+    reads that fetch a kernel's store.
     """
     trace = MemoryTrace()
     for name in ("weights_ih", "weights_ih_updated"):
@@ -187,11 +188,12 @@ def test_reads_of_kernel_stores_match_the_scalar_loop(scheme, mag):
     backend = _backend(scheme, mag)
     backend.train(prepared.train_samples)
     trace = _read_after_write_trace(prepared)
-    cache = ReplayCache(trace, prepared.rows)
+    flags = prepared.replay_cache.approximable
+    cache = ReplayCache(trace, prepared.rows, flags)
     states = []
     for engine, options in [
         (replay_trace_scalar, {}),
-        (replay_trace, {"cache": ReplayCache(trace, prepared.rows)}),
+        (replay_trace, {"cache": ReplayCache(trace, prepared.rows, flags)}),
         (replay_trace, {"cache": cache}),  # builds the plan
         (replay_trace, {"cache": cache}),  # reuses it
     ]:
@@ -202,7 +204,9 @@ def test_reads_of_kernel_stores_match_the_scalar_loop(scheme, mag):
         states.append(_machine_state(l2, controllers, store))
     assert all(state == states[0] for state in states)
     (plan,) = cache.plans.values()
-    assert {flag for flag, _, _ in plan.write_groups} == {True, False}
+    # one store of write misses to approximable and to exact rows
+    written = flags[plan.addresses[plan.writes]]
+    assert written.any() and not written.all()
     reads = ~plan.is_write
     assert (plan.source[reads] >= 0).any() and (plan.source[reads] == -1).any()
 
@@ -234,7 +238,9 @@ def test_small_mdc_takes_the_exact_path_and_matches(metrics_on, scheme):
     states = []
     for engine, options in [
         (replay_trace_scalar, {}),
-        (replay_trace, {"cache": ReplayCache(prepared.trace, prepared.rows)}),
+        (replay_trace, {"cache": ReplayCache(
+            prepared.trace, prepared.rows, prepared.replay_cache.approximable
+        )}),
         (replay_trace, {"cache": prepared.replay_cache}),  # builds the plan
         (replay_trace, {"cache": prepared.replay_cache}),  # reuses it
     ]:
@@ -257,7 +263,19 @@ def test_small_mdc_takes_the_exact_path_and_matches(metrics_on, scheme):
 
 
 # --------------------------------------------------------------------- #
-# the per-row size memo
+# the per-row size memo and held decisions
+
+
+def _per_block(backend, prepared, sl: slice) -> StoredBatch:
+    """Per-block ``store`` of the rows at ``sl``, each with its region's flag."""
+    return StoredBatch.from_blocks(
+        [
+            backend.store(prepared.rows[a].tobytes(),
+                          approximable=bool(prepared.replay_cache.approximable[a]))
+            for a in range(sl.start, sl.stop)
+        ],
+        backend.block_size_bytes,
+    )
 
 
 @pytest.mark.parametrize("scheme", ["E2MC", *LOSSLESS_SCHEMES])
@@ -272,10 +290,9 @@ def test_size_memo_matches_store_batch(scheme, mag, monkeypatch):
     rng = np.random.default_rng(5)
     picks = rng.integers(0, rows.shape[0], size=300)  # with repeats
     for addresses in (np.arange(rows.shape[0]), slice(7, 250), picks):
-        for approximable in (False, True):
-            assert cache.store(backend, addresses, approximable) == backend.store_batch(
-                rows[addresses], approximable=approximable
-            )
+        assert cache.store(backend, addresses) == backend.store_batch(
+            rows[addresses], approximable=cache.approximable[addresses]
+        )
     (key,) = cache.sizes
     assert key == backend.size_key
     # another MAG of the same compressor shares the sizes
@@ -289,13 +306,11 @@ def test_backends_without_a_size_key_store_through_store_batch(name):
     prepared = _prepare("NN")
     backend = _backend(name, 32)
     backend.train(prepared.train_samples)
-    assert backend.size_key is None and backend.decision_key(True) is None
+    assert backend.size_key is None and backend.decision_key is None
     sl = slice(0, 40)
     reference = _backend(name, 32)
     reference.train(prepared.train_samples)
-    assert prepared.replay_cache.store(backend, sl, True) == reference.store_batch(
-        prepared.rows[sl], approximable=True
-    )
+    assert prepared.replay_cache.store(backend, sl) == _per_block(reference, prepared, sl)
     assert not prepared.replay_cache.sizes
     assert not prepared.replay_cache.decisions
 
@@ -306,17 +321,16 @@ def test_tslc_stores_through_a_held_decision_on_the_e2mc_sizes(name):
     backend = _backend(name, 32)
     backend.train(prepared.train_samples)
     assert backend.size_key is None
-    sl = slice(0, 40)
+    # rows of an input region and of the two output regions
+    sl = slice(1800, 1834)
     reference = _backend(name, 32)
     reference.train(prepared.train_samples)
-    assert prepared.replay_cache.store(backend, sl, True) == reference.store_batch(
-        prepared.rows[sl], approximable=True
-    )
+    assert prepared.replay_cache.store(backend, sl) == _per_block(reference, prepared, sl)
     # the decision reads the sizes an E2MC run on the input stores from
     e2mc = _backend("E2MC", 32)
     e2mc.train(prepared.train_samples)
     assert list(prepared.replay_cache.sizes) == [e2mc.size_key]
-    assert list(prepared.replay_cache.decisions) == [backend.decision_key(True)]
+    assert list(prepared.replay_cache.decisions) == [backend.decision_key]
 
 
 # --------------------------------------------------------------------- #

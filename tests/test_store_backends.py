@@ -174,6 +174,57 @@ def test_cli_diff_detects_fidelity_drift(tmp_path, capsys, sample_record):
     assert "fidelity_iqr_max" in capsys.readouterr().out
 
 
+def _changed_record(sample_record, **fields) -> JobRecord:
+    """``sample_record`` with some result fields (or extra metrics) replaced."""
+    result = sample_record.result.to_dict()
+    extra = {**result["extra_metrics"], **fields.pop("extra_metrics", {})}
+    return JobRecord(
+        job=sample_record.job,
+        status="ok",
+        result=sample_record.result.__class__.from_dict(
+            {**result, **fields, "extra_metrics": extra}
+        ),
+    )
+
+
+@pytest.mark.parametrize("fields, label", [
+    ({"mdc_hit_rate": 0.5}, "mdc_hit_rate"),
+    ({"exposed_latency_s": 1e-3}, "exposed_latency_s"),
+    ({"compute_ops": 12345.0}, "compute_ops"),
+    ({"extra_metrics": {"stored_bits": 7}}, "stored_bits"),
+    ({"extra_metrics": {"mdc_extra_bursts": 9}}, "mdc_extra_bursts"),
+], ids=["mdc_hit_rate", "exposed_latency_s", "compute_ops", "stored_bits",
+        "mdc_extra_bursts"])
+def test_cli_diff_compares_every_result_field_and_extra_metric(
+    tmp_path, capsys, sample_record, fields, label
+):
+    """Two records that differ in one field or extra metric alone drift."""
+    changed = _changed_record(sample_record, **fields)
+    assert changed.result != sample_record.result
+    _populated_store(tmp_path / "a", [sample_record])
+    _populated_store(tmp_path / "b", [changed])
+    code = cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"changed {sample_record.job.label()}: {label}\n" in out
+
+
+def test_cli_diff_ignores_a_payload_digest_one_record_lacks(tmp_path, capsys, sample_record):
+    """Only runs that ask for it carry the payload digest: one record with
+    it and one without are not drift, two different digests are."""
+    digest = "0" * 64
+    _populated_store(tmp_path / "a", [sample_record])
+    _populated_store(tmp_path / "b", [
+        _changed_record(sample_record, extra_metrics={"payload_sha256": digest})
+    ])
+    _populated_store(tmp_path / "c", [
+        _changed_record(sample_record, extra_metrics={"payload_sha256": "1" * 64})
+    ])
+    assert cli_main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert cli_main(["campaign", "diff", str(tmp_path / "b"), str(tmp_path / "c")]) == 1
+    assert "payload_sha256" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- #
 # a bad --dir is refused: exit 2, one error line naming it, nothing created
 
