@@ -58,10 +58,10 @@ def _run_distributed(spec: CampaignSpec, n_workers: int = 2):
 
 
 def test_bench_distributed_loopback_overhead(benchmark, slc_scale,
-                                             distributed_quick, bench_record):
+                                             quick, bench_record):
     """Loopback distributed run vs the in-process pool on the same grid."""
-    scale = 1.0 / 2048.0 if distributed_quick else slc_scale
-    workloads = ("NN",) if distributed_quick else ("BS", "NN")
+    scale = 1.0 / 2048.0 if quick else slc_scale
+    workloads = ("NN",) if quick else ("BS", "NN")
     spec = _spec(scale, workloads)
     n_jobs = len(spec.expand())
 
@@ -86,7 +86,7 @@ def test_bench_distributed_loopback_overhead(benchmark, slc_scale,
         f"{distributed_s:.2f}s over {n_jobs} jobs "
         f"(overhead {per_job_ms:+.0f}ms/job)"
     )
-    suffix = "_quick" if distributed_quick else ""
+    suffix = "_quick" if quick else ""
     bench_record(
         f"distributed_loopback_overhead_per_job_ms{suffix}",
         per_job_ms, unit="ms", higher_is_better=False, gate=False,

@@ -6,7 +6,7 @@ exact/approx pair and reports element throughput.  The fidelity study
 evaluates the panel for every lossy grid cell, so the panel must stay
 vectorized — a per-element regression would dominate small-scale sweeps.
 
-Full mode times a ~4M-element pair; ``--fidelity-quick`` is the CI smoke
+Full mode times a ~4M-element pair; ``--quick`` is the CI smoke
 mode (1M elements, relaxed floor).  The measured throughput is recorded
 ``gate=False`` — it is an absolute, machine-dependent number, useful as a
 trajectory but meaningless to gate across runner generations.
@@ -39,10 +39,10 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_bench_fidelity_panel_throughput(benchmark, fidelity_quick, bench_record):
+def test_bench_fidelity_panel_throughput(benchmark, quick, bench_record):
     """fidelity_panel throughput over a noisy synthetic pair."""
-    n = QUICK_ELEMS if fidelity_quick else FULL_ELEMS
-    floor = QUICK_FLOOR if fidelity_quick else FULL_FLOOR
+    n = QUICK_ELEMS if quick else FULL_ELEMS
+    floor = QUICK_FLOOR if quick else FULL_FLOOR
     rng = np.random.default_rng(2019)
     exact = rng.normal(size=n).astype(np.float32)
     approx = exact + rng.normal(scale=0.01, size=n).astype(np.float32)
@@ -53,7 +53,7 @@ def test_bench_fidelity_panel_throughput(benchmark, fidelity_quick, bench_record
         f"\nBENCH-F — fidelity panel over {n / 1e6:.0f}M elements: "
         f"{best_s * 1e3:.1f} ms, {melems:.1f} Melem/s (floor {floor} Melem/s)"
     )
-    suffix = "_quick" if fidelity_quick else ""
+    suffix = "_quick" if quick else ""
     bench_record(
         f"fidelity_melems_per_s{suffix}", melems, unit="Melem/s", gate=False
     )

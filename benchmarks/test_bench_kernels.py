@@ -7,7 +7,7 @@ paper workload's regions, comparing the batched
 kernels of :mod:`repro.kernels`) against the per-block ``SLCBackend.store``
 loop that is its oracle, plus the end-to-end effect on one campaign job.
 Full mode (the default) sweeps all nine workloads and asserts the ≥5×
-speedup target; ``--kernels-quick`` is the CI smoke mode (three workloads,
+speedup target; ``--quick`` is the CI smoke mode (three workloads,
 relaxed floor) so the batch path is exercised on every push.
 """
 
@@ -50,11 +50,11 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
+def test_bench_kernels_analyze_speedup(benchmark, slc_scale, quick,
                                        bench_record):
     """store_batch vs. per-block store over a paper-workload sweep slice."""
-    names = QUICK_WORKLOADS if kernels_quick else PAPER_WORKLOAD_ORDER
-    floor = QUICK_SPEEDUP_FLOOR if kernels_quick else FULL_SPEEDUP_FLOOR
+    names = QUICK_WORKLOADS if quick else PAPER_WORKLOAD_ORDER
+    floor = QUICK_SPEEDUP_FLOOR if quick else FULL_SPEEDUP_FLOOR
     config = SLCConfig(variant=SLCVariant.OPT)
 
     speedups: dict[str, float] = {}
@@ -79,7 +79,7 @@ def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
     for row in rows:
         print(row)
     print(f"{'GM':<8} {'':>14}  speedup {gm:6.1f}x  (floor {floor:.0f}x)")
-    bench_record(f"kernels_gm_speedup{'_quick' if kernels_quick else ''}", gm)
+    bench_record(f"kernels_gm_speedup{'_quick' if quick else ''}", gm)
 
     # time the batched store once more under pytest-benchmark for the report
     blocks = _workload_blocks(names[0], slc_scale)
@@ -91,7 +91,7 @@ def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
     assert gm >= floor, f"batched store only {gm:.1f}x over scalar (floor {floor}x)"
 
 
-def test_bench_kernels_end_to_end_job(slc_scale, kernels_quick, bench_record):
+def test_bench_kernels_end_to_end_job(slc_scale, quick, bench_record):
     """Batched store phase must not slow down a full campaign job.
 
     The batched side runs the job's default path: vectorized analysis and

@@ -6,7 +6,7 @@ comparing the array engine (:mod:`repro.replay`) against the scalar
 reference loop it replaces, plus the end-to-end effect on a memory-heavy
 campaign job.  Full mode (the default) sweeps all nine workloads at a
 trace-heavy scale and asserts the ≥5× geomean speedup target;
-``--replay-quick`` is the CI smoke mode (three workloads, benchmark-default
+``--quick`` is the CI smoke mode (three workloads, benchmark-default
 scale, relaxed floor) so the vectorized path is exercised on every push.
 """
 
@@ -121,11 +121,11 @@ def _time(fn, repeats: int = 2) -> float:
     return best
 
 
-def test_bench_replay_phase_speedup(benchmark, replay_quick, bench_record):
+def test_bench_replay_phase_speedup(benchmark, quick, bench_record):
     """Vectorized vs. scalar replay phase over a paper-workload sweep slice."""
-    names = QUICK_WORKLOADS if replay_quick else PAPER_WORKLOAD_ORDER
-    scale = QUICK_SCALE if replay_quick else FULL_SCALE
-    floor = QUICK_SPEEDUP_FLOOR if replay_quick else FULL_SPEEDUP_FLOOR
+    names = QUICK_WORKLOADS if quick else PAPER_WORKLOAD_ORDER
+    scale = QUICK_SCALE if quick else FULL_SCALE
+    floor = QUICK_SPEEDUP_FLOOR if quick else FULL_SPEEDUP_FLOOR
 
     speedups: dict[str, float] = {}
     rows = []
@@ -146,7 +146,7 @@ def test_bench_replay_phase_speedup(benchmark, replay_quick, bench_record):
     for row in rows:
         print(row)
     print(f"{'GM':<8} {'':>17}  speedup {gm:6.1f}x  (floor {floor:.0f}x)")
-    bench_record(f"replay_gm_speedup{'_quick' if replay_quick else ''}", gm)
+    bench_record(f"replay_gm_speedup{'_quick' if quick else ''}", gm)
 
     # time the vectorized engine once more under pytest-benchmark
     context = _ReplayContext(names[0], scale)
@@ -157,9 +157,9 @@ def test_bench_replay_phase_speedup(benchmark, replay_quick, bench_record):
     assert gm >= floor, f"vectorized replay only {gm:.1f}x over scalar (floor {floor}x)"
 
 
-def test_bench_replay_end_to_end_job(replay_quick, bench_record):
+def test_bench_replay_end_to_end_job(quick, bench_record):
     """A memory-heavy campaign job must get markedly faster end to end."""
-    scale = QUICK_SCALE if replay_quick else FULL_SCALE
+    scale = QUICK_SCALE if quick else FULL_SCALE
     job = Job(
         workload="TP",
         scheme="E2MC",
@@ -178,10 +178,10 @@ def test_bench_replay_end_to_end_job(replay_quick, bench_record):
     # Quick mode keeps the name committed since BENCH_0006; the full-mode
     # trace-heavy scale gets its own name.
     bench_record(
-        "job_tp_e2mc_s" if replay_quick else "job_tp_e2mc_full_s",
+        "job_tp_e2mc_s" if quick else "job_tp_e2mc_full_s",
         vector_s, unit="s", higher_is_better=False, gate=False,
     )
-    if replay_quick:
+    if quick:
         # Smoke mode: traces are tiny, so just guard against regression.
         assert vector_s <= scalar_s * 1.10
     else:

@@ -6,7 +6,7 @@ size whole regions through the vectorized kernels of
 :mod:`repro.kernels.lossless` instead of bit-encoding block by block in
 Python.  This benchmark measures that promotion per scheme over real
 workload blocks and asserts a geometric-mean speedup floor, plus a smoke of
-the tournament study itself at a tiny scale.  ``--tournament-quick`` is the
+the tournament study itself at a tiny scale.  ``--quick`` is the
 CI smoke mode (fewer workloads, relaxed floor).
 """
 
@@ -47,11 +47,11 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_bench_lossless_size_kernels(benchmark, slc_scale, tournament_quick,
+def test_bench_lossless_size_kernels(benchmark, slc_scale, quick,
                                      bench_record):
     """Batched size analysis vs. per-block compress for the classic schemes."""
-    names = QUICK_WORKLOADS if tournament_quick else FULL_WORKLOADS
-    floor = QUICK_SPEEDUP_FLOOR if tournament_quick else FULL_SPEEDUP_FLOOR
+    names = QUICK_WORKLOADS if quick else FULL_WORKLOADS
+    floor = QUICK_SPEEDUP_FLOOR if quick else FULL_SPEEDUP_FLOOR
 
     blocks = [
         block for name in names for block in _workload_blocks(name, slc_scale)
@@ -80,7 +80,7 @@ def test_bench_lossless_size_kernels(benchmark, slc_scale, tournament_quick,
         print(row)
     print(f"{'GM':<6} {'':>14}  speedup {gm:6.1f}x  (floor {floor:.0f}x)")
     bench_record(
-        f"lossless_kernels_gm_speedup{'_quick' if tournament_quick else ''}", gm
+        f"lossless_kernels_gm_speedup{'_quick' if quick else ''}", gm
     )
 
     # time one batched pass under pytest-benchmark for the report
@@ -92,9 +92,9 @@ def test_bench_lossless_size_kernels(benchmark, slc_scale, tournament_quick,
     assert gm >= floor, f"batched size kernels only {gm:.1f}x over scalar (floor {floor}x)"
 
 
-def test_bench_tournament_study_smoke(slc_scale, tournament_quick):
+def test_bench_tournament_study_smoke(slc_scale, quick):
     """The tournament study end-to-end: every scheme cell present and sane."""
-    workloads = QUICK_WORKLOADS if tournament_quick else FULL_WORKLOADS
+    workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
     study = TournamentStudy(
         workloads=workloads,
         mags=(32,),

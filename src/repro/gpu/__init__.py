@@ -27,10 +27,9 @@ from repro.gpu.cache import CacheStats, SetAssociativeCache
 from repro.gpu.config import GPUConfig, LatencyConfig
 from repro.gpu.dram import DRAMChannel, DRAMStats, GDDR5Timing
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
-from repro.gpu.interconnect import Interconnect
 from repro.gpu.memory_controller import BlockStore, MemoryController, MemoryControllerStats
 from repro.gpu.simulator import GPUSimulator, PreparedInput, SimulationResult
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
+from repro.gpu.trace import AccessType, MemoryTrace
 
 __all__ = [
     "CompressionBackend",
@@ -47,7 +46,6 @@ __all__ = [
     "DRAMChannel",
     "DRAMStats",
     "GDDR5Timing",
-    "Interconnect",
     "MemoryController",
     "MemoryControllerStats",
     "EnergyModel",
@@ -55,7 +53,6 @@ __all__ = [
     "GPUSimulator",
     "PreparedInput",
     "SimulationResult",
-    "MemoryAccess",
     "MemoryTrace",
     "AccessType",
 ]

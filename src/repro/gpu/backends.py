@@ -465,9 +465,21 @@ class SLCBackend(CompressionBackend):
                 row that is safe to approximate can be lossy.
             payload: the rows' payload bits, when the caller holds them
                 (:meth:`payload_bits`); summed from the LUT otherwise.
+
+        Raises:
+            ValueError: if the batch kernels do not cover the geometry
+                (symbols wider than 2 bytes or a symbol count per block
+                that is not a power of two).
         """
         from repro.kernels.decision import CompactDecisions
 
+        if not self.slc.batch_geometry_supported():
+            config = self.slc.config
+            raise ValueError(
+                f"the batched SLC decision needs symbols of at most 2 B and a "
+                f"power-of-two symbol count per block, got {config.symbol_bytes} B "
+                f"symbols, {config.symbols_per_block} per block"
+            )
         store_start = time.perf_counter() if metrics.enabled() else 0.0
         symbols = self.slc.symbol_view(rows).symbols
         flags = np.broadcast_to(approximable, rows.shape[:1])

@@ -8,7 +8,7 @@ global addresses the simulator assigns to workload regions.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -106,11 +106,6 @@ class GPUConfig:
         """Time for one MAG burst on one controller at peak bandwidth."""
         return self.mag_bytes / self.bandwidth_per_controller
 
-    @property
-    def l2_num_lines(self) -> int:
-        """Number of lines in the shared L2."""
-        return self.l2_cache_kb * 1024 // self.l2_line_bytes
-
     def scaled(self, **overrides) -> "GPUConfig":
         """Return a copy of the configuration with the given fields replaced."""
         values = {

@@ -11,7 +11,7 @@ determines achievable bandwidth on real GDDR5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,22 @@ accesses over named memory regions.  The trace is deliberately block-granular
 (128 B) because that is the granularity at which the L2, the compressors and
 the DRAM burst accounting all operate.
 
-Internally a trace is a list of *segments*: either a single
-:class:`MemoryAccess` (appended individually) or a compact array-backed
-stream built by :meth:`MemoryTrace.add_stream`.  Million-access streaming
-traces therefore never materialize per-access Python objects; the scalar
-replay path generates :class:`MemoryAccess` objects lazily while iterating,
-and the vectorized replay engine (:mod:`repro.replay`) consumes the flat
-arrays produced by :meth:`MemoryTrace.as_arrays` / :meth:`MemoryTrace.compile`
-directly.
+A :class:`MemoryTrace` holds only NumPy data: per access, the index of its
+region in the trace's region table, its block index within the region and a
+write flag.  Workloads build it from streaming sweeps
+(:meth:`MemoryTrace.add_stream`) and explicit block sequences
+(:meth:`MemoryTrace.add_blocks`); trace ingestion builds it from saved
+columns (:meth:`MemoryTrace.from_columns`).  Its one output is those
+columns, as they are (:meth:`MemoryTrace.columns`) or compiled against a
+region layout into global block addresses (:meth:`MemoryTrace.compile`),
+which both replay engines consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -32,152 +33,89 @@ class AccessType(Enum):
 
 
 @dataclass(frozen=True)
-class MemoryAccess:
-    """One block-granular memory access.
-
-    Attributes:
-        region: name of the memory region (allocation) being accessed.
-        block_index: index of the 128 B block within that region.
-        access_type: read or write.
-        count: how many times this access is repeated back to back (a compact
-            representation for streaming loops).
-    """
-
-    region: str
-    block_index: int
-    access_type: AccessType = AccessType.READ
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.block_index < 0:
-            raise ValueError("block_index must be non-negative")
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-
-    @property
-    def is_write(self) -> bool:
-        """Whether the access is a write."""
-        return self.access_type is AccessType.WRITE
-
-
-@dataclass(frozen=True)
-class _StreamSegment:
-    """A run of single-count accesses to one region, stored as an array."""
-
-    region: str
-    block_indices: np.ndarray  # int64, one entry per access
-    is_write: bool
-
-
-@dataclass(frozen=True)
-class TraceArrays:
-    """A trace flattened to per-access NumPy columns (region-relative).
-
-    Attributes:
-        region_index: per-access index into :attr:`regions`.
-        block_index: per-access block index within its region.
-        is_write: per-access write flag.
-        counts: per-access back-to-back repeat count (RLE, never expanded).
-        regions: region names, in first-use order.
-    """
-
-    region_index: np.ndarray
-    block_index: np.ndarray
-    is_write: np.ndarray
-    counts: np.ndarray
-    regions: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return int(self.region_index.shape[0])
-
-
-@dataclass(frozen=True)
 class CompiledTrace:
     """A trace compiled against a region layout: flat global addresses.
 
-    This is the input format of the vectorized replay engine
-    (:mod:`repro.replay`).  ``counts`` keeps the run-length encoding of
-    back-to-back repeats: the engine resolves a repeated access as one real
-    L2 lookup plus ``count - 1`` guaranteed hits, so repeats are never
-    expanded on the hot path.  :meth:`expanded` materializes the full
-    per-access sequence for reference models and tests.
+    This is the input of both replay engines (:mod:`repro.replay`).
     """
 
     #: per-access global block address (region base + block index)
     addresses: np.ndarray
     #: per-access write flag
     is_write: np.ndarray
-    #: per-access back-to-back repeat count
-    counts: np.ndarray
     #: per-access index into :attr:`regions`
     region_index: np.ndarray
     #: per-access block index within the region
     block_index: np.ndarray
-    #: region names, in first-use order
+    #: the trace's region table
     regions: tuple[str, ...]
 
     def __len__(self) -> int:
         return int(self.addresses.shape[0])
 
-    @property
-    def total_accesses(self) -> int:
-        """Number of accesses including repeat counts."""
-        return int(self.counts.sum())
-
-    def expanded(self) -> tuple[np.ndarray, np.ndarray]:
-        """RLE-expanded ``(addresses, is_write)`` with repeats materialized."""
-        return (
-            np.repeat(self.addresses, self.counts),
-            np.repeat(self.is_write, self.counts),
-        )
-
 
 class MemoryTrace:
-    """An ordered sequence of :class:`MemoryAccess` entries."""
+    """An ordered sequence of block accesses, held as per-access columns."""
 
-    def __init__(self, accesses: Iterable[MemoryAccess] | None = None) -> None:
-        self._segments: list[MemoryAccess | _StreamSegment] = []
-        if accesses:
-            self.extend(accesses)
+    def __init__(self) -> None:
+        #: region name -> index in the region table, in first-use order
+        self._regions: dict[str, int] = {}
+        #: appended columns: region index, block index, write flag
+        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    @classmethod
+    def from_columns(
+        cls,
+        regions: Iterable[str],
+        region_index,
+        block_index,
+        is_write,
+    ) -> MemoryTrace:
+        """The trace whose region table is ``regions`` and whose per-access
+        columns are the given ones.
+
+        Raises:
+            ValueError: if a region name repeats, the columns are not
+                one-dimensional and of one length, a region index lies
+                outside the table or a block index is negative.
+        """
+        names = list(regions)
+        if len(set(names)) != len(names):
+            raise ValueError("trace region names must be unique")
+        columns = (
+            np.asarray(region_index, dtype=np.int64),
+            np.asarray(block_index, dtype=np.int64),
+            np.asarray(is_write, dtype=np.bool_),
+        )
+        if any(column.ndim != 1 for column in columns) or len(
+            {column.shape[0] for column in columns}
+        ) != 1:
+            raise ValueError("trace columns must be one-dimensional and of one length")
+        outside = np.flatnonzero((columns[0] < 0) | (columns[0] >= len(names)))
+        if outside.size:
+            raise ValueError(
+                f"trace region index {int(columns[0][outside[0]])} lies outside "
+                f"the region table of {len(names)} regions"
+            )
+        if columns[1].size and int(columns[1].min()) < 0:
+            raise ValueError("block indices must be non-negative")
+        trace = cls()
+        trace._regions = {name: index for index, name in enumerate(names)}
+        if columns[0].size:
+            trace._parts.append(columns)
+        return trace
 
     def __len__(self) -> int:
-        return sum(
-            1 if isinstance(seg, MemoryAccess) else len(seg.block_indices)
-            for seg in self._segments
-        )
+        return sum(part[1].shape[0] for part in self._parts)
 
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for seg in self._segments:
-            if isinstance(seg, MemoryAccess):
-                yield seg
-            else:
-                access_type = AccessType.WRITE if seg.is_write else AccessType.READ
-                for block in seg.block_indices.tolist():
-                    yield MemoryAccess(
-                        region=seg.region, block_index=block, access_type=access_type
-                    )
-
-    @property
-    def accesses(self) -> tuple[MemoryAccess, ...]:
-        """A read-only materialized view of the trace.
-
-        Stream segments are expanded into :class:`MemoryAccess` objects on
-        every call, so this is O(n) — iterate the trace or use
-        :meth:`as_arrays` on hot paths.  The view is a tuple precisely so
-        that mutating it (the old ``accesses`` backing list allowed
-        ``trace.accesses.append(...)``) fails loudly instead of silently
-        editing a throwaway copy; use :meth:`append` / :meth:`extend` /
-        :meth:`add_stream` to grow a trace.
-        """
-        return tuple(self)
-
-    def append(self, access: MemoryAccess) -> None:
-        """Add one access to the end of the trace."""
-        self._segments.append(access)
-
-    def extend(self, accesses: Iterable[MemoryAccess]) -> None:
-        """Add many accesses to the end of the trace."""
-        self._segments.extend(accesses)
+    def _append(self, region: str, blocks: np.ndarray, access_type: AccessType) -> None:
+        index = self._regions.setdefault(region, len(self._regions))
+        n = blocks.shape[0]
+        self._parts.append((
+            np.full(n, index, dtype=np.int64),
+            blocks,
+            np.full(n, access_type is AccessType.WRITE),
+        ))
 
     def add_stream(
         self,
@@ -188,9 +126,6 @@ class MemoryTrace:
         stride: int = 1,
     ) -> None:
         """Append a streaming sweep over a region.
-
-        The sweep is stored as one array-backed segment — block indices are
-        computed with NumPy and no per-access objects are created.
 
         Args:
             region: region name.
@@ -211,13 +146,7 @@ class MemoryTrace:
             blocks = blocks[np.argsort(blocks % stride, kind="stable")]
         if passes > 1:
             blocks = np.tile(blocks, passes)
-        self._segments.append(
-            _StreamSegment(
-                region=region,
-                block_indices=blocks,
-                is_write=access_type is AccessType.WRITE,
-            )
-        )
+        self._append(region, blocks, access_type)
 
     def add_blocks(
         self,
@@ -225,12 +154,9 @@ class MemoryTrace:
         block_indices,
         access_type: AccessType = AccessType.READ,
     ) -> None:
-        """Append an explicit sequence of single-count accesses to one region.
+        """Append an explicit sequence of accesses to one region.
 
-        The array-backed sibling of :meth:`add_stream` for callers that
-        already hold the block indices — trace ingestion
-        (:mod:`repro.workloads.traceio`) rebuilds captured traces through
-        it without materializing per-access objects.
+        A block repeated back to back is accessed that many times.
         """
         indices = np.ascontiguousarray(np.asarray(block_indices, dtype=np.int64))
         if indices.ndim != 1:
@@ -239,132 +165,48 @@ class MemoryTrace:
             return
         if int(indices.min()) < 0:
             raise ValueError("block indices must be non-negative")
-        self._segments.append(
-            _StreamSegment(
-                region=region,
-                block_indices=indices,
-                is_write=access_type is AccessType.WRITE,
-            )
-        )
-
-    @property
-    def total_accesses(self) -> int:
-        """Total number of accesses including repeat counts."""
-        return sum(
-            seg.count if isinstance(seg, MemoryAccess) else len(seg.block_indices)
-            for seg in self._segments
-        )
-
-    @property
-    def read_accesses(self) -> int:
-        """Total number of read accesses."""
-        return self.total_accesses - self.write_accesses
-
-    @property
-    def write_accesses(self) -> int:
-        """Total number of write accesses."""
-        total = 0
-        for seg in self._segments:
-            if isinstance(seg, MemoryAccess):
-                total += seg.count if seg.is_write else 0
-            elif seg.is_write:
-                total += len(seg.block_indices)
-        return total
+        self._append(region, indices, access_type)
 
     def regions(self) -> list[str]:
-        """Names of all regions referenced by the trace, in first-use order.
+        """The region table: every region name, in first-use order (or in
+        the order :meth:`from_columns` was given)."""
+        return list(self._regions)
 
-        Runs in one pass over the trace's segments using an order-preserving
-        dict (a long trace over many regions used to pay an O(n²) list
-        membership scan here).
-        """
-        return list(dict.fromkeys(seg.region for seg in self._segments))
-
-    # ------------------------------------------------------------------ #
-    # array compilation (consumed by the vectorized replay engine)
-
-    def as_arrays(self) -> TraceArrays:
-        """Flatten the trace to per-access NumPy columns.
-
-        Array-backed stream segments are concatenated directly; individually
-        appended accesses are converted in one pass.
-        """
-        regions = self.regions()
-        region_ids = {name: i for i, name in enumerate(regions)}
-        region_cols: list[np.ndarray] = []
-        block_cols: list[np.ndarray] = []
-        write_cols: list[np.ndarray] = []
-        count_cols: list[np.ndarray] = []
-        # Batch runs of individually appended accesses between stream segments.
-        run: list[MemoryAccess] = []
-
-        def flush_run() -> None:
-            if not run:
-                return
-            region_cols.append(
-                np.fromiter((region_ids[a.region] for a in run), np.int64, len(run))
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-access columns: region index (into :meth:`regions`),
+        block index within the region and write flag."""
+        if not self._parts:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.bool_),
             )
-            block_cols.append(
-                np.fromiter((a.block_index for a in run), np.int64, len(run))
-            )
-            write_cols.append(
-                np.fromiter((a.is_write for a in run), np.bool_, len(run))
-            )
-            count_cols.append(np.fromiter((a.count for a in run), np.int64, len(run)))
-            run.clear()
-
-        for seg in self._segments:
-            if isinstance(seg, MemoryAccess):
-                run.append(seg)
-                continue
-            flush_run()
-            n = len(seg.block_indices)
-            region_cols.append(np.full(n, region_ids[seg.region], dtype=np.int64))
-            block_cols.append(seg.block_indices)
-            write_cols.append(np.full(n, seg.is_write, dtype=np.bool_))
-            count_cols.append(np.ones(n, dtype=np.int64))
-        flush_run()
-
-        def cat(cols: list[np.ndarray], dtype) -> np.ndarray:
-            if not cols:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(cols)
-
-        return TraceArrays(
-            region_index=cat(region_cols, np.int64),
-            block_index=cat(block_cols, np.int64),
-            is_write=cat(write_cols, np.bool_),
-            counts=cat(count_cols, np.int64),
-            regions=tuple(regions),
+        region_index, block_index, is_write = (
+            np.concatenate(column) for column in zip(*self._parts)
         )
+        return region_index, block_index, is_write
 
     def compile(self, base_addresses: dict[str, int]) -> CompiledTrace:
         """Compile the trace against a region layout.
 
         Args:
-            base_addresses: global base block address of every region the
-                trace references (the simulator's flat address layout).
+            base_addresses: global base block address of every region in
+                the trace's region table (the simulator's flat address
+                layout).
 
         Returns:
             A :class:`CompiledTrace` whose ``addresses`` column holds the
             global block address of every access.
         """
-        arrays = self.as_arrays()
+        region_index, block_index, is_write = self.columns()
+        regions = tuple(self._regions)
         bases = np.fromiter(
-            (base_addresses[name] for name in arrays.regions),
-            np.int64,
-            len(arrays.regions),
-        )
-        addresses = (
-            bases[arrays.region_index] + arrays.block_index
-            if len(arrays)
-            else np.empty(0, dtype=np.int64)
+            (base_addresses[name] for name in regions), np.int64, len(regions)
         )
         return CompiledTrace(
-            addresses=addresses,
-            is_write=arrays.is_write,
-            counts=arrays.counts,
-            region_index=arrays.region_index,
-            block_index=arrays.block_index,
-            regions=arrays.regions,
+            addresses=bases[region_index] + block_index,
+            is_write=is_write,
+            region_index=region_index,
+            block_index=block_index,
+            regions=regions,
         )

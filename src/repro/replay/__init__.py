@@ -7,11 +7,14 @@ equivalents that reproduce, from a fresh machine, the scalar loop's block
 store and every counter a result reads **bit-exactly**:
 
 * :func:`repro.replay.l2.resolve_l2` — exact set-associative LRU over a
-  compiled trace, resolved per set via reuse distance (an access hits iff
-  fewer than ``ways`` distinct lines in its set were touched since its
-  previous use), with dirty tracking for eviction/writeback counts.
+  compiled trace's address column
+  (:meth:`~repro.gpu.trace.MemoryTrace.compile`), resolved per set via
+  reuse distance (an access hits iff fewer than ``ways`` distinct lines in
+  its set were touched since its previous use), with dirty tracking for
+  eviction/writeback counts.
 * :func:`repro.replay.mdc.replay_mdc` — exact fully-associative LRU
-  metadata-cache replay over a controller's miss-event stream.
+  metadata-cache replay of one controller's event stream (its host-copy
+  fills, then its misses) from an empty MDC.
 * :func:`repro.replay.dram.scan_rows` — grouped per-(controller, bank)
   row-hit/row-miss scan replacing per-request ``DRAMChannel.service`` calls.
 * :mod:`repro.replay.plan` — the backend-independent outcome of a replay

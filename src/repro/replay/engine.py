@@ -9,9 +9,9 @@ replay runs once per run, on a fresh machine, in two steps
 
 1. a **plan** of everything the backend cannot change: the compiled trace
    (:meth:`~repro.gpu.trace.MemoryTrace.compile`), the L2 miss stream, each
-   controller's events, which store each read fetches, the MDC hits over
-   the unbooked host copies' fills and the misses, and each DRAM channel's
-   row hits;
+   controller's events, which store each read fetches, the MDC hits of one
+   pass per controller over its unbooked host copies' fills and its misses,
+   and each DRAM channel's row hits;
 2. an **evaluation** with the run's backend: the write misses' stores,
    burst gathers and sums, DRAM busy cycles and the final stores.
 

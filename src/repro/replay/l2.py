@@ -18,10 +18,6 @@ Dirty state rides along in a parallel stack, which makes eviction and
 writeback accounting exact: the victim of a miss in a full set is the
 stack's last entry, and a writeback is charged iff its dirty bit is set —
 identical to the scalar model, which is kept as the n = 1 reference oracle.
-
-Back-to-back repeats (``counts > 1``) never expand: the first access of a
-run resolves normally and the remaining ``count - 1`` are guaranteed hits on
-the just-touched MRU line, exactly as in the scalar loop.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ def resolve_l2(
     cache: SetAssociativeCache,
     addresses: np.ndarray,
     is_write: np.ndarray,
-    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, L2Outcome]:
     """Resolve a block-address stream through an empty cache of ``cache``'s geometry.
 
@@ -65,23 +60,17 @@ def resolve_l2(
         cache: the cache whose geometry to use.
         addresses: per-access global block addresses.
         is_write: per-access write flags.
-        counts: optional per-access back-to-back repeat counts (RLE); a
-            repeat contributes ``count - 1`` extra hits and nothing else.
 
     Returns:
-        The boolean miss mask aligned with ``addresses`` (one entry per RLE
-        access: only the first access of a repeat run can miss) and the
-        counter increments.
+        The boolean miss mask aligned with ``addresses`` and the counter
+        increments.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
     is_write = np.asarray(is_write, dtype=np.bool_)
     n = addresses.shape[0]
     miss_mask = np.zeros(n, dtype=np.bool_)
-    repeats = 0
-    if counts is not None:
-        repeats = int((np.asarray(counts, dtype=np.int64) - 1).sum())
     if n == 0:
-        return miss_mask, L2Outcome((repeats, 0, 0, 0))
+        return miss_mask, L2Outcome((0, 0, 0, 0))
     if addresses.min() < 0:
         raise ValueError("block address must be non-negative")
 
@@ -156,4 +145,4 @@ def resolve_l2(
         writebacks += int((evicted & victim_dirty).sum())
         miss_mask[pos_mat[:k, t][miss]] = True
 
-    return miss_mask, L2Outcome((hits + repeats, misses, evictions, writebacks))
+    return miss_mask, L2Outcome((hits, misses, evictions, writebacks))

@@ -12,8 +12,9 @@ the controller count and interleave, the MDC entries and the DRAM timing.
 * which store each read fetches: the latest earlier write miss of its
   address, else what the block store held when the replay started (the host
   copy), else nothing, which reads uncompressed;
-* every MDC hit and the MDC's counters, over the fills of the unbooked host
-  copies followed by the misses (stored values never change a hit);
+* every MDC hit and the MDC's counters, from one pass per controller over
+  the fills of its unbooked host copies followed by its misses
+  (:func:`~repro.replay.mdc.replay_mdc`; stored values never change a hit);
 * each DRAM channel's row misses and precharges
   (:func:`~repro.replay.dram.scan_rows`);
 * the write misses, and the last of them to store each address.
@@ -38,7 +39,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.metadata_cache import MetadataCache
 from repro.gpu.backends import CompressionBackend, StoredBatch, compressed_sizes
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory_controller import (
@@ -78,7 +78,7 @@ class ControllerPlan:
 class ReplayPlan:
     """The backend-independent outcome of one trace's replay on a fresh machine."""
 
-    #: accesses replayed, back-to-back repeats included
+    #: accesses replayed
     accesses: int
     l2: L2Outcome
     #: the L2 miss stream in trace order: block address and write flag
@@ -147,19 +147,17 @@ def _plan_mdc(
     addresses: np.ndarray,
     is_read: np.ndarray,
 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """MDC hits and counters over host fills then miss events.
+    """MDC hits and counters of one controller: its host fills, then its
+    miss events, in one pass from an empty MDC.
 
-    Replays both streams through an empty shadow MDC.  Stored values never
-    change a hit, so every fill and event stores 1.  The fills and the
-    events are two replays, so each takes the fast path whenever it can.
     Returns the events' hits and the counter increments.
     """
-    shadow = MetadataCache(capacity_entries=capacity_entries, max_bursts=1)
-    replay_mdc(shadow, host, np.zeros(host.size, dtype=np.bool_),
-               np.ones(host.size, dtype=np.int64))
-    hits = replay_mdc(shadow, addresses, is_read, np.ones(addresses.size, dtype=np.int64))
-    stats = shadow.stats
-    return hits, (stats.hits, stats.misses, stats.evictions, stats.updates)
+    hits, stats = replay_mdc(
+        capacity_entries,
+        np.concatenate([host, addresses]),
+        np.concatenate([np.zeros(host.size, dtype=np.bool_), is_read]),
+    )
+    return hits[host.size:], stats
 
 
 def build_plan(
@@ -181,9 +179,7 @@ def build_plan(
     """
     _check_bounds(compiled, regions, block_size)
     with span("replay.l2", cat="replay", accesses=len(compiled)):
-        miss, l2_outcome = resolve_l2(
-            l2, compiled.addresses, compiled.is_write, compiled.counts
-        )
+        miss, l2_outcome = resolve_l2(l2, compiled.addresses, compiled.is_write)
     addresses = compiled.addresses[miss]
     is_write = compiled.is_write[miss]
     owner = controller_index(addresses, interleave_blocks, len(controllers))
@@ -217,7 +213,7 @@ def build_plan(
             ))
 
     plan = ReplayPlan(
-        accesses=int(compiled.counts.sum()),
+        accesses=len(compiled),
         l2=l2_outcome,
         addresses=addresses,
         is_write=is_write,

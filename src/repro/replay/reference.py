@@ -1,10 +1,12 @@
 """The scalar trace-replay loop, kept as the n = 1 reference.
 
 This is the loop that used to live inline in ``GPUSimulator.run``: one L2
-lookup per access, one memory-controller method chain per miss.  It defines
-the semantics the vectorized engine (:mod:`repro.replay.engine`) must
-reproduce bit-exactly.  ``GPUSimulator(replay_mode="scalar")`` runs it
-after storing the host copies block by block
+lookup per access of the compiled trace
+(:meth:`~repro.gpu.trace.MemoryTrace.compile`), one memory-controller
+method chain per miss.  It defines the semantics the vectorized engine
+(:mod:`repro.replay.engine`) must reproduce bit-exactly.
+``GPUSimulator(replay_mode="scalar")`` runs it after storing the host
+copies block by block
 (:meth:`~repro.gpu.memory_controller.MemoryController.store_block`), which
 makes the whole run the per-block oracle for audits and benchmarks.
 """
@@ -53,33 +55,33 @@ def replay_trace_scalar(
     """
     book_host_copies(controllers, interleave_blocks)
     num_controllers = len(controllers)
-    limits = {
-        name: block_count(region.array, rows.shape[1])
-        for name, region in all_regions.items()
-    }
-    for access in trace:
-        region = all_regions[access.region]
-        limit = limits[access.region]
-        if access.block_index >= limit:
-            verb = "write to" if access.is_write else "read of"
+    compiled = trace.compile(base_addresses)
+    regions = [all_regions[name] for name in compiled.regions]
+    limits = [block_count(region.array, rows.shape[1]) for region in regions]
+    for address, region_index, block, is_write in zip(
+        compiled.addresses.tolist(),
+        compiled.region_index.tolist(),
+        compiled.block_index.tolist(),
+        compiled.is_write.tolist(),
+    ):
+        region = regions[region_index]
+        if block >= limits[region_index]:
+            verb = "write to" if is_write else "read of"
             raise IndexError(
-                f"{verb} block {access.block_index} of region "
-                f"{region.name!r}, which has {limit} blocks"
+                f"{verb} block {block} of region "
+                f"{region.name!r}, which has {limits[region_index]} blocks"
             )
-        address = base_addresses[access.region] + access.block_index
-        for _ in range(access.count):
-            hit = l2.access(address, is_write=access.is_write)
-            if hit:
-                continue
-            controller = controllers[
-                controller_index(address, interleave_blocks, num_controllers)
-            ]
-            if access.is_write:
-                controller.store_block(
-                    address,
-                    rows[address].tobytes(),
-                    approximable=region.approximable,
-                    count_traffic=True,
-                )
-            else:
-                controller.read_block(address)
+        if l2.access(address, is_write=is_write):
+            continue
+        controller = controllers[
+            controller_index(address, interleave_blocks, num_controllers)
+        ]
+        if is_write:
+            controller.store_block(
+                address,
+                rows[address].tobytes(),
+                approximable=region.approximable,
+                count_traffic=True,
+            )
+        else:
+            controller.read_block(address)

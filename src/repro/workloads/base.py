@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
+from repro.gpu.trace import AccessType, MemoryTrace
 from repro.utils.blocks import DEFAULT_BLOCK_SIZE
 
 

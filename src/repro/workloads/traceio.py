@@ -3,13 +3,17 @@
 An interchange file (NumPy ``.npz``) carries everything the simulator
 consumes from a workload — the memory regions (names, data arrays,
 approximable/output flags, in layout order) and the block-granular access
-trace as flat columns — so a trace captured outside this repository (or
-exported from a registry workload by ``repro trace export``) replays
-through the vectorized engine exactly like any registry workload:
+trace as flat columns (``trace_region_index`` into the ``trace_regions``
+table, ``trace_block_index``, ``trace_is_write`` and ``trace_counts``, where
+a count of k stands for k back-to-back accesses; :func:`save_trace` writes
+1s) — so a trace captured outside this repository (or exported from a
+registry workload by ``repro trace export``) replays through the vectorized
+engine exactly like any registry workload:
 
 * :func:`capture_trace` snapshots a workload into a :class:`TraceBundle`,
 * :func:`save_trace` / :func:`load_trace` round-trip a bundle through the
-  ``.npz`` interchange format,
+  ``.npz`` interchange format (:func:`load_bundle` expands repeat counts and
+  rejects a malformed trace with ``ValueError``),
 * :class:`TraceWorkload` wraps a bundle as a :class:`Workload`, and
 * :func:`register_trace` plugs a trace file into the workload registry.
 
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace, TraceArrays
+from repro.gpu.trace import MemoryTrace
 from repro.utils.blocks import DEFAULT_BLOCK_SIZE
 from repro.workloads.base import Region, Workload, WorkloadOutput
 from repro.workloads.registry import register_workload
@@ -52,8 +56,8 @@ class TraceBundle:
     ops_per_byte: float = 1.0
     #: regions in the simulator's layout order (inputs first, then outputs)
     regions: list[Region] = field(default_factory=list)
-    #: the access trace as flat per-access columns
-    trace: TraceArrays | None = None
+    #: the access trace
+    trace: MemoryTrace | None = None
 
     def input_regions(self) -> list[Region]:
         """The captured input regions, in layout order."""
@@ -82,7 +86,7 @@ def capture_trace(
         block_size_bytes=block_size_bytes,
         ops_per_byte=float(workload.ops_per_byte),
         regions=list(all_regions.values()),
-        trace=trace.as_arrays(),
+        trace=trace,
     )
 
 
@@ -93,7 +97,8 @@ def save_trace(path: str | Path, bundle: TraceBundle) -> Path:
     names = [region.name for region in bundle.regions]
     if len(set(names)) != len(names):
         raise ValueError("region names must be unique")
-    unknown = set(bundle.trace.regions) - set(names)
+    trace_regions = bundle.trace.regions()
+    unknown = set(trace_regions) - set(names)
     if unknown:
         raise ValueError(f"trace references unknown regions: {sorted(unknown)}")
     meta = {
@@ -111,20 +116,21 @@ def save_trace(path: str | Path, bundle: TraceBundle) -> Path:
             }
             for region in bundle.regions
         ],
-        "trace_regions": list(bundle.trace.regions),
+        "trace_regions": trace_regions,
     }
     arrays = {
         f"region_{index}": region.array
         for index, region in enumerate(bundle.regions)
     }
+    region_index, block_index, is_write = bundle.trace.columns()
     path = Path(path)
     np.savez_compressed(
         path,
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        trace_region_index=bundle.trace.region_index,
-        trace_block_index=bundle.trace.block_index,
-        trace_is_write=bundle.trace.is_write,
-        trace_counts=bundle.trace.counts,
+        trace_region_index=region_index,
+        trace_block_index=block_index,
+        trace_is_write=is_write,
+        trace_counts=np.ones(region_index.shape[0], dtype=np.int64),
         **arrays,
     )
     # np.savez appends .npz when missing; report the real on-disk path
@@ -132,7 +138,16 @@ def save_trace(path: str | Path, bundle: TraceBundle) -> Path:
 
 
 def load_bundle(path: str | Path) -> TraceBundle:
-    """Read a :class:`TraceBundle` back from an interchange file."""
+    """Read a :class:`TraceBundle` back from an interchange file.
+
+    An access with a repeat count of k loads as k back-to-back accesses.
+
+    Raises:
+        ValueError: if the file's format or a region does not match its
+            metadata, or its trace has a count below 1, a negative block
+            index, a region index outside its region table or a region
+            the file does not hold.
+    """
     path = Path(path)
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
@@ -157,13 +172,22 @@ def load_bundle(path: str | Path) -> TraceBundle:
                     is_output=spec["is_output"],
                 )
             )
-        trace = TraceArrays(
-            region_index=data["trace_region_index"],
-            block_index=data["trace_block_index"],
-            is_write=data["trace_is_write"],
-            counts=data["trace_counts"],
-            regions=tuple(meta["trace_regions"]),
-        )
+        counts = data["trace_counts"]
+        try:
+            unknown = set(meta["trace_regions"]) - {region.name for region in regions}
+            if unknown:
+                raise ValueError(f"trace references unknown regions: {sorted(unknown)}")
+            if counts.size and int(counts.min()) < 1:
+                raise ValueError("trace repeat counts must be at least 1")
+            trace = MemoryTrace.from_columns(
+                meta["trace_regions"],
+                *(
+                    np.repeat(data[f"trace_{column}"], counts)
+                    for column in ("region_index", "block_index", "is_write")
+                ),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return TraceBundle(
         name=meta["name"],
         block_size_bytes=int(meta["block_size_bytes"]),
@@ -173,65 +197,13 @@ def load_bundle(path: str | Path) -> TraceBundle:
     )
 
 
-def _rebuild_trace(arrays: TraceArrays) -> MemoryTrace:
-    """Reconstruct a :class:`MemoryTrace` whose columns equal ``arrays``.
-
-    Contiguous runs of single-count accesses to one region become one
-    array-backed stream segment (the fast path — workload-generated traces
-    are entirely single-count); accesses with repeat counts are appended
-    individually to preserve the RLE column bit-exactly.
-    """
-    trace = MemoryTrace()
-    n = len(arrays)
-    if n == 0:
-        return trace
-    # run boundaries: region or read/write flips
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = (
-        (arrays.region_index[1:] != arrays.region_index[:-1])
-        | (arrays.is_write[1:] != arrays.is_write[:-1])
-    )
-    starts = np.flatnonzero(change).tolist() + [n]
-    for begin, end in zip(starts, starts[1:]):
-        region = arrays.regions[int(arrays.region_index[begin])]
-        access_type = (
-            AccessType.WRITE if bool(arrays.is_write[begin]) else AccessType.READ
-        )
-        counts = arrays.counts[begin:end]
-        if np.all(counts == 1):
-            trace.add_blocks(region, arrays.block_index[begin:end], access_type)
-            continue
-        cursor = begin
-        while cursor < end:
-            if arrays.counts[cursor] == 1:
-                stop = cursor
-                while stop < end and arrays.counts[stop] == 1:
-                    stop += 1
-                trace.add_blocks(
-                    region, arrays.block_index[cursor:stop], access_type
-                )
-                cursor = stop
-            else:
-                trace.append(
-                    MemoryAccess(
-                        region=region,
-                        block_index=int(arrays.block_index[cursor]),
-                        access_type=access_type,
-                        count=int(arrays.counts[cursor]),
-                    )
-                )
-                cursor += 1
-    return trace
-
-
 class TraceWorkload(Workload):
     """A captured trace as a first-class workload.
 
     ``generate()`` returns the captured input regions, ``run()`` replays
     the captured outputs (the file carries data, not the kernel — see the
-    module docstring) and ``trace()`` rebuilds the captured access
-    sequence, so the simulator reproduces the original run bit-exactly.
+    module docstring) and ``trace()`` returns the captured trace, so the
+    simulator reproduces the original run bit-exactly.
     """
 
     description = "Ingested address/data trace"
@@ -284,7 +256,7 @@ class TraceWorkload(Workload):
                 f"trace was captured at {self.bundle.block_size_bytes} B blocks, "
                 f"cannot replay at {block_size_bytes} B"
             )
-        return _rebuild_trace(self.bundle.trace)
+        return self.bundle.trace
 
 
 def load_trace(path: str | Path, seed: int = 2019) -> TraceWorkload:

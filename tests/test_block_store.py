@@ -42,7 +42,7 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.simulator import GPUSimulator
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
+from repro.gpu.trace import AccessType, MemoryTrace
 from repro.obs import metrics
 from repro.obs.metrics import measure_peak_mib
 from repro.replay import replay_trace, replay_trace_scalar
@@ -278,7 +278,8 @@ def test_block_store_grows_and_reads_unknown_as_never_stored():
 def test_replay_requires_one_shared_store():
     backend = NoCompressionBackend()
     controllers = [MemoryController(i, backend) for i in range(2)]
-    trace = MemoryTrace([MemoryAccess("r", 0, AccessType.READ)])
+    trace = MemoryTrace()
+    trace.add_blocks("r", [0], AccessType.READ)
     region = Region(name="r", array=np.zeros(32, dtype=np.float32))
     rows = np.zeros((1, 128), np.uint8)
     with pytest.raises(ValueError, match="share one BlockStore"):
@@ -303,7 +304,8 @@ def test_write_past_region_end_fails_loudly(engine, access):
     }
     store = BlockStore(128, n_blocks=2)
     controllers = [MemoryController(0, NoCompressionBackend(), store=store)]
-    trace = MemoryTrace([MemoryAccess("a", 1, access)])
+    trace = MemoryTrace()
+    trace.add_blocks("a", [1], access)
     rows = np.zeros((2, 128), np.uint8)
     cache = ReplayCache(trace, rows, np.zeros(2, dtype=bool))
     options = {"cache": cache} if engine is replay_trace else {}
@@ -377,3 +379,13 @@ def test_scalar_store_rows_count_every_looped_row(metrics_on, make_backend, bloc
     batch = backend.store_batch(rows)
     assert batch == _scalar_batch(backend, rows, True)
     assert metrics.snapshot()["counters"]["backend.scalar_store_rows"] == 7
+
+
+def test_slc_decide_rejects_a_geometry_the_kernels_do_not_cover():
+    """The batched decision names the symbol width and count it cannot take;
+    ``store_batch`` keeps its counted per-block fallback (above)."""
+    backend = SLCBackend(SLCCompressor(SLCConfig(symbol_bytes=4, element_bytes=4)))
+    backend.train(make_float_blocks()[:8])
+    rows = np.zeros((3, 128), dtype=np.uint8)
+    with pytest.raises(ValueError, match="got 4 B symbols, 32 per block"):
+        backend.decide(rows)

@@ -1,16 +1,16 @@
-"""Tests for the GPU substrate: config, cache, DRAM, interconnect, SM, energy."""
+"""Tests for the GPU substrate: config, trace, cache, DRAM, SM, energy."""
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig, LatencyConfig
 from repro.gpu.dram import DRAMChannel, GDDR5Timing
 from repro.gpu.energy import EnergyModel, EnergyParameters
-from repro.gpu.interconnect import Interconnect
 from repro.gpu.sm import SMCluster
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
+from repro.gpu.trace import AccessType, MemoryTrace
 
 
 # --------------------------------------------------------------------- #
@@ -40,7 +40,6 @@ def test_bandwidth_derivations():
     config = GPUConfig()
     assert config.bandwidth_bytes_per_sec == pytest.approx(192.4e9)
     assert config.bandwidth_per_controller == pytest.approx(192.4e9 / 6)
-    assert config.l2_num_lines == 768 * 1024 // 128
 
 
 def test_table2_rows_contains_every_field():
@@ -80,80 +79,111 @@ def test_trace_streaming_and_counters():
     trace = MemoryTrace()
     trace.add_stream("a", 4, AccessType.READ, passes=2)
     trace.add_stream("b", 2, AccessType.WRITE)
-    assert trace.total_accesses == 10
-    assert trace.read_accesses == 8
-    assert trace.write_accesses == 2
+    region_index, block_index, is_write = trace.columns()
+    assert len(trace) == 10
+    assert int((~is_write).sum()) == 8
+    assert int(is_write.sum()) == 2
+    assert region_index.tolist() == [0] * 8 + [1] * 2
+    assert block_index.tolist() == [0, 1, 2, 3] * 2 + [0, 1]
     assert trace.regions() == ["a", "b"]
 
 
 def test_trace_strided_stream_covers_all_blocks():
     trace = MemoryTrace()
     trace.add_stream("m", 10, stride=3)
-    visited = [a.block_index for a in trace]
+    visited = trace.columns()[1].tolist()
     assert sorted(visited) == list(range(10))
     assert visited != list(range(10))  # actually strided
 
 
 def test_trace_regions_first_use_order_on_long_multi_region_trace():
-    """regions() is one linear pass (it used to be an O(n²) list scan)."""
+    """regions() reads the region table (it used to be an O(n²) list scan)."""
     trace = MemoryTrace()
     num_regions = 2000
-    for i in range(200_000):
-        trace.append(MemoryAccess(f"r{i % num_regions}", i))
+    for i in range(20_000):
+        trace.add_blocks(f"r{i % num_regions}", [i])
     start = time.perf_counter()
     regions = trace.regions()
     elapsed = time.perf_counter() - start
     assert regions == [f"r{i}" for i in range(num_regions)]
-    assert elapsed < 5.0, f"regions() took {elapsed:.1f}s on a 200k-access trace"
+    assert trace.columns()[0].tolist() == [i % num_regions for i in range(20_000)]
+    assert elapsed < 5.0, f"regions() took {elapsed:.1f}s on a 20k-access trace"
 
 
 def test_trace_stream_segments_match_appended_accesses():
-    """add_stream's array segments expand to the same per-access sequence."""
+    """add_stream gives the same columns as add_blocks with its block indices."""
     streamed = MemoryTrace()
     streamed.add_stream("a", 10, AccessType.READ, passes=2, stride=3)
     streamed.add_stream("b", 4, AccessType.WRITE)
     appended = MemoryTrace()
-    for offset in range(3):
-        for block in range(offset, 10, 3):
-            appended.append(MemoryAccess("a", block))
-    appended.extend(appended.accesses[:10])  # second pass
-    for block in range(4):
-        appended.append(MemoryAccess("b", block, AccessType.WRITE))
-    assert streamed.accesses == appended.accesses
+    one_pass = [block for offset in range(3) for block in range(offset, 10, 3)]
+    appended.add_blocks("a", one_pass)
+    appended.add_blocks("a", one_pass)  # second pass
+    appended.add_blocks("b", range(4), AccessType.WRITE)
+    for streamed_column, appended_column in zip(streamed.columns(), appended.columns()):
+        assert streamed_column.tolist() == appended_column.tolist()
+    assert streamed.regions() == appended.regions() == ["a", "b"]
     assert len(streamed) == len(appended) == 24
 
 
-def test_trace_as_arrays_and_compile():
+def test_trace_columns_and_compile():
     trace = MemoryTrace()
     trace.add_stream("a", 3, AccessType.READ)
-    trace.append(MemoryAccess("b", 1, AccessType.WRITE, count=2))
-    arrays = trace.as_arrays()
-    assert arrays.regions == ("a", "b")
-    assert arrays.block_index.tolist() == [0, 1, 2, 1]
-    assert arrays.is_write.tolist() == [False, False, False, True]
-    assert arrays.counts.tolist() == [1, 1, 1, 2]
+    trace.add_blocks("b", [1, 1], AccessType.WRITE)  # one block, twice
+    region_index, block_index, is_write = trace.columns()
+    assert trace.regions() == ["a", "b"]
+    assert region_index.tolist() == [0, 0, 0, 1, 1]
+    assert block_index.tolist() == [0, 1, 2, 1, 1]
+    assert is_write.tolist() == [False, False, False, True, True]
 
     compiled = trace.compile({"a": 10, "b": 20})
-    assert compiled.addresses.tolist() == [10, 11, 12, 21]
-    assert compiled.total_accesses == 5
-    expanded_addresses, expanded_writes = compiled.expanded()
-    assert expanded_addresses.tolist() == [10, 11, 12, 21, 21]
-    assert expanded_writes.tolist() == [False, False, False, True, True]
+    assert len(compiled) == len(trace) == 5
+    assert compiled.regions == ("a", "b")
+    assert compiled.addresses.tolist() == [10, 11, 12, 21, 21]
+    assert compiled.is_write.tolist() == is_write.tolist()
+
+
+def test_trace_from_columns_keeps_its_region_table():
+    trace = MemoryTrace.from_columns(["x", "y", "z"], [2, 0, 2], [5, 0, 6], [1, 0, 0])
+    assert trace.regions() == ["x", "y", "z"]
+    assert len(trace) == 3
+    region_index, block_index, is_write = trace.columns()
+    assert region_index.tolist() == [2, 0, 2]
+    assert block_index.tolist() == [5, 0, 6]
+    assert is_write.tolist() == [True, False, False]
+    trace.add_stream("y", 1)
+    assert trace.regions() == ["x", "y", "z"]
+    assert trace.compile({"x": 0, "y": 10, "z": 20}).addresses.tolist() == [25, 0, 26, 10]
+
+
+@pytest.mark.parametrize("regions, region_index, block_index, is_write, match", [
+    (["a", "a"], [0], [0], [False], "unique"),
+    (["a"], [1], [0], [False], "region index 1 lies outside"),
+    (["a"], [-1], [0], [False], "region index -1 lies outside"),
+    (["a"], [0], [-1], [False], "non-negative"),
+    (["a"], [0, 0], [0], [False, False], "one length"),
+    (["a"], [[0]], [[0]], [[False]], "one-dimensional"),
+], ids=["duplicate-name", "index-past-table", "negative-index", "negative-block",
+        "uneven-columns", "two-dimensional"])
+def test_trace_from_columns_validation(regions, region_index, block_index, is_write, match):
+    with pytest.raises(ValueError, match=match):
+        MemoryTrace.from_columns(regions, region_index, block_index, is_write)
 
 
 def test_empty_trace_compiles_to_empty_arrays():
     compiled = MemoryTrace().compile({})
     assert len(compiled) == 0
-    assert compiled.total_accesses == 0
+    assert compiled.addresses.dtype == np.int64
+    assert compiled.is_write.dtype == np.bool_
 
 
 def test_memory_access_validation():
     with pytest.raises(ValueError):
-        MemoryAccess("r", -1)
-    with pytest.raises(ValueError):
-        MemoryAccess("r", 0, count=0)
+        MemoryTrace().add_blocks("r", [0, -1])
     with pytest.raises(ValueError):
         MemoryTrace().add_stream("r", 0)
+    with pytest.raises(ValueError):
+        MemoryTrace().add_stream("r", 4, stride=0)
 
 
 # --------------------------------------------------------------------- #
@@ -275,18 +305,7 @@ def test_dram_rejects_zero_bursts():
 
 
 # --------------------------------------------------------------------- #
-# interconnect, SM, energy
-
-
-def test_interconnect_flit_accounting():
-    interconnect = Interconnect(flit_bytes=32)
-    assert interconnect.transfer(128) == 4
-    assert interconnect.transfer(1) == 1
-    assert interconnect.stats.messages == 2
-    assert interconnect.occupancy_cycles() > 0
-    assert interconnect.round_trip_latency() == 24
-    with pytest.raises(ValueError):
-        interconnect.transfer(-1)
+# SM, energy
 
 
 def test_sm_cluster_compute_cycles():

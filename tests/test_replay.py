@@ -25,11 +25,12 @@ from repro.gpu.backends import NoCompressionBackend, SLCBackend, StoredBatch
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.dram import DRAMChannel, GDDR5Timing
 from repro.gpu.memory_controller import BlockStore, MemoryController
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
-from repro.replay import replay_mdc, replay_trace, replay_trace_scalar
+from repro.gpu.trace import AccessType, MemoryTrace
+from repro.obs import metrics
+from repro.replay import replay_trace, replay_trace_scalar
 from repro.replay.dram import apply_rows, scan_rows
 from repro.replay.l2 import resolve_l2
-from repro.replay.plan import ReplayCache
+from repro.replay.plan import ReplayCache, _plan_mdc
 from repro.utils.blocks import array_to_rows
 from repro.workloads.base import Region
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER
@@ -41,41 +42,43 @@ SCALE = 1.0 / 1024.0
 # L2: array model vs. the scalar SetAssociativeCache oracle, from empty
 
 
-def _assert_l2_equivalent(addresses, is_write, counts, *, sets=4, ways=2):
+def _assert_l2_equivalent(addresses, is_write, *, sets=4, ways=2):
     size = sets * ways * 128
     oracle = SetAssociativeCache(size, line_bytes=128, ways=ways)
-    oracle_miss = []
-    for address, write, count in zip(addresses, is_write, counts):
-        first_hit = oracle.access(address, is_write=write)
-        oracle_miss.append(not first_hit)
-        for _ in range(count - 1):
-            oracle.access(address, is_write=write)
+    oracle_miss = [
+        not oracle.access(address, is_write=write)
+        for address, write in zip(addresses, is_write)
+    ]
     vector = SetAssociativeCache(size, line_bytes=128, ways=ways)
     vector_miss, outcome = resolve_l2(
         vector,
-        np.asarray(addresses),
-        np.asarray(is_write),
-        np.asarray(counts),
+        np.asarray(addresses, dtype=np.int64),
+        np.asarray(is_write, dtype=np.bool_),
     )
     assert vector_miss.tolist() == oracle_miss
     outcome.apply(vector)
     assert vars(vector.stats) == vars(oracle.stats)
+    return oracle.stats
 
 
 def test_l2_streaming_and_reuse():
     addresses = list(range(16)) + list(range(16))  # sweep twice
-    _assert_l2_equivalent(addresses, [False] * 32, [1] * 32, sets=4, ways=2)
+    _assert_l2_equivalent(addresses, [False] * 32, sets=4, ways=2)
 
 
 def test_l2_dirty_evictions_and_writebacks():
     # addresses 0, 4, 8, 12 all land in set 0 of a 4-set cache
     addresses = [0, 4, 0, 8, 12, 4, 0]
     is_write = [True, False, True, True, False, True, False]
-    _assert_l2_equivalent(addresses, is_write, [1] * 7, sets=4, ways=2)
+    _assert_l2_equivalent(addresses, is_write, sets=4, ways=2)
 
 
 def test_l2_repeat_counts_are_hits():
-    _assert_l2_equivalent([3, 3, 7], [False, True, False], [4, 2, 3])
+    """An address repeated back to back misses at most once."""
+    stats = _assert_l2_equivalent(
+        [3] * 4 + [3] * 2 + [7] * 3, [False] * 4 + [True] * 2 + [False] * 3
+    )
+    assert (stats.hits, stats.misses) == (7, 2)
 
 
 @given(
@@ -91,10 +94,10 @@ def test_l2_repeat_counts_are_hits():
 )
 @settings(max_examples=60, deadline=None)
 def test_l2_property_random_streams(accesses, ways):
-    addresses = [a for a, _, _ in accesses]
-    is_write = [w for _, w, _ in accesses]
-    counts = [c for _, _, c in accesses]
-    _assert_l2_equivalent(addresses, is_write, counts, sets=2, ways=ways)
+    # each entry is one address accessed ``count`` times back to back
+    addresses = [a for a, _, count in accesses for _ in range(count)]
+    is_write = [w for _, w, count in accesses for _ in range(count)]
+    _assert_l2_equivalent(addresses, is_write, sets=2, ways=ways)
 
 
 def test_l2_rejects_negative_addresses():
@@ -103,43 +106,54 @@ def test_l2_rejects_negative_addresses():
 
 
 # --------------------------------------------------------------------- #
-# MDC: array model vs. the scalar MetadataCache oracle
+# MDC: a controller's planned pass vs. the scalar MetadataCache oracle,
+# from empty, host fills first
 
 
-def _mdc_state(mdc: MetadataCache):
-    return list(mdc._entries.items()), vars(mdc.stats).copy()
+def _assert_mdc_equivalent(events, *, capacity, fills=()) -> str:
+    """Compare ``_plan_mdc`` with the oracle; returns the regime it took.
 
-
-def _assert_mdc_equivalent(events, *, capacity, preload=()):
+    The oracle stores each event's burst count; the plan stores none, as
+    stored values never change a hit.
+    """
     oracle = MetadataCache(capacity_entries=capacity)
-    vector = MetadataCache(capacity_entries=capacity)
-    for address, value in preload:
-        oracle.update(address, value)
-        vector.update(address, value)
+    for address in fills:
+        oracle.update(address, 1)
     oracle_hits = []
     for address, lookup, value in events:
-        hit = oracle.lookup(address) is not None if lookup else False
-        oracle_hits.append(hit)
+        oracle_hits.append(lookup and oracle.lookup(address) is not None)
         oracle.update(address, value)
-    vector_hits = replay_mdc(
-        vector,
-        np.array([a for a, _, _ in events], dtype=np.int64),
-        np.array([l for _, l, _ in events], dtype=np.bool_),
-        np.array([v for _, _, v in events], dtype=np.int64),
-    )
-    assert vector_hits.tolist() == oracle_hits
-    assert _mdc_state(vector) == _mdc_state(oracle)
+    metrics.disable()
+    metrics.clear()
+    metrics.enable()
+    try:
+        hits, stats = _plan_mdc(
+            capacity,
+            np.array(fills, dtype=np.int64),
+            np.array([a for a, _, _ in events], dtype=np.int64),
+            np.array([lookup for _, lookup, _ in events], dtype=np.bool_),
+        )
+        counters = metrics.snapshot()["counters"]
+    finally:
+        metrics.disable()
+        metrics.clear()
+    assert hits.tolist() == oracle_hits
+    expected = oracle.stats
+    assert stats == (expected.hits, expected.misses, expected.evictions, expected.updates)
+    (regime,) = counters  # one pass per controller
+    assert counters[regime] == 1
+    return regime
 
 
 def test_mdc_fast_path_no_evictions():
     events = [(1, True, 2), (2, False, 3), (1, True, 2), (3, True, 4), (2, True, 3)]
-    _assert_mdc_equivalent(events, capacity=8, preload=[(3, 1)])
+    assert _assert_mdc_equivalent(events, capacity=8, fills=[3, 5]) == "mdc.fast_path"
 
 
 def test_mdc_slow_path_evictions():
-    # capacity 2 with 4 distinct addresses: forces LRU evictions
+    # capacity 2 with 5 distinct addresses: forces LRU evictions
     events = [(1, True, 1), (2, False, 2), (3, True, 3), (1, True, 1), (4, True, 4)]
-    _assert_mdc_equivalent(events, capacity=2, preload=[(9, 2)])
+    assert _assert_mdc_equivalent(events, capacity=2, fills=[9]) == "mdc.fallback"
 
 
 @given(
@@ -151,11 +165,14 @@ def test_mdc_slow_path_evictions():
         ),
         max_size=60,
     ),
+    fills=st.lists(st.integers(min_value=0, max_value=12), unique=True, max_size=6),
     capacity=st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=60, deadline=None)
-def test_mdc_property_random_streams(events, capacity):
-    _assert_mdc_equivalent(events, capacity=capacity, preload=[(100, 1), (101, 2)])
+def test_mdc_property_random_streams(events, fills, capacity):
+    regime = _assert_mdc_equivalent(events, capacity=capacity, fills=sorted(fills))
+    distinct = len({a for a, _, _ in events} | set(fills))
+    assert regime == ("mdc.fallback" if distinct > capacity else "mdc.fast_path")
 
 
 # --------------------------------------------------------------------- #
@@ -206,7 +223,8 @@ def test_dram_rejects_zero_bursts():
 
     region = Region(name="r", array=np.zeros(32, dtype=np.float32))
     rows = np.zeros((1, 128), np.uint8)
-    trace = MemoryTrace([MemoryAccess("r", 0, AccessType.WRITE)])
+    trace = MemoryTrace()
+    trace.add_blocks("r", [0], AccessType.WRITE)
     for engine, options in [
         (replay_trace_scalar, {}),
         (replay_trace, {"cache": ReplayCache(trace, rows, np.zeros(1, dtype=bool))}),
@@ -365,15 +383,11 @@ trace_entries = st.lists(
 
 
 def _trace_of(entries) -> MemoryTrace:
+    """Each entry is one block accessed ``count`` times back to back."""
     trace = MemoryTrace()
     for region, block, write, count in entries:
-        trace.append(
-            MemoryAccess(
-                region=region,
-                block_index=block,
-                access_type=AccessType.WRITE if write else AccessType.READ,
-                count=count,
-            )
+        trace.add_blocks(
+            region, [block] * count, AccessType.WRITE if write else AccessType.READ
         )
     return trace
 

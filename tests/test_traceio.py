@@ -9,13 +9,21 @@ workload's application error is 0 and data damage appears in the fidelity
 panel instead (which must match the in-memory run exactly).
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.campaign.worker import build_backend
+from repro.gpu.backends import NoCompressionBackend
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
+from repro.gpu.memory_controller import BlockStore, MemoryController
 from repro.gpu.simulator import GPUSimulator
-from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
+from repro.gpu.trace import AccessType, MemoryTrace
+from repro.replay import replay_trace, replay_trace_scalar
+from repro.replay.plan import ReplayCache
+from repro.utils.blocks import array_to_rows
 from repro.workloads import (
     available_workloads,
     get_workload,
@@ -23,8 +31,9 @@ from repro.workloads import (
     register_trace,
     unregister_workload,
 )
+from repro.workloads.base import Region
 from repro.workloads.traceio import (
-    _rebuild_trace,
+    TraceBundle,
     capture_trace,
     load_bundle,
     save_trace,
@@ -94,41 +103,92 @@ def test_bundle_survives_save_load(trace_path):
         np.testing.assert_array_equal(region_a.array, region_b.array)
         assert region_a.approximable == region_b.approximable
         assert region_a.is_output == region_b.is_output
-    for column in ("region_index", "block_index", "is_write", "counts"):
-        np.testing.assert_array_equal(
-            getattr(original.trace, column), getattr(loaded.trace, column)
-        )
-    assert loaded.trace.regions == original.trace.regions
+    for original_column, loaded_column in zip(
+        original.trace.columns(), loaded.trace.columns()
+    ):
+        np.testing.assert_array_equal(original_column, loaded_column)
+    assert loaded.trace.regions() == original.trace.regions()
+    with np.load(trace_path) as data:
+        assert data["trace_counts"].tolist() == [1] * len(original.trace)
 
 
 def test_rebuilt_trace_columns_are_bit_equal(trace_path):
-    bundle = load_bundle(trace_path)
-    rebuilt = _rebuild_trace(bundle.trace).as_arrays()
-    for column in ("region_index", "block_index", "is_write", "counts"):
-        np.testing.assert_array_equal(
-            getattr(rebuilt, column), getattr(bundle.trace, column)
-        )
-    assert rebuilt.regions == bundle.trace.regions
+    """The trace a loaded workload replays has the captured columns."""
+    captured = capture_trace(get_workload("NN", scale=SCALE, seed=SEED)).trace
+    workload = load_trace(trace_path)
+    replayed = workload.trace({})
+    assert replayed is workload.bundle.trace
+    for captured_column, replayed_column in zip(captured.columns(), replayed.columns()):
+        assert replayed_column.dtype == captured_column.dtype
+        np.testing.assert_array_equal(replayed_column, captured_column)
+    assert replayed.regions() == captured.regions()
 
 
-def test_rebuild_preserves_repeat_counts():
-    # mixed stream: single-count runs interleaved with RLE-repeated rows
+def _rewrite(source, target, **columns):
+    """Copy the interchange file ``source`` to ``target`` with ``columns``
+    (``trace_*`` arrays or ``trace_regions``) replaced; returns ``target``."""
+    with np.load(source) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]))
+    if "trace_regions" in columns:
+        meta["trace_regions"] = columns.pop("trace_regions")
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays.update(columns)
+    np.savez_compressed(target, **arrays)
+    return target
+
+
+def _two_region_bundle() -> TraceBundle:
+    regions = [
+        Region(name="a", array=np.arange(160, dtype=np.float32), approximable=True),
+        Region(name="b", array=np.zeros(96, dtype=np.float32), is_output=True),
+    ]
     trace = MemoryTrace()
-    trace.add_blocks("a", [0, 1, 2])
-    trace.append(MemoryAccess(region="a", block_index=3, count=5))
-    trace.append(
-        MemoryAccess(
-            region="b", block_index=0, access_type=AccessType.WRITE, count=2
-        )
+    trace.add_blocks("a", [0, 1, 2, 3])
+    trace.add_blocks("b", [0, 1, 2], AccessType.WRITE)
+    return TraceBundle(name="two", block_size_bytes=128, regions=regions, trace=trace)
+
+
+def _replay_state(trace, bundle, engine):
+    """Counters and store after replaying ``trace`` over ``bundle``'s regions."""
+    all_regions = {region.name: region for region in bundle.regions}
+    region_rows = [array_to_rows(region.array, 128) for region in bundle.regions]
+    rows = np.concatenate(region_rows)
+    bases = dict(zip(all_regions, np.cumsum([0] + [len(r) for r in region_rows[:-1]]).tolist()))
+    store = BlockStore(128, n_blocks=len(rows))
+    controllers = [MemoryController(i, NoCompressionBackend(), store=store) for i in range(2)]
+    l2 = SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2)
+    options = (
+        {"cache": ReplayCache(trace, rows, np.zeros(len(rows), dtype=bool))}
+        if engine is replay_trace else {}
     )
-    trace.add_blocks("b", [1, 2], AccessType.WRITE)
-    arrays = trace.as_arrays()
-    rebuilt = _rebuild_trace(arrays).as_arrays()
-    for column in ("region_index", "block_index", "is_write", "counts"):
-        np.testing.assert_array_equal(
-            getattr(rebuilt, column), getattr(arrays, column)
-        )
-    assert rebuilt.regions == arrays.regions
+    engine(trace, all_regions=all_regions, rows=rows, base_addresses=bases, l2=l2,
+           controllers=controllers, interleave_blocks=2, **options)
+    return vars(l2.stats), [(vars(c.stats), vars(c.mdc.stats)) for c in controllers]
+
+
+def test_repeat_counts_load_as_repeated_accesses(tmp_path):
+    """A count of k in a file is k back-to-back accesses: one L2 lookup
+    that may miss, then k - 1 hits."""
+    bundle = _two_region_bundle()
+    path = _rewrite(
+        save_trace(tmp_path / "ones", bundle), tmp_path / "counts.npz",
+        trace_counts=np.array([1, 5, 1, 2, 3, 1, 1]),
+    )
+    loaded = load_bundle(path).trace
+    region_index, block_index, is_write = loaded.columns()
+    assert loaded.regions() == ["a", "b"]
+    assert block_index.tolist() == [0] + [1] * 5 + [2] + [3] * 2 + [0] * 3 + [1, 2]
+    assert region_index.tolist() == [0] * 9 + [1] * 5
+    assert is_write.tolist() == [False] * 9 + [True] * 5
+
+    expected = MemoryTrace()
+    expected.add_blocks("a", [0, 1, 1, 1, 1, 1, 2, 3, 3])
+    expected.add_blocks("b", [0, 0, 0, 1, 2], AccessType.WRITE)
+    for engine in (replay_trace_scalar, replay_trace):
+        assert _replay_state(loaded, bundle, engine) == _replay_state(expected, bundle, engine)
+    l2_stats, _ = _replay_state(loaded, bundle, replay_trace)
+    assert l2_stats["hits"] == 7 and l2_stats["misses"] == 7  # every repeat hits
 
 
 def test_block_size_mismatch_rejected(trace_path):
@@ -215,3 +275,43 @@ def test_add_blocks_validation():
         trace.add_blocks("a", [0, -1])
     trace.add_blocks("a", [])
     assert len(trace) == 0
+
+
+BAD_TRACES = {
+    "region-index-past-table": (
+        {"trace_region_index": np.array([0, 0, 0, 0, 2, 1, 1])},
+        "region index 2 lies outside the region table of 2 regions",
+    ),
+    "negative-block-index": (
+        {"trace_block_index": np.array([0, 1, -2, 3, 0, 1, 2])},
+        "block indices must be non-negative",
+    ),
+    "zero-count": (
+        {"trace_counts": np.array([1, 1, 0, 1, 1, 1, 1])},
+        "repeat counts must be at least 1",
+    ),
+    "unknown-region-name": (
+        {"trace_regions": ["a", "c"]},
+        r"unknown regions: \['c'\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRACES.values(), ids=BAD_TRACES.keys())
+def test_bad_trace_files_fail_loudly(case, tmp_path, capsys):
+    from repro.campaign.cli import main as cli_main
+
+    columns, message = case
+    path = _rewrite(
+        save_trace(tmp_path / "good", _two_region_bundle()), tmp_path / "bad.npz",
+        **columns,
+    )
+    with pytest.raises(ValueError, match=message):
+        load_bundle(path)
+    for argv in (["trace", "info", str(path)],
+                 ["trace", "ingest", str(path), "--scheme", "E2MC"]):
+        assert cli_main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0], captured.err

@@ -154,9 +154,13 @@ def test_trace_covers_every_region(workload):
     all_regions.update(workload.output_regions(outputs))
     trace = workload.trace(all_regions)
     assert set(trace.regions()) == set(all_regions)
-    for access in trace:
-        region = all_regions[access.region]
-        assert 0 <= access.block_index < region.num_blocks()
+    region_index, block_index, is_write = trace.columns()
+    limits = np.array([all_regions[name].num_blocks() for name in trace.regions()])
+    assert len(trace) == block_index.size > 0
+    assert (block_index >= 0).all() and (block_index < limits[region_index]).all()
+    # outputs are written, inputs read
+    outputs = np.array([all_regions[name].is_output for name in trace.regions()])
+    np.testing.assert_array_equal(is_write, outputs[region_index])
 
 
 def test_compute_ops_positive(workload):
