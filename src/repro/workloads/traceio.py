@@ -13,7 +13,8 @@ engine exactly like any registry workload:
 * :func:`capture_trace` snapshots a workload into a :class:`TraceBundle`,
 * :func:`save_trace` / :func:`load_trace` round-trip a bundle through the
   ``.npz`` interchange format (:func:`load_bundle` expands repeat counts and
-  rejects a malformed trace with ``ValueError``),
+  rejects a malformed trace, such as a float column or a block past its
+  region's end, with ``ValueError``),
 * :class:`TraceWorkload` wraps a bundle as a :class:`Workload`, and
 * :func:`register_trace` plugs a trace file into the workload registry.
 
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.gpu.trace import MemoryTrace
-from repro.utils.blocks import DEFAULT_BLOCK_SIZE
+from repro.utils.blocks import DEFAULT_BLOCK_SIZE, block_count
 from repro.workloads.base import Region, Workload, WorkloadOutput
 from repro.workloads.registry import register_workload
 
@@ -144,9 +145,10 @@ def load_bundle(path: str | Path) -> TraceBundle:
 
     Raises:
         ValueError: if the file's format or a region does not match its
-            metadata, or its trace has a count below 1, a negative block
-            index, a region index outside its region table or a region
-            the file does not hold.
+            metadata, or its trace has a column that is not an integer
+            column, a count below 1, a negative block index, a block index
+            at or past its region's block count, a region index outside its
+            region table or a region the file does not hold.
     """
     path = Path(path)
     with np.load(path) as data:
@@ -172,29 +174,57 @@ def load_bundle(path: str | Path) -> TraceBundle:
                     is_output=spec["is_output"],
                 )
             )
-        counts = data["trace_counts"]
+        columns = {
+            column: data[f"trace_{column}"]
+            for column in ("region_index", "block_index", "is_write", "counts")
+        }
+        block_size_bytes = int(meta["block_size_bytes"])
         try:
-            unknown = set(meta["trace_regions"]) - {region.name for region in regions}
+            by_name = {region.name: region for region in regions}
+            unknown = set(meta["trace_regions"]) - set(by_name)
             if unknown:
                 raise ValueError(f"trace references unknown regions: {sorted(unknown)}")
+            for column, values in columns.items():
+                if values.dtype.kind not in "biu":
+                    raise ValueError(
+                        f"trace column 'trace_{column}' holds {values.dtype}, not integers"
+                    )
+            counts = columns.pop("counts")
             if counts.size and int(counts.min()) < 1:
                 raise ValueError("trace repeat counts must be at least 1")
             trace = MemoryTrace.from_columns(
                 meta["trace_regions"],
-                *(
-                    np.repeat(data[f"trace_{column}"], counts)
-                    for column in ("region_index", "block_index", "is_write")
-                ),
+                *(np.repeat(values, counts) for values in columns.values()),
             )
+            _check_block_range(trace, by_name, block_size_bytes)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return TraceBundle(
         name=meta["name"],
-        block_size_bytes=int(meta["block_size_bytes"]),
+        block_size_bytes=block_size_bytes,
         ops_per_byte=float(meta.get("ops_per_byte", 1.0)),
         regions=regions,
         trace=trace,
     )
+
+
+def _check_block_range(
+    trace: MemoryTrace, regions: dict[str, Region], block_size_bytes: int
+) -> None:
+    """Raise ``ValueError`` if an access lies at or past its region's end."""
+    names = trace.regions()
+    region_index, block_index, _ = trace.columns()
+    blocks = np.array(
+        [block_count(regions[name].array, block_size_bytes) for name in names],
+        dtype=np.int64,
+    )
+    past = np.flatnonzero(block_index >= blocks[region_index])
+    if past.size:
+        region = int(region_index[past[0]])
+        raise ValueError(
+            f"block index {int(block_index[past[0]])} lies past the end of region "
+            f"{names[region]!r}, which has {int(blocks[region])} blocks"
+        )
 
 
 class TraceWorkload(Workload):

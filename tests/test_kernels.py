@@ -1,11 +1,14 @@
 """Correctness tests for the benchmark kernels themselves."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.workloads.blackscholes import _norm_cdf, black_scholes
+from repro.workloads.blackscholes import black_scholes, erf
 from repro.workloads.dct import blockwise_dct, blockwise_idct, dct_basis
 from repro.workloads.fwt import dyadic_convolution, fast_walsh_transform
 from repro.workloads.jmeint import triangles_intersect
@@ -111,13 +114,81 @@ def test_black_scholes_prices_non_negative():
     assert np.all(put >= -1e-5)
 
 
-def test_black_scholes_has_one_erf_path(monkeypatch):
-    """scipy's erf is the only one: without scipy the CDF fails loudly
-    rather than switching to ``math.erf``, which differs by an ulp."""
-    assert _norm_cdf(np.zeros(2)).tolist() == [0.5, 0.5]
-    monkeypatch.setitem(sys.modules, "scipy.special", None)
-    with pytest.raises(ImportError):
-        _norm_cdf(np.zeros(2))
+#: cephes' underflow cut: erfc(x) is 0 once -x^2 < -MAXLOG, at |x| ~ 26.64
+ERF_CUT = float(np.sqrt(7.09782712893383996843e2))
+
+
+@pytest.fixture(scope="module")
+def erf_arguments():
+    """Over 4 M arguments (NaN-free) across every branch of cephes' erf."""
+    rng = np.random.default_rng(27)
+
+    def both_signs(values):
+        return np.concatenate([values, -values])
+
+    subnormal = rng.integers(1, 2**52, 100_000, dtype=np.int64).view(np.float64)
+    random_bits = rng.integers(0, 2**64 - 1, 1_000_000, dtype=np.uint64).view(np.float64)
+    edges = [0.0, 1.0, 8.0, ERF_CUT, np.inf, np.finfo(np.float64).tiny,
+             np.finfo(np.float64).max]
+    return np.concatenate([
+        both_signs(rng.uniform(0.0, 1.0, 800_000)),  # |x| <= 1
+        both_signs(rng.uniform(1.0, 8.0, 600_000)),  # 1 < |x| < 8: P / Q
+        both_signs(rng.uniform(8.0, 40.0, 300_000)),  # |x| >= 8: R / S, then 0
+        both_signs(rng.uniform(ERF_CUT - 0.05, ERF_CUT + 0.05, 100_000)),
+        # the 2,000 doubles either side of the cut, 1 and 8
+        both_signs(np.concatenate([
+            (np.float64(edge).view(np.int64) + np.arange(-2_000, 2_001)).view(np.float64)
+            for edge in (ERF_CUT, 1.0, 8.0)
+        ])),
+        both_signs(subnormal),
+        both_signs(np.array(edges)),
+        random_bits[~np.isnan(random_bits)],
+    ])
+
+
+def test_erf_is_scipy_erf_bit_for_bit(erf_arguments):
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([erf_arguments, [np.nan, -np.nan]])
+    assert x.size >= 4_000_000
+    ours, theirs = erf(x), special.erf(x)
+    nan = np.isnan(theirs)
+    np.testing.assert_array_equal(np.isnan(ours), nan)
+    differ = np.flatnonzero(ours.view(np.int64)[~nan] != theirs.view(np.int64)[~nan])
+    assert differ.size == 0, (x[~nan][differ[:5]], ours[~nan][differ[:5]])
+
+
+def test_erf_is_exactly_odd(erf_arguments):
+    """``black_scholes`` forms N(-d) from erf(d / sqrt 2) on this."""
+    np.testing.assert_array_equal(
+        erf(-erf_arguments).view(np.int64), (-erf(erf_arguments)).view(np.int64)
+    )
+
+
+NO_SCIPY_CHILD = """
+import sys
+from repro.campaign.spec import Job
+from repro.campaign.worker import simulate_job
+result = simulate_job(Job(workload="BS", scheme="TSLC-OPT", scale=1 / 1024))
+assert "fidelity_pearson" in result.extra_metrics  # the error phase ran
+print("scipy" in sys.modules)
+"""
+
+
+def test_no_job_imports_scipy():
+    """SciPy is the tests' erf oracle only: a BS job with its error phase
+    (the workload's kernel on the degraded inputs) runs without it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # --------------------------------------------------------------------- #

@@ -294,6 +294,19 @@ BAD_TRACES = {
         {"trace_regions": ["a", "c"]},
         r"unknown regions: \['c'\]",
     ),
+    "float-counts": (
+        {"trace_counts": np.ones(7)},
+        "column 'trace_counts' holds float64, not integers",
+    ),
+    "float-block-index": (
+        {"trace_block_index": np.array([0.0, 1.0, 2.5, 3.0, 0.0, 1.0, 2.0])},
+        "column 'trace_block_index' holds float64, not integers",
+    ),
+    "block-index-past-region-end": (
+        # region 'a' holds 160 float32s: ceil(640 / 128) = 5 blocks
+        {"trace_block_index": np.array([0, 1, 2, 5, 0, 1, 2])},
+        "block index 5 lies past the end of region 'a', which has 5 blocks",
+    ),
 }
 
 
