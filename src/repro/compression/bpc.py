@@ -26,6 +26,14 @@ from repro.utils.blocks import bytes_to_words, words_to_bytes
 
 _WORD_BITS = 32
 
+#: bits of a single-one plane's position field
+_POSITION_BITS = 6
+
+#: the most 32-bit words a block may hold: a single-one plane codes the
+#: position of its one bit among the ``words - 1`` deltas in
+#: ``_POSITION_BITS`` bits (65 words, 260 B)
+MAX_BLOCK_WORDS = (1 << _POSITION_BITS) + 1
+
 
 def _delta_transform(words: list[int]) -> tuple[int, list[int]]:
     """Return (first word, signed deltas between consecutive words)."""
@@ -82,11 +90,19 @@ class BPCCompressor(BlockCompressor):
 
     sizes_from_block_alone = True
 
+    def __init__(self, block_size_bytes: int = 128) -> None:
+        super().__init__(block_size_bytes)
+        if block_size_bytes > 4 * MAX_BLOCK_WORDS:
+            raise ValueError(
+                f"BPC blocks hold at most {MAX_BLOCK_WORDS} 32-bit words "
+                f"({4 * MAX_BLOCK_WORDS} B), got {block_size_bytes} B"
+            )
+
     @property
     def batched_analysis(self) -> bool:
-        """The kernel packs each bit plane into an int64, which caps it at
-        64-word (256-byte) blocks; larger blocks use the scalar fallback."""
-        return self.block_size_bytes % 4 == 0 and self.block_size_bytes <= 256
+        """The plane kernel needs 4-byte-aligned blocks; their size is
+        capped at :data:`MAX_BLOCK_WORDS` words on construction."""
+        return self.block_size_bytes % 4 == 0
 
     def compressed_size_bits_batch(self, blocks) -> np.ndarray:
         """Vectorized size analysis (bit-exact against :meth:`compress`)."""
@@ -173,7 +189,7 @@ class BPCCompressor(BlockCompressor):
             return
         if plane & (plane - 1) == 0:
             writer.write(self._SINGLE_ONE, 2)
-            writer.write(plane.bit_length() - 1, 6)
+            writer.write(plane.bit_length() - 1, _POSITION_BITS)
             return
         writer.write(self._RAW, 2)
         writer.write(plane, width)
@@ -186,7 +202,7 @@ class BPCCompressor(BlockCompressor):
         if prefix == self._ALL_ONES:
             return [(1 << width) - 1]
         if prefix == self._SINGLE_ONE:
-            position = reader.read(6)
+            position = reader.read(_POSITION_BITS)
             return [1 << position]
         if prefix == self._RAW:
             return [reader.read(width)]

@@ -97,20 +97,27 @@ def build_huffman_code(
 
 
 def _huffman_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Unconstrained Huffman code lengths via the classic heap construction."""
-    heap: list[tuple[int, int, list[int]]] = []
-    for tie_break, (symbol, freq) in enumerate(sorted(frequencies.items())):
-        heapq.heappush(heap, (freq, tie_break, [symbol]))
-    lengths = {symbol: 0 for symbol in frequencies}
-    counter = len(frequencies)
+    """Unconstrained Huffman code lengths via the classic heap construction.
+
+    Node ``i`` below ``len(frequencies)`` is the ``i``-th symbol in sorted
+    order, and each merge appends a parent after its two children, so one
+    backward pass over the parent links gives every node's depth.
+    """
+    symbols = sorted(frequencies)
+    heap = [(frequencies[symbol], node) for node, symbol in enumerate(symbols)]
+    heapq.heapify(heap)
+    parent = [-1] * len(symbols)
     while len(heap) > 1:
-        freq_a, _, symbols_a = heapq.heappop(heap)
-        freq_b, _, symbols_b = heapq.heappop(heap)
-        for symbol in symbols_a + symbols_b:
-            lengths[symbol] += 1
-        counter += 1
-        heapq.heappush(heap, (freq_a + freq_b, counter, symbols_a + symbols_b))
-    return lengths
+        freq_a, node_a = heapq.heappop(heap)
+        freq_b, node_b = heapq.heappop(heap)
+        parent[node_a] = parent[node_b] = len(parent)
+        heapq.heappush(heap, (freq_a + freq_b, len(parent)))
+        parent.append(-1)
+    depth = [0] * len(parent)
+    for node in range(len(parent) - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    node_of = {symbol: node for node, symbol in enumerate(symbols)}
+    return {symbol: depth[node_of[symbol]] for symbol in frequencies}
 
 
 def canonical_codewords(lengths: dict[int, int]) -> dict[int, int]:

@@ -12,9 +12,9 @@ size-analysis pipeline as array programs over all blocks of a region at once:
 * :class:`~repro.kernels.lut.CodeLengthLUT` — the trained Huffman code
   expanded into a 65536-entry code-length table, so per-block code lengths
   are one fancy-index and payload sizes a row sum;
-* :mod:`~repro.kernels.tree` — the TSLC adder tree as per-level prefix-sum
-  gathers plus an ``argmax`` priority encoder (including the TSLC-OPT
-  staggered windows);
+* :mod:`~repro.kernels.tree` — the TSLC adder tree as prefix-sum gathers
+  over every node in scan order (including the TSLC-OPT staggered windows)
+  plus an ``argmax`` priority encoder;
 * :mod:`~repro.kernels.decision` — the Fig. 4 mode decision (bit budget,
   threshold, burst accounting) as elementwise array arithmetic on each
   block's payload bits, with code lengths gathered for the lossy

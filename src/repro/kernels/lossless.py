@@ -25,6 +25,9 @@ Techniques shared by the kernels:
 * wrap-around deltas are computed in unsigned arithmetic and reinterpreted
   as two's-complement via ``.view(signed)`` — the exact semantics of the
   scalar ``_to_signed`` helpers;
+* the kernels that walk words in order (C-Pack's dictionary, BPC's deltas)
+  transpose the words once to one row per word position, so each step is a
+  contiguous row operation across all blocks;
 * zero-run accounting (FPC word runs, BPC plane runs) finds run starts and
   lengths over the whole batch at once by diffing the flattened, row-padded
   zero mask, then bins per-row token costs with ``np.bincount``.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressionError
+from repro.compression.bpc import MAX_BLOCK_WORDS
 from repro.utils.blocks import as_block_rows
 
 #: the (base_bytes, delta_bytes) encodings of the scalar BDI implementation,
@@ -181,61 +185,39 @@ def cpack_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`CPackCompressor`.
 
     The 16-entry FIFO dictionary is inherently sequential in the word
-    position, so the kernel loops over the (at most 32) word positions and
-    vectorizes across blocks: the dictionary is an ``(n, 16)`` state matrix,
-    matches are broadcast compares masked by each row's fill count, and the
-    FIFO push is a conditional row shift.  Pattern precedence and push rules
-    mirror the scalar encoder exactly (zero, low-byte, full match, high-24
-    partial, high-16 partial, uncompressed).
+    position, so the kernel loops over the word positions and vectorizes
+    across blocks.  Only sizes are needed, so a match may be any slot, and
+    the dictionary never holds a duplicate (a full match is not pushed): it
+    is a circular buffer of 16 slots per block, and a push overwrites the
+    oldest slot with one scatter.  One XOR-min over the slots classifies a
+    word: 0 is a full match, below ``2**8`` a high-24 match and below
+    ``2**16`` a high-16 match.  An empty slot holds ``2**32`` (the slots are
+    uint64), whose XOR with any 32-bit word is at least ``2**32``, so it
+    matches nothing.  Pattern precedence and push rules mirror the scalar
+    encoder exactly (zero, low-byte, full match, high-24 partial, high-16
+    partial, uncompressed).
     """
     if block_size_bytes % 4:
         raise CompressionError("C-Pack blocks must be a multiple of 4 bytes")
     raw = _byte_matrix(blocks, block_size_bytes)
     block_bits = block_size_bytes * 8
-    words = raw.view("<u4")
-    n, n_words = words.shape
+    # one row per word position, one column per block
+    words = raw.view("<u4").T.astype(np.uint64, order="C")
+    n = words.shape[1]
 
-    dictionary = np.zeros((n, 16), dtype=np.uint32)
-    fill = np.zeros(n, dtype=np.int64)
-    slots = np.arange(16)
-    sizes = np.zeros(n, dtype=np.int64)
+    dictionary = np.full((16, n), 1 << 32, dtype=np.uint64)
+    pushes = np.zeros(n, dtype=np.int64)
+    nearest = np.empty_like(words)
+    for position, word in enumerate(words):
+        near = np.minimum.reduce(dictionary ^ word, axis=0, out=nearest[position])
+        # every word above the low byte that is not a full match is pushed
+        pushing = np.flatnonzero((word > 0xFF) & (near != 0))
+        dictionary[pushes[pushing] & 15, pushing] = word[pushing]
+        pushes[pushing] += 1
 
-    for position in range(n_words):
-        word = words[:, position]
-        valid = slots[None, :] < fill[:, None]
-        full = ((dictionary == word[:, None]) & valid).any(axis=1)
-        high24 = (
-            ((dictionary >> np.uint32(8)) == (word >> np.uint32(8))[:, None]) & valid
-        ).any(axis=1)
-        high16 = (
-            ((dictionary >> np.uint32(16)) == (word >> np.uint32(16))[:, None]) & valid
-        ).any(axis=1)
-
-        is_zero = word == 0
-        is_byte = ~is_zero & (word <= 0xFF)
-        rest = ~is_zero & ~is_byte
-        m_full = rest & full
-        m_high24 = rest & ~full & high24
-        m_high16 = rest & ~full & ~high24 & high16
-        sizes += np.select(
-            [is_zero, is_byte, m_full, m_high24, m_high16],
-            [2, 12, 6, 16, 24],
-            default=34,
-        )
-
-        push = rest & ~full  # MMMX, MMXX and XXXX all push the word
-        pushing = np.flatnonzero(push)
-        if pushing.size:
-            shifting = pushing[fill[pushing] >= 16]
-            if shifting.size:
-                dictionary[shifting, :-1] = dictionary[shifting, 1:]
-                dictionary[shifting, -1] = word[shifting]
-            appending = pushing[fill[pushing] < 16]
-            if appending.size:
-                dictionary[appending, fill[appending]] = word[appending]
-                fill[appending] += 1
-
-    return np.where(sizes >= block_bits, block_bits, sizes).astype(np.int64)
+    match = 6 + 10 * (nearest > 0) + 8 * (nearest > 0xFF) + 10 * (nearest > 0xFFFF)
+    cost = np.where(words > 0xFF, match, np.where(words == 0, 2, 12))
+    return np.minimum(cost.sum(axis=0), block_bits)
 
 
 # --------------------------------------------------------------------- #
@@ -245,39 +227,46 @@ def cpack_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
 def bpc_size_bits(blocks, block_size_bytes: int = 128) -> np.ndarray:
     """Per-block ``compressed_size_bits`` of :class:`BPCCompressor`.
 
-    Word deltas (33-bit two's complement, exact in int64) are transposed
-    into 33 bit planes per block — each plane an integer of ``n_words - 1``
-    bits, so the whole transpose is 33 masked dot products — then the DBX
-    XOR and the plane encodings (zero runs of up to 32 planes at 7 bits,
-    all-ones at 2, single-one at 8, raw at ``2 + width``) are evaluated for
-    all blocks at once.  Supports up to 64 words (256-byte blocks), where a
-    plane still fits an int64.
+    For the 33-bit delta ``d_j`` of words ``j`` and ``j + 1``, bit ``b`` of
+    ``e_j = d_j ^ (d_j >> 1)`` is bit ``j`` of DBX plane ``b`` (bit plane
+    ``b`` XOR bit plane ``b + 1``; the top plane is kept).  So one
+    ``np.unpackbits`` of ``e``, summed over the deltas, gives every DBX
+    plane's popcount, which sets the plane's code in the scalar encoder's
+    order: no ones joins a zero run (up to 32 planes at 7 bits), a one at
+    every delta is all-ones (2 bits), a single one is single-one (8 bits)
+    and anything else is raw (``2 + width`` bits).  Blocks hold at most
+    :data:`~repro.compression.bpc.MAX_BLOCK_WORDS` words, the most a
+    single-one plane's position field can address.
     """
     if block_size_bytes % 4:
         raise CompressionError("BPC blocks must be a multiple of 4 bytes")
-    n_words = block_size_bytes // 4
-    if n_words - 1 > 63:
-        raise CompressionError("bpc_size_bits supports at most 256-byte blocks")
+    if block_size_bytes // 4 > MAX_BLOCK_WORDS:
+        raise CompressionError(
+            f"BPC blocks hold at most {MAX_BLOCK_WORDS} words, got {block_size_bytes} B"
+        )
     raw = _byte_matrix(blocks, block_size_bytes)
     block_bits = block_size_bytes * 8
-    words = raw.view("<u4").astype(np.int64)
-    n = words.shape[0]
-    width = n_words - 1
+    # one row per word position, one column per block
+    words = raw.view("<u4").T.copy()
+    n = words.shape[1]
+    width = words.shape[0] - 1
 
-    deltas = np.diff(words, axis=1) & ((1 << 33) - 1)
-    weights = np.int64(1) << np.arange(width, dtype=np.int64)
-    planes = np.empty((n, 33), dtype=np.int64)
-    for bit in range(33):
-        planes[:, bit] = (((deltas >> bit) & 1) * weights).sum(axis=1)
-    dbx = np.empty_like(planes)
-    dbx[:, :-1] = planes[:, :-1] ^ planes[:, 1:]
-    dbx[:, -1] = planes[:, -1]
+    # d = borrow * 2**32 + low, so e's bits 0..31 are those of
+    # low ^ (low >> 1) with the borrow XORed into bit 31, and bit 32 is the
+    # borrow
+    low = words[1:] - words[:-1]
+    borrow = words[1:] < words[:-1]
+    e = low ^ (low >> np.uint32(1)) ^ (borrow.astype(np.uint32) << np.uint32(31))
+    ones = np.empty((n, 33), dtype=np.uint8)
+    bits = np.unpackbits(e.view(np.uint8), axis=1, bitorder="little")
+    ones[:, :32] = np.add.reduce(bits, axis=0, dtype=np.uint8).reshape(n, 32)
+    ones[:, 32] = np.add.reduce(borrow, axis=0, dtype=np.uint8)
 
-    zero = dbx == 0
-    all_ones = (1 << width) - 1
-    single_one = (dbx & (dbx - 1)) == 0
-    cost = np.select([dbx == all_ones, single_one], [2, 8], default=2 + width)
-    plane_bits = np.where(zero, 0, cost).sum(axis=1, dtype=np.int64)
+    count = np.arange(width + 1)
+    plane_cost = np.select(
+        [count == 0, count == width, count == 1], [0, 2, 8], default=2 + width
+    )
+    zero = ones == 0
     run_bits = _zero_run_bits(zero, max_run=32, token_bits=7)
-    total = 32 + plane_bits + run_bits
-    return np.where(total >= block_bits, block_bits, total).astype(np.int64)
+    total = 32 + plane_cost[ones].sum(axis=1) + run_bits
+    return np.minimum(total, block_bits)

@@ -2,14 +2,15 @@
 
 The scalar :class:`~repro.core.tree.AdderTree` builds per-level window sums
 with Python list comprehensions and scans nodes with a Python loop, once per
-block.  Here the node *layout* (window starts per level, including the
-TSLC-OPT staggered windows) is computed once per configuration as a
-:class:`BatchTreePlan`; the data-dependent window sums are then one gather of
-a prefix-sum array per level, and the priority encoder is an ``argmax`` over
-the eligibility matrix.  Levels are scanned lowest-first, exactly mirroring
-``AdderTree.select_subblock``: the first level with an eligible window wins,
-and within a level the node with the smallest start symbol (aligned before
-staggered on ties) wins.
+block.  Here every node of the tree (the aligned windows and the TSLC-OPT
+staggered ones) is laid out once per configuration as a
+:class:`BatchTreePlan`, in the order ``AdderTree.select_subblock`` scans
+them: levels lowest first, then start symbol ascending, aligned before
+staggered on equal starts.  The data-dependent node sums of all blocks are
+then the difference of two gathers (node ends and starts) from an int32
+prefix-sum array, and the priority encoder is one ``argmax`` over the
+eligibility matrix: the first eligible node in scan order is the one the
+scalar scan returns.
 """
 
 from __future__ import annotations
@@ -20,28 +21,19 @@ import numpy as np
 
 from repro.core.tree import extra_node_starts
 
-
-@dataclass(frozen=True)
-class LevelPlan:
-    """Static node layout of one tree level.
-
-    Attributes:
-        level: 1-based tree level (windows of ``2**level`` symbols).
-        window: symbols per window.
-        starts: start symbol of every node, sorted ascending; on equal starts
-            the aligned node precedes the staggered one, matching the stable
-            sort in ``AdderTree.nodes_at_level``.
-        is_extra: per-node flag marking TSLC-OPT staggered windows.
-    """
-
-    level: int
-    window: int
-    starts: np.ndarray
-    is_extra: np.ndarray
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class BatchTreePlan:
-    """Node layout of the adder tree for one (symbols, extra-nodes) geometry."""
+    """Every adder-tree node of one (symbols, extra-nodes) geometry, in scan order.
+
+    Attributes:
+        level: per node, its 1-based tree level (windows of ``2**level``
+            symbols); levels above ``max_symbols`` symbols are left out.
+        start: per node, its first symbol.
+        count: per node, its window size in symbols.
+        is_extra: per node, whether it is a TSLC-OPT staggered window.
+    """
 
     def __init__(
         self,
@@ -61,31 +53,27 @@ class BatchTreePlan:
                 raise ValueError(
                     f"extra-node level {level} outside valid range 1..{self.n_levels}"
                 )
-        self.levels: list[LevelPlan] = []
+        nodes: list[tuple[int, int, bool]] = []
         for level in range(1, self.n_levels + 1):
             window = 1 << level
             if max_symbols is not None and window > max_symbols:
                 break
-            aligned = np.arange(0, n_symbols, window, dtype=np.int64)
-            extra = np.asarray(
-                extra_node_starts(n_symbols, level, extra_nodes.get(level, 0)),
-                dtype=np.int64,
-            )
-            starts = np.concatenate([aligned, extra])
-            is_extra = np.concatenate(
-                [np.zeros(len(aligned), bool), np.ones(len(extra), bool)]
-            )
-            # Stable sort keeps aligned nodes ahead of staggered ones when a
-            # staggered window happens to share a start symbol.
-            order = np.argsort(starts, kind="stable")
-            self.levels.append(
-                LevelPlan(
-                    level=level,
-                    window=window,
-                    starts=starts[order],
-                    is_extra=is_extra[order],
+            staggered = extra_node_starts(n_symbols, level, extra_nodes.get(level, 0))
+            # (start, is_extra) sorts an aligned node ahead of a staggered
+            # one with the same start, as the stable sort in
+            # ``AdderTree.nodes_at_level`` does.
+            nodes += [
+                (level, start, is_extra)
+                for start, is_extra in sorted(
+                    [(start, False) for start in range(0, n_symbols, window)]
+                    + [(start, True) for start in staggered]
                 )
-            )
+            ]
+        table = np.array(nodes, dtype=np.int64).reshape(-1, 3)
+        self.level = table[:, 0]
+        self.start = table[:, 1]
+        self.count = np.left_shift(1, self.level)
+        self.is_extra = table[:, 2].astype(bool)
 
 
 @dataclass(frozen=True)
@@ -113,12 +101,14 @@ def select_subblocks(
     """Pick the sub-block to truncate for every block at once.
 
     Args:
-        code_lengths: ``(n_blocks, n_symbols)`` per-symbol code lengths.
+        code_lengths: ``(n_blocks, n_symbols)`` non-negative per-symbol code
+            lengths; ``n_symbols`` times the largest length must stay below
+            ``2**31 - 1``, so that int32 node sums are exact.
         required_bits: ``(n_blocks,)`` bits each truncation must cover
             (must be positive, as in the scalar path).
         plan: the static node layout for this geometry.
     """
-    lengths = np.asarray(code_lengths, dtype=np.int64)
+    lengths = np.asarray(code_lengths)
     required = np.asarray(required_bits, dtype=np.int64)
     n_blocks = lengths.shape[0]
     if lengths.shape[1] != plan.n_symbols:
@@ -127,42 +117,29 @@ def select_subblocks(
         )
     if np.any(required <= 0):
         raise ValueError("required_bits must be positive")
+    if n_blocks == 0 or plan.start.size == 0:
+        zeros = np.zeros(n_blocks, dtype=np.int64)
+        no = np.zeros(n_blocks, dtype=bool)
+        return BatchSelection(no, zeros, zeros, zeros, zeros, no)
+    if plan.n_symbols * int(lengths.max()) >= _INT32_MAX:
+        raise ValueError("code lengths too large for int32 node sums")
 
-    found = np.zeros(n_blocks, dtype=bool)
-    level = np.zeros(n_blocks, dtype=np.int64)
-    start = np.zeros(n_blocks, dtype=np.int64)
-    count = np.zeros(n_blocks, dtype=np.int64)
-    bits = np.zeros(n_blocks, dtype=np.int64)
-    extra = np.zeros(n_blocks, dtype=bool)
-
-    if n_blocks == 0 or not plan.levels:
-        return BatchSelection(found, level, start, count, bits, extra)
-
-    # Window sums at every level are gathers of one prefix-sum array:
-    # sum(lengths[s : s + w]) == prefix[s + w] - prefix[s].
-    prefix = np.zeros((n_blocks, plan.n_symbols + 1), dtype=np.int64)
+    # sum(lengths[s : s + w]) == prefix[s + w] - prefix[s], for every node
+    # of every block at once
+    prefix = np.zeros((n_blocks, plan.n_symbols + 1), dtype=np.int32)
     np.cumsum(lengths, axis=1, out=prefix[:, 1:])
-
-    for level_plan in plan.levels:
-        pending = ~found
-        if not pending.any():
-            break
-        node_sums = (
-            prefix[np.ix_(pending, level_plan.starts + level_plan.window)]
-            - prefix[np.ix_(pending, level_plan.starts)]
-        )
-        eligible = node_sums >= required[pending, None]
-        hit = eligible.any(axis=1)
-        if not hit.any():
-            continue
-        first = eligible.argmax(axis=1)
-        rows = np.nonzero(pending)[0][hit]
-        chosen = first[hit]
-        found[rows] = True
-        level[rows] = level_plan.level
-        start[rows] = level_plan.starts[chosen]
-        count[rows] = level_plan.window
-        bits[rows] = node_sums[hit, chosen]
-        extra[rows] = level_plan.is_extra[chosen]
-
-    return BatchSelection(found, level, start, count, bits, extra)
+    sums = prefix[:, plan.start + plan.count] - prefix[:, plan.start]
+    # every node sum is below _INT32_MAX, so a capped requirement stays
+    # out of reach
+    eligible = sums >= np.minimum(required, _INT32_MAX).astype(np.int32)[:, None]
+    first = eligible.argmax(axis=1)
+    rows = np.arange(n_blocks)
+    found = eligible[rows, first]
+    return BatchSelection(
+        found=found,
+        level=np.where(found, plan.level[first], 0),
+        start_symbol=np.where(found, plan.start[first], 0),
+        symbol_count=np.where(found, plan.count[first], 0),
+        bits_removed=np.where(found, sums[rows, first], 0),
+        used_extra_node=found & plan.is_extra[first],
+    )

@@ -16,7 +16,7 @@ import pytest
 from repro.compression.e2mc import E2MCCompressor, SymbolModel
 from repro.core.config import SLCConfig, SLCVariant
 from repro.core.slc import SLCCompressor
-from repro.core.tree import AdderTree
+from repro.core.tree import AdderTree, extra_node_starts
 from repro.gpu.backends import LosslessBackend, SLCBackend, StoredBatch
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels import (
@@ -152,6 +152,43 @@ def test_select_subblocks_matches_adder_tree(extra_nodes, max_symbols):
             assert batch.symbol_count[i] == scalar.symbol_count
             assert batch.bits_removed[i] == scalar.bits_removed
             assert batch.used_extra_node[i] == scalar.used_extra_node
+
+
+def _select_one(lengths: np.ndarray, required: int, extra_nodes) -> tuple:
+    """The batched and the scalar selection of one block, as tuples."""
+    batch = select_subblocks(
+        lengths[None, :], np.array([required]), BatchTreePlan(64, extra_nodes)
+    )
+    scalar = AdderTree(lengths.tolist(), extra_nodes=extra_nodes).select_subblock(
+        required
+    )
+    fields = ("level", "start_symbol", "symbol_count", "bits_removed", "used_extra_node")
+    assert batch.found[0]
+    return (
+        tuple(getattr(batch, name)[0] for name in fields),
+        tuple(getattr(scalar, name) for name in fields),
+    )
+
+
+def test_select_subblocks_aligned_node_wins_a_shared_start():
+    """TSLC-OPT's level-3 staggered window at symbol 32 covers the aligned
+    one exactly; both are eligible and the aligned node is reported."""
+    lengths = np.zeros(64, dtype=np.int64)
+    lengths[32:40] = 10  # level-2 windows reach 40 bits, level 3 80
+    batch, scalar = _select_one(lengths, 60, {2: 8, 3: 4})
+    assert 32 in extra_node_starts(64, 3, 4)
+    assert batch == scalar == (3, 32, 8, 80, False)
+
+
+@pytest.mark.parametrize("extra_nodes", [None, {2: 8, 3: 4}])
+def test_select_subblocks_scans_levels_before_starts(extra_nodes):
+    """Level 1 is eligible only at symbol 48, after level 3's first node at
+    symbol 0; the lower level still wins."""
+    lengths = np.zeros(64, dtype=np.int64)
+    lengths[:8] = 5  # level 2 sums 20 bits at symbol 0, level 3 40
+    lengths[48:50] = 30  # level 1 sums 60 bits at symbol 48
+    batch, scalar = _select_one(lengths, 35, extra_nodes)
+    assert batch == scalar == (1, 48, 2, 60, False)
 
 
 def test_select_subblocks_rejects_non_positive_required():

@@ -367,10 +367,9 @@ class _HalfCompressor(BlockCompressor):
     [
         (lambda: LosslessBackend(_HalfCompressor()), 128),
         (lambda: LosslessBackend(E2MCCompressor(symbol_bytes=4)), 128),
-        (lambda: LosslessBackend(get_compressor("bpc", block_size_bytes=512)), 512),
         (lambda: SLCBackend(SLCCompressor(SLCConfig(symbol_bytes=4, element_bytes=4))), 128),
     ],
-    ids=["scalar-only-compressor", "e2mc-4B-symbols", "bpc-512B", "slc-4B-symbols"],
+    ids=["scalar-only-compressor", "e2mc-4B-symbols", "slc-4B-symbols"],
 )
 def test_scalar_store_rows_count_every_looped_row(metrics_on, make_backend, block_size):
     backend = make_backend()

@@ -46,6 +46,26 @@ def test_skewed_frequencies_give_shorter_codes_to_frequent_symbols():
     assert code.lengths[1] == 1
 
 
+@pytest.mark.parametrize(
+    "frequencies, lengths",
+    [
+        (
+            {5: 1, 10: 1, 20: 1, 30: 2, 40: 2, 50: 4, 60: 8, 70: 16, 80: 16, 90: 64},
+            {5: 6, 10: 6, 20: 6, 30: 6, 40: 5, 50: 5, 60: 3, 70: 3, 80: 3, 90: 1},
+        ),
+        (
+            {3: 1, 1: 1, 2: 1, 9: 3, 8: 3, 7: 6, 6: 12, 4: 24, 5: 48, 0: 96},
+            {3: 7, 1: 8, 2: 8, 9: 6, 8: 6, 7: 6, 6: 4, 4: 3, 5: 2, 0: 1},
+        ),
+    ],
+)
+def test_tied_frequencies_merge_in_a_fixed_order(frequencies, lengths):
+    """Equal weights merge leaves in ascending symbol order, then merged
+    nodes in creation order; breaking the ties another way gives other
+    lengths for both tables."""
+    assert build_huffman_code(frequencies).lengths == lengths
+
+
 def test_prefix_free_property():
     code = build_huffman_code({s: (s + 1) ** 2 for s in range(20)})
     assert _is_prefix_free(code)

@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign.spec import LOSSLESS_SCHEMES
 from repro.campaign.worker import build_backend
 from repro.compression import available_compressors, get_compressor, scheme_latency
-from repro.compression.base import BlockCompressor, CompressedBlock
+from repro.compression.base import BlockCompressor, CompressedBlock, CompressionError
 from repro.compression.registry import register_compressor
 from repro.gpu.backends import LosslessBackend, NoCompressionBackend, StoredBatch
 from repro.gpu.config import GPUConfig
+from repro.kernels.lossless import bpc_size_bits
 from repro.utils.blocks import array_to_blocks, as_block_rows
 from repro.workloads.registry import get_workload
 
@@ -83,12 +84,15 @@ def test_batch_sizes_match_scalar_random(scheme, data):
 
 
 @pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
-@pytest.mark.parametrize("block_size", [16, 32, 64, 256])
+@pytest.mark.parametrize("block_size", [16, 32, 64, 256, 260])
 def test_batch_sizes_match_scalar_other_block_sizes(scheme, block_size):
     compressor = get_compressor(scheme, block_size_bytes=block_size)
     rng = np.random.default_rng(block_size)
+    last_one = np.zeros(block_size // 4, dtype="<u4")
+    last_one[-1] = 1  # BPC: a single-one plane at the last delta (63 at 260 B)
     blocks = [
         bytes(block_size),
+        last_one.tobytes(),
         rng.integers(0, 200, size=block_size // 4, dtype=np.uint32).tobytes(),
         rng.bytes(block_size),
     ]
@@ -125,10 +129,72 @@ def test_unaligned_block_size_falls_back_to_scalar():
     )
 
 
-def test_bpc_large_block_falls_back_to_scalar():
-    compressor = get_compressor("bpc", block_size_bytes=512)
-    rng = np.random.default_rng(0)
-    blocks = [bytes(512), rng.bytes(512)]
+def test_bpc_rejects_blocks_above_65_words():
+    """A single-one plane codes its position among the deltas in 6 bits."""
+    assert get_compressor("bpc", block_size_bytes=260).batched_analysis
+    for block_size in (264, 512):
+        with pytest.raises(ValueError, match="at most 65 32-bit words"):
+            get_compressor("bpc", block_size_bytes=block_size)
+    with pytest.raises(CompressionError, match="at most 65 words"):
+        bpc_size_bits([bytes(264)], 264)
+
+
+def _word_blocks(words: list[int], block_size: int) -> list[bytes]:
+    data = np.asarray(words, dtype="<u4").tobytes()
+    return [data[i : i + block_size] for i in range(0, len(data), block_size)]
+
+
+@st.composite
+def pooled_word_blocks(draw, block_size: int) -> list[bytes]:
+    """Two blocks of words from a small pool that shares high bytes.
+
+    Words differ in their low byte or two, so C-Pack meets full, high-24 and
+    high-16 dictionary matches; a pool of up to 24 words pushes more than 16
+    times, evicting words that come back later.  Zero, low-byte and
+    ``0xFFFFFFFF`` words ride along.
+    """
+    highs = draw(st.lists(st.integers(1, 0xFFFF), min_size=1, max_size=3))
+    pooled = st.builds(
+        lambda high, middle, low: high << 16 | middle << 8 | low,
+        st.sampled_from(highs),
+        st.integers(0, 3),
+        st.integers(0, 255),
+    )
+    pool = draw(st.lists(pooled, min_size=1, max_size=24)) + [0, 0x7F, 0xFFFFFFFF]
+    n_words = 2 * block_size // 4
+    words = draw(st.lists(st.sampled_from(pool), min_size=n_words, max_size=n_words))
+    return _word_blocks(words, block_size)
+
+
+@st.composite
+def sparse_delta_blocks(draw, block_size: int) -> list[bytes]:
+    """Blocks whose word deltas are one stride plus at most three spikes.
+
+    A stride of 0 leaves zero DBX planes, a spike a single-one plane, a
+    stride of 1 or -1 all-ones planes, and larger strides raw ones.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        deltas = [draw(st.sampled_from([0, 1, -1, 2, 3, 1 << 16, -(1 << 31)]))]
+        deltas *= block_size // 4 - 1
+        spikes = st.lists(st.integers(0, len(deltas) - 1), max_size=3)
+        for position in draw(spikes):
+            deltas[position] += draw(st.sampled_from([1, -1, 7, 1 << 31, -(1 << 20)]))
+        words = [draw(st.integers(0, 0xFFFFFFFF))]
+        for delta in deltas:
+            words.append((words[-1] + delta) & 0xFFFFFFFF)
+        blocks += _word_blocks(words, block_size)
+    return blocks
+
+
+@pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
+@pytest.mark.parametrize("block_size", [64, 128, 256])
+@pytest.mark.parametrize("strategy", [pooled_word_blocks, sparse_delta_blocks])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_sizes_match_scalar_structured_words(scheme, block_size, strategy, data):
+    compressor = get_compressor(scheme, block_size_bytes=block_size)
+    blocks = data.draw(strategy(block_size))
     assert compressor.compressed_size_bits_batch(blocks).tolist() == _scalar_sizes(
         compressor, blocks
     )
